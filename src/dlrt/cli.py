@@ -239,6 +239,12 @@ def _run_training(config: RunConfig, integrator: str, seed: int) -> dict:
         raise ConfigError(
             f"arch expects {config.arch[0]} inputs, data has {train.images.shape[1]}"
         )
+    classes = config.arch[-1]
+    for split in (train, test):
+        if split.labels.size and split.labels.max() >= classes:
+            raise ConfigError(
+                f"arch has {classes} outputs, data has label {split.labels.max()}"
+            )
 
     if integrator == "full":
         specs = mlp_specs(list(config.arch))
@@ -463,13 +469,13 @@ def cmd_descent_audit(config: RunConfig) -> int:
         )
     policy = config.policy(config.target_rank)
     cfg = StepConfig(h=h, substeps=config.substeps, policy=policy)
-    state = problem.y0
+    states = [problem.y0]
     rows = []
     violations = 0
     worst = 0.0
     for step in range(1, config.steps + 1):
         audit = StepAudit()
-        state = abc_psi_step(state, problem.oracle, cfg, audit=audit)
+        states = abc_psi_step(states, problem.oracle, cfg, audit=audit)
         bound = audit.loss_before - (1.0 - h * curvature / 2.0) * h * audit.proj_grad_sq
         margin = bound - audit.loss_flow
         violated = margin < -1e-9

@@ -1,6 +1,10 @@
 """One training step per integrator, driven by a gradient oracle.
 
-Five steppers share the factored-state conventions of the lowrank module:
+Every stepper advances a list of factored states together: between two
+oracle evaluations it loops over the states, and each evaluation sees all
+of them at once (for a network, one forward/backward pass over all its
+low-rank layers). A single matrix is the one-state case. Five steppers
+share the factored-state conventions of the lowrank module:
 
 * ``euler_full_step``: dense explicit-Euler baseline.
 * ``psi_step``: fixed-rank projector splitting over K, S, L subflows; the
@@ -16,13 +20,16 @@ Five steppers share the factored-state conventions of the lowrank module:
   back by a relative singular-value criterion.
 
 All subflows are discretized by explicit Euler; ``StepConfig.substeps``
-repeats the gradient step inside the K and L subflows.
+repeats the gradient step inside the K and L subflows. A step reuses the
+gradient at the current point wherever a substep starts there, so with s
+substeps it costs 2s+1 (psi), 2s (bc-psi, bug) or 2s-1 (abc-psi) oracle
+evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from .linalg import Matrix, as_matrix, householder_qr, ortho_augment
 from .lowrank import LowRankState, TruncationPolicy, truncate_state
 
 __all__ = [
+    "Gradient",
     "GradientOracle",
     "StepConfig",
     "StepAudit",
@@ -45,37 +53,47 @@ __all__ = [
     "s_step_loss_delta_psi",
     "ode_error_study",
     "INTEGRATOR_NAMES",
+    "STEPPERS",
 ]
 
 INTEGRATOR_NAMES = ("full", "psi", "bc-psi", "bug", "abc-psi")
 
 
+class Gradient(NamedTuple):
+    """Lazy contractions of one loss gradient G (m, n) at an evaluated point."""
+
+    right: Callable[[Matrix], Matrix]  # basis (n, c) -> G @ basis, (m, c)
+    left: Callable[[Matrix], Matrix]  # basis (m, c) -> G.T @ basis, (n, c)
+
+
+def _dense_gradient(g: Matrix) -> Gradient:
+    return Gradient(lambda basis: g @ basis, lambda basis: g.T @ basis)
+
+
 class GradientOracle:
-    """Supplies the loss gradient, and optionally its factored contractions.
+    """Supplies loss gradients at factored points.
 
     Parameters
     ----------
     eval_full : callable, optional
         y (m, n) -> gradient (m, n).
-    eval_kgrad : callable, optional
-        (k (m, r), v (n, r)) -> gradient of the loss at k @ v.T,
-        right-multiplied by v; shape (m, r).
-    eval_lgrad : callable, optional
-        (u (m, q), l (n, q)) -> transposed gradient of the loss at
-        u @ l.T, right-multiplied by u; shape (n, q).
+    eval_grads : callable, optional
+        list of factor pairs [(a_i (m_i, c_i), b_i (n_i, c_i)), ...] ->
+        list of ``Gradient`` handles, one per pair, of the loss at the
+        points a_i @ b_i.T taken together. One call is one evaluation of
+        the loss (for a network, one forward/backward pass).
     loss : callable, optional
         y (m, n) -> scalar loss, needed only by audits and loss probes.
 
-    At least eval_full or both contracted forms must be given; missing
-    contractions fall back to materializing the full gradient.
+    At least one gradient form must be given; without eval_grads each
+    pair is evaluated by materializing its full gradient.
     """
 
-    def __init__(self, eval_full=None, eval_kgrad=None, eval_lgrad=None, loss=None):
-        if eval_full is None and (eval_kgrad is None or eval_lgrad is None):
-            raise ValueError("need eval_full or both eval_kgrad and eval_lgrad")
+    def __init__(self, eval_full=None, eval_grads=None, loss=None):
+        if eval_full is None and eval_grads is None:
+            raise ValueError("need eval_full or eval_grads")
         self.eval_full = eval_full
-        self.eval_kgrad = eval_kgrad
-        self.eval_lgrad = eval_lgrad
+        self.eval_grads = eval_grads
         self.loss = loss
 
     def full(self, y: Matrix) -> Matrix:
@@ -83,15 +101,11 @@ class GradientOracle:
             raise ValueError("oracle has no full-gradient form")
         return self.eval_full(y)
 
-    def kgrad(self, k: Matrix, v: Matrix) -> Matrix:
-        if self.eval_kgrad is not None:
-            return self.eval_kgrad(k, v)
-        return self.full(k @ v.T) @ v
-
-    def lgrad(self, u: Matrix, l: Matrix) -> Matrix:
-        if self.eval_lgrad is not None:
-            return self.eval_lgrad(u, l)
-        return self.full(u @ l.T).T @ u
+    def grads(self, pairs) -> list:
+        """Gradient handles at the points a_i @ b_i.T, in pair order."""
+        if self.eval_grads is not None:
+            return self.eval_grads(pairs)
+        return [_dense_gradient(self.full(a @ b.T)) for a, b in pairs]
 
     def loss_at(self, y: Matrix) -> float:
         if self.loss is None:
@@ -119,10 +133,11 @@ class StepConfig:
 class StepAudit:
     """Optional sink for intermediate step quantities.
 
-    Pass an instance to a stepper to have it filled in place.  Which
-    fields are populated depends on the stepper; audits that need losses
-    or the basis-projected gradient require the oracle's loss and full
-    forms and densify the iterate, so use them at small scale only.
+    Pass an instance to a stepper advancing a single state to have it
+    filled in place. Which fields are populated depends on the stepper;
+    audits that need losses or the basis-projected gradient require the
+    oracle's loss and full forms and densify the iterate, so use them at
+    small scale only.
     """
 
     k0: Optional[Matrix] = None
@@ -142,102 +157,137 @@ def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
     return w - h * g
 
 
-def _k_sweep(k: Matrix, v: Matrix, oracle: GradientOracle, cfg: StepConfig) -> Matrix:
-    for _ in range(cfg.substeps):
-        k = k - cfg.h * oracle.kgrad(k, v)
-    return k
+def _k_sweep(
+    states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig, audit
+) -> tuple:
+    """K subflow of every state from k0 = u0 @ s0 with the right bases frozen.
+
+    Returns (k0, grads0, k1): the start, the gradient handles at the
+    current point (the first substep's evaluation), and the swept factors.
+    """
+    if audit is not None and len(states) != 1:
+        raise ValueError("a StepAudit records single-state steps only")
+    k = k0 = [st.u @ st.s for st in states]
+    v = [st.v for st in states]
+    grads = grads0 = oracle.grads(list(zip(k0, v)))
+    for step in range(cfg.substeps):
+        if step:
+            grads = oracle.grads(list(zip(k, v)))
+        k = [k_i - cfg.h * g.right(v_i) for k_i, v_i, g in zip(k, v, grads)]
+    return k0, grads0, k
 
 
-def _l_sweep(l: Matrix, u: Matrix, oracle: GradientOracle, cfg: StepConfig) -> Matrix:
-    for _ in range(cfg.substeps):
-        l = l - cfg.h * oracle.lgrad(u, l)
+def _l_sweep(
+    l: list, u: list, oracle: GradientOracle, cfg: StepConfig, grads: Optional[list] = None
+) -> list:
+    """L subflow with the left bases u frozen; grads, when given, are
+    taken at u @ l.T and spare the first evaluation."""
+    for step in range(cfg.substeps):
+        if step or grads is None:
+            grads = oracle.grads(list(zip(u, l)))
+        l = [l_i - cfg.h * g.left(u_i) for l_i, u_i, g in zip(l, u, grads)]
     return l
 
 
+def _refactor(u: Matrix, l: Matrix) -> LowRankState:
+    """State u @ l.T with the right factor orthonormalized by QR."""
+    v, r = householder_qr(l)
+    return LowRankState(u, np.ascontiguousarray(r.T), v)
+
+
+def _psi_ks(
+    states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig, audit=None
+) -> tuple:
+    """The K sweep and the single-step S sweep of a projector-splitting step.
+
+    Returns (k1, u1, s_tilde, s1): the swept K factors, their QR factors
+    u1 @ s_tilde, and the cores after the S sweep, which moves along the
+    positive gradient direction.
+    """
+    _, _, k1 = _k_sweep(states, oracle, cfg, audit)
+    u1, s_tilde = zip(*map(householder_qr, k1))
+    grads = oracle.grads([(u @ s, st.v) for u, s, st in zip(u1, s_tilde, states)])
+    s1 = [
+        s + cfg.h * (u.T @ g.right(st.v))
+        for u, s, st, g in zip(u1, s_tilde, states, grads)
+    ]
+    return k1, u1, s_tilde, s1
+
+
 def psi_step(
-    state: LowRankState,
+    states: Sequence[LowRankState],
     oracle: GradientOracle,
     cfg: StepConfig,
     audit: Optional[StepAudit] = None,
-) -> LowRankState:
+) -> list:
     """One fixed-rank projector-splitting step (K, S, L sweeps).
 
     The S sweep moves along the positive gradient direction; that is the
     splitting's backward-in-time substep, not a bug.
     """
-    u0, s0, v0 = state.u, state.s, state.v
-    h = cfg.h
-    # K sweep: evolve the left factor with the right basis frozen
-    k = _k_sweep(u0 @ s0, v0, oracle, cfg)
-    u1, s_tilde = householder_qr(k)
-    # S sweep (single explicit-Euler step, positive sign)
-    s1 = s_tilde + h * (u1.T @ oracle.kgrad(u1 @ s_tilde, v0))
-    # L sweep: evolve the right factor in the updated left basis
-    l = _l_sweep(v0 @ s1.T, u1, oracle, cfg)
-    v1, r_l = householder_qr(l)
+    k1, u1, _, s1 = _psi_ks(states, oracle, cfg, audit)
+    l1 = _l_sweep([st.v @ s.T for st, s in zip(states, s1)], u1, oracle, cfg)
     if audit is not None:
-        audit.k1 = k
-        audit.s_mid = s1
-    return LowRankState(u1, np.ascontiguousarray(r_l.T), v1)
+        audit.k1, audit.s_mid = k1[0], s1[0]
+    return [_refactor(u, l) for u, l in zip(u1, l1)]
 
 
 def bc_psi_step(
-    state: LowRankState,
+    states: Sequence[LowRankState],
     oracle: GradientOracle,
     cfg: StepConfig,
     audit: Optional[StepAudit] = None,
-) -> LowRankState:
+) -> list:
     """Fixed-rank splitting step with the S sweep replaced by a projection.
 
     After the K sweep, the new core is taken as u1.T @ k0 (the previous
     iterate expressed in the fresh left basis) instead of integrating the
     core backward.
     """
-    u0, s0, v0 = state.u, state.s, state.v
-    k0 = u0 @ s0
-    k = _k_sweep(k0, v0, oracle, cfg)
-    u1, _ = householder_qr(k)
-    s_bar = u1.T @ k0
-    l = _l_sweep(v0 @ s_bar.T, u1, oracle, cfg)
-    v1, r_l = householder_qr(l)
+    k0, _, k1 = _k_sweep(states, oracle, cfg, audit)
+    u1 = [householder_qr(k).q for k in k1]
+    s_bar = [u.T @ k for u, k in zip(u1, k0)]
+    l1 = _l_sweep([st.v @ s.T for st, s in zip(states, s_bar)], u1, oracle, cfg)
     if audit is not None:
-        audit.k1 = k
-        audit.s_mid = s_bar
-    return LowRankState(u1, np.ascontiguousarray(r_l.T), v1)
+        audit.k1, audit.s_mid = k1[0], s_bar[0]
+    return [_refactor(u, l) for u, l in zip(u1, l1)]
 
 
 def bug_fixed_step(
-    state: LowRankState,
+    states: Sequence[LowRankState],
     oracle: GradientOracle,
     cfg: StepConfig,
     audit: Optional[StepAudit] = None,
-) -> LowRankState:
+) -> list:
     """Fixed-rank basis-update and Galerkin step.
 
     K and L sweeps both start from the current state (they are
-    independent and could run in parallel); the core is then rebuilt in
-    the two fresh bases and advanced by one explicit-Euler step.
+    independent and could run in parallel, and their first substeps share
+    one evaluation); the core is then rebuilt in the two fresh bases and
+    advanced by one explicit-Euler step.
     """
-    u0, s0, v0 = state.u, state.s, state.v
-    h = cfg.h
-    k = _k_sweep(u0 @ s0, v0, oracle, cfg)
-    l = _l_sweep(v0 @ s0.T, u0, oracle, cfg)
-    u1, _ = householder_qr(k)
-    v1, _ = householder_qr(l)
-    s_init = (u1.T @ u0) @ s0 @ (v0.T @ v1)
-    s1 = s_init - h * (u1.T @ oracle.kgrad(u1 @ s_init, v1))
+    _, grads, k1 = _k_sweep(states, oracle, cfg, audit)
+    u0 = [st.u for st in states]
+    l1 = _l_sweep([st.v @ st.s.T for st in states], u0, oracle, cfg, grads)
+    u1 = [householder_qr(k).q for k in k1]
+    v1 = [householder_qr(l).q for l in l1]
+    s_init = [
+        (u1_i.T @ st.u) @ st.s @ (st.v.T @ v1_i)
+        for u1_i, v1_i, st in zip(u1, v1, states)
+    ]
+    grads = oracle.grads([(u @ s, v) for u, s, v in zip(u1, s_init, v1)])
+    s1 = [s - cfg.h * (u.T @ g.right(v)) for u, s, v, g in zip(u1, s_init, v1, grads)]
     if audit is not None:
-        audit.k1 = k
-        audit.s_mid = s_init
-    return LowRankState(u1, s1, v1)
+        audit.k1, audit.s_mid = k1[0], s_init[0]
+    return [LowRankState(u, s, v) for u, s, v in zip(u1, s1, v1)]
 
 
 def abc_psi_step(
-    state: LowRankState,
+    states: Sequence[LowRankState],
     oracle: GradientOracle,
     cfg: StepConfig,
     audit: Optional[StepAudit] = None,
-) -> LowRankState:
+) -> list:
     """Rank-adaptive step: augment the left basis, correct, evolve, truncate.
 
     Order of operations:
@@ -247,7 +297,9 @@ def abc_psi_step(
        trailing columns are dropped, so its width q is at most 2r.
     3. Core correction folded into the right factor: l0 = v0 @ k0.T @ u_hat
        (the current iterate expressed against u_hat).
-    4. L sweep in the enlarged basis.
+    4. L sweep in the enlarged basis. Its first substep starts at the
+       current point, u_hat @ l0.T = k0 @ v0.T, so with one substep the
+       whole step costs one oracle evaluation.
     5. Truncation of u_hat @ l1.T by the policy's singular-value
        criterion, then a small QR to restore the orthonormal-times-core
        form.
@@ -257,33 +309,31 @@ def abc_psi_step(
     """
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
-    u0, s0, v0 = state.u, state.s, state.v
-    k0 = u0 @ s0
-    k1 = _k_sweep(k0, v0, oracle, cfg)
-    u_hat = ortho_augment(k0, k1)
-    l0 = v0 @ (k0.T @ u_hat)
+    k0, grads, k1 = _k_sweep(states, oracle, cfg, audit)
+    u_hat = [ortho_augment(k, k_new) for k, k_new in zip(k0, k1)]
+    l0 = [st.v @ (k.T @ u) for st, k, u in zip(states, k0, u_hat)]
     if audit is not None:
         # audit quantities at the pre-step point; needs full/loss forms
-        audit.k0 = k0
-        audit.k1 = k1
-        audit.u_hat = u_hat
+        (state,) = states
+        audit.k0, audit.k1, audit.u_hat = k0[0], k1[0], u_hat[0]
         if oracle.loss is not None and oracle.eval_full is not None:
-            y0 = u0 @ (s0 @ v0.T)
+            y0 = state.u @ (state.s @ state.v.T)
             audit.loss_before = oracle.loss_at(y0)
             g0 = oracle.full(y0)
-            audit.proj_grad_sq = float(np.sum((u_hat.T @ g0) ** 2))
-    l1 = _l_sweep(l0, u_hat, oracle, cfg)
+            audit.proj_grad_sq = float(np.sum((u_hat[0].T @ g0) ** 2))
+    l1 = _l_sweep(l0, u_hat, oracle, cfg, grads)
     if audit is not None and oracle.loss is not None:
-        audit.loss_flow = oracle.loss_at(u_hat @ l1.T)
-    k_star, v_star = truncate_state(u_hat, l1, cfg.policy)
-    # small re-factorization: k_star lies in span(u_hat), so QR the
-    # q x r1 coefficient block instead of the full m x r1 factor
-    core = u_hat.T @ k_star
-    w, s_new = householder_qr(core)
-    u_new = u_hat @ w
+        audit.loss_flow = oracle.loss_at(u_hat[0] @ l1[0].T)
+    out = []
+    for u, l in zip(u_hat, l1):
+        k_star, v_star = truncate_state(u, l, cfg.policy)
+        # small re-factorization: k_star lies in span(u), so QR the
+        # q x r1 coefficient block instead of the full m x r1 factor
+        w, s_new = householder_qr(u.T @ k_star)
+        out.append(LowRankState(u @ w, s_new, v_star))
     if audit is not None:
-        audit.rank_out = v_star.shape[1]
-    return LowRankState(u_new, s_new, v_star)
+        audit.rank_out = out[0].rank
+    return out
 
 
 def s_step_loss_delta_psi(
@@ -291,47 +341,48 @@ def s_step_loss_delta_psi(
 ) -> tuple[float, float]:
     """Loss before and after the core sweep of a projector-splitting step.
 
-    Runs only the K sweep and the single-step S sweep, evaluating the loss
-    at u1 @ s @ v0.T on both sides.  The S sweep integrates against the
-    descent direction, so the returned delta is non-negative to leading
-    order (about h times the squared norm of the projected gradient).
+    Runs only the K sweep and the single-step S sweep of ``psi_step``,
+    evaluating the loss at u1 @ s @ v0.T on both sides.  The S sweep
+    integrates against the descent direction, so the returned delta is
+    non-negative to leading order (about h times the squared norm of the
+    projected gradient).
     """
     if oracle.loss is None:
         raise ValueError("s_step_loss_delta_psi requires the oracle's loss form")
-    u0, s0, v0 = state.u, state.s, state.v
-    h = cfg.h
-    k = _k_sweep(u0 @ s0, v0, oracle, cfg)
-    u1, s_tilde = householder_qr(k)
-    loss_before = oracle.loss_at(u1 @ (s_tilde @ v0.T))
-    s1 = s_tilde + h * (u1.T @ oracle.kgrad(u1 @ s_tilde, v0))
-    loss_after = oracle.loss_at(u1 @ (s1 @ v0.T))
+    _, (u1,), (s_tilde,), (s1,) = _psi_ks([state], oracle, cfg)
+    loss_before = oracle.loss_at(u1 @ (s_tilde @ state.v.T))
+    loss_after = oracle.loss_at(u1 @ (s1 @ state.v.T))
     return loss_before, loss_after
 
 
 def quadratic_oracle(a: Matrix) -> GradientOracle:
     """Oracle for the quadratic loss 0.5 * ||y - a||_F^2.
 
-    The gradient is y - a; the contracted forms avoid materializing it.
+    The gradient is y - a; the factored evaluation contracts it without
+    materializing it, treating a list of points as independent copies of
+    the loss.
     """
     a = as_matrix(a, "a")
 
     def eval_full(y):
         return y - a
 
-    def eval_kgrad(k, v):
-        # (k v^T - a) v without the m x n intermediate
-        return k @ (v.T @ v) - a @ v
-
-    def eval_lgrad(u, l):
-        # (u l^T - a)^T u without the m x n intermediate
-        return l @ (u.T @ u) - a.T @ u
+    def eval_grads(pairs):
+        return [_quadratic_gradient(a, *pair) for pair in pairs]
 
     def loss(y):
         d = y - a
         return 0.5 * float(np.sum(d * d))
 
-    return GradientOracle(eval_full=eval_full, eval_kgrad=eval_kgrad,
-                          eval_lgrad=eval_lgrad, loss=loss)
+    return GradientOracle(eval_full=eval_full, eval_grads=eval_grads, loss=loss)
+
+
+def _quadratic_gradient(target: Matrix, a: Matrix, b: Matrix) -> Gradient:
+    # contractions of a @ b.T - target without the m x n intermediate
+    return Gradient(
+        lambda basis: a @ (b.T @ basis) - target @ basis,
+        lambda basis: b @ (a.T @ basis) - target.T @ basis,
+    )
 
 
 def synthetic_quadratic_problem(
@@ -371,7 +422,7 @@ def robbins_monro_step(h0: float, t: int) -> float:
     return h0 / t
 
 
-_STEPPERS: dict[str, Callable] = {
+STEPPERS: dict[str, Callable] = {
     "psi": psi_step,
     "bc-psi": bc_psi_step,
     "bug": bug_fixed_step,
@@ -437,15 +488,15 @@ def ode_error_study(
             w = _integrate_dense(problem, h, steps)
             err = float(np.linalg.norm(w - w_ref))
         else:
-            stepper = _STEPPERS[integrator]
+            stepper = STEPPERS[integrator]
             cfg = StepConfig(
                 h=h,
                 substeps=cfg_template.substeps if cfg_template else 1,
                 policy=cfg_template.policy if cfg_template else None,
             )
-            y = problem.y0
+            states = [problem.y0]
             for _ in range(steps):
-                y = stepper(y, problem.oracle, cfg)
-            err = float(np.linalg.norm(y.densify() - w_ref))
+                states = stepper(states, problem.oracle, cfg)
+            err = float(np.linalg.norm(states[0].densify() - w_ref))
         rows.append((float(h), err))
     return rows

@@ -1,4 +1,4 @@
-"""Dense float64 kernels: QR, thin SVD, norms, and basic products.
+"""Dense float64 kernels: QR, basis augmentation and thin SVD.
 
 Every factorization here carries an explicit result contract (orthonormal
 factors, sign conventions, dimension checks) so the integrator steps built
@@ -22,10 +22,6 @@ __all__ = [
     "householder_qr",
     "ortho_augment",
     "svd_thin",
-    "frobenius_norm",
-    "matmul",
-    "transpose",
-    "axpy",
 ]
 
 # Dense real matrix carrier: 2-D C-contiguous float64 ndarray.
@@ -153,31 +149,3 @@ def svd_thin(l) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed to converge: {exc}") from exc
     return SvdResult(p, sigma, np.ascontiguousarray(qt.T))
-
-
-def frobenius_norm(a) -> float:
-    """Frobenius norm of a 2-D array."""
-    return float(np.linalg.norm(as_matrix(a, "a")))
-
-
-def matmul(a, b) -> Matrix:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> Matrix:
-    """Transpose returned as a fresh C-contiguous array."""
-    return np.ascontiguousarray(as_matrix(a, "a").T)
-
-
-def axpy(alpha: float, x, y) -> Matrix:
-    """alpha * x + y for same-shape matrices."""
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape != y.shape:
-        raise DimensionError(f"axpy shapes differ: {x.shape} vs {y.shape}")
-    return alpha * x + y

@@ -21,7 +21,6 @@ from .linalg import (
 __all__ = [
     "LowRankState",
     "TruncationPolicy",
-    "default_policy",
     "init_lowrank",
     "tangent_project",
     "truncation_rank",
@@ -92,11 +91,6 @@ class TruncationPolicy:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if not (1 <= self.r_min <= self.r_max):
             raise ValueError(f"need 1 <= r_min <= r_max, got [{self.r_min}, {self.r_max}]")
-
-
-def default_policy(initial_rank: int, tau: float) -> TruncationPolicy:
-    """Default clamp window: floor 2, cap at twice the initial rank."""
-    return TruncationPolicy(tau=tau, r_max=max(2, 2 * initial_rank), r_min=2)
 
 
 def init_lowrank(m: int, n: int, r: int, seed: int) -> LowRankState:

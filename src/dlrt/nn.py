@@ -5,27 +5,25 @@ to ``x @ w.T + bias``. Low-rank layers never materialize ``w``: forward runs
 as ``((x @ v) @ s.T) @ u.T`` at cost O(b (m+n) r), and backward returns
 contracted gradients instead of the full m x n matrix.
 
-train_step advances every low-rank layer by one step of the chosen splitting
-integrator while dense layers and biases take a plain gradient-descent step.
-All layers move through the integrator phases together, so each gradient
-evaluation sees a consistent network.
+train_step hands the low-rank layers' states to the chosen stepper of
+``dlrt.integrators`` together with a network oracle, so every integrator is
+written once for single matrices and networks alike. One oracle evaluation
+is one forward/backward pass with all low-rank layers at the stepper's
+current phase, so each gradient evaluation sees a consistent network. With s
+substeps a step costs 2s+1 (psi), 2s (bc-psi, bug), 2s-1 (abc-psi) or 1
+(full) passes. Dense layers and biases take a plain gradient-descent step
+from the first pass.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .integrators import INTEGRATOR_NAMES, StepConfig
-from .linalg import (
-    DimensionError,
-    Matrix,
-    NumericError,
-    as_matrix,
-    householder_qr,
-    ortho_augment,
-)
-from .lowrank import LowRankState, truncate_state
+from .integrators import INTEGRATOR_NAMES, STEPPERS, Gradient, GradientOracle, StepConfig
+from .linalg import DimensionError, Matrix, NumericError, as_matrix
+from .lowrank import LowRankState
 
 __all__ = [
     "LayerSpec",
@@ -341,138 +339,71 @@ def backward(net: Network, cache: _Cache, dlogits) -> BatchGrad:
 # -- training ----------------------------------------------------------------
 
 
-def _qr_cols(a):
-    q, r = householder_qr(a)
-    return q, r
+def _network_oracle(net: Network, x: Matrix, labels, first: list) -> GradientOracle:
+    """Batch-loss oracle over the network's low-rank layers.
+
+    One evaluation sets every low-rank layer to its factor pair (a, b),
+    holds dense layers at their weights, and runs one forward/backward
+    pass; it returns one gradient handle per low-rank layer. The first
+    evaluation's (loss, tapes) is appended to ``first``.
+    """
+
+    def eval_grads(pairs):
+        pairs = iter(pairs)
+        reprs = [
+            _Repr(*next(pairs), None, layer.bias, layer.activation)
+            if isinstance(layer, LowRankLayer)
+            else _base_repr(layer)
+            for layer in net.layers
+        ]
+        logits, caches = _run_forward(reprs, x)
+        loss, dlogits = softmax_cross_entropy(logits, labels)
+        tapes = _run_backward(reprs, caches, dlogits)
+        if not first:
+            first.append((loss, tapes))
+        return [
+            Gradient(partial(_g_right, tape), partial(_g_left, tape))
+            for layer, tape in zip(net.layers, tapes)
+            if isinstance(layer, LowRankLayer)
+        ]
+
+    return GradientOracle(eval_grads=eval_grads)
 
 
 def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
     """One mini-batch update. Returns (new_net, pre-step batch loss).
 
-    Low-rank layers advance by one step of the named integrator; dense
-    layers and all biases take a plain gradient step of the same size. The
-    first gradient evaluation is shared by every integrator (they all start
-    from the current weights), so the cheapest path (abc-psi with one inner
-    step) costs a single forward/backward pass per batch.
+    Low-rank layers advance together by one step of the named integrator
+    from ``dlrt.integrators``; dense layers and all biases take a plain
+    gradient step of the same size, from the first pass, which every
+    integrator makes at the current weights.
     """
     if integrator not in INTEGRATOR_NAMES:
         raise ValueError(f"unknown integrator {integrator!r}")
     x, labels = batch
     x = as_matrix(x, "x")
-    h = cfg.h
-    lowrank_idx = [
-        i for i, layer in enumerate(net.layers) if isinstance(layer, LowRankLayer)
-    ]
-    if integrator == "full" and lowrank_idx:
+    states = [layer.state for layer in net.layers if isinstance(layer, LowRankLayer)]
+    if integrator == "full" and states:
         raise ValueError("full integrator requires an all-dense network")
-    if integrator == "abc-psi" and cfg.policy is None:
-        raise ValueError("abc-psi needs cfg.policy for truncation")
 
-    base_reprs = [_base_repr(layer) for layer in net.layers]
-    logits, caches = _run_forward(base_reprs, x)
-    loss, dlogits = softmax_cross_entropy(logits, labels)
-    base_tapes = _run_backward(base_reprs, caches, dlogits)
+    first = []
+    oracle = _network_oracle(net, x, labels, first)
+    if states:
+        states = STEPPERS[integrator](states, oracle, cfg)
+    else:
+        oracle.grads([])
+    [(loss, tapes)] = first
 
-    def repass(phase_ab):
-        # phase_ab: {layer index: (a, b)} for lowrank layers, this phase
-        reprs = []
-        for i, layer in enumerate(net.layers):
-            if i in phase_ab:
-                a, b = phase_ab[i]
-                reprs.append(_Repr(a, b, None, layer.bias, layer.activation))
-            else:
-                reprs.append(base_reprs[i])
-        out, ch = _run_forward(reprs, x)
-        _, dl = softmax_cross_entropy(out, labels)
-        return _run_backward(reprs, ch, dl)
-
-    # dense weights and biases always update from the starting point
-    new_weights = {}
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, DenseLayer):
-            g_full = base_tapes[i].delta.T @ base_tapes[i].x
-            new_weights[i] = layer.w - h * g_full
-    new_biases = [
-        layer.bias - h * _g_bias(base_tapes[i]) for i, layer in enumerate(net.layers)
-    ]
-
-    if lowrank_idx:
-        states = {i: net.layers[i].state for i in lowrank_idx}
-        k0 = {i: st.u @ st.s for i, st in states.items()}
-        v0 = {i: st.v for i, st in states.items()}
-
-        # K sweep: shared start for every integrator
-        k = dict(k0)
-        tapes = base_tapes
-        for inner in range(cfg.substeps):
-            if inner > 0:
-                tapes = repass({i: (k[i], v0[i]) for i in lowrank_idx})
-            for i in lowrank_idx:
-                k[i] = k[i] - h * _g_right(tapes[i], v0[i])
-
-        if integrator in ("psi", "bc-psi"):
-            u1, s_mid = {}, {}
-            for i in lowrank_idx:
-                u1[i], s_mid[i] = _qr_cols(k[i])
-            if integrator == "psi":
-                # single corrective step on the core, along the raw gradient
-                s_tapes = repass({i: (u1[i] @ s_mid[i], v0[i]) for i in lowrank_idx})
-                for i in lowrank_idx:
-                    s_mid[i] = s_mid[i] + h * (u1[i].T @ _g_right(s_tapes[i], v0[i]))
-            else:
-                for i in lowrank_idx:
-                    s_mid[i] = u1[i].T @ k0[i]
-            ell = {i: v0[i] @ s_mid[i].T for i in lowrank_idx}
-            for _ in range(cfg.substeps):
-                l_tapes = repass({i: (u1[i], ell[i]) for i in lowrank_idx})
-                for i in lowrank_idx:
-                    ell[i] = ell[i] - h * _g_left(l_tapes[i], u1[i])
-            for i in lowrank_idx:
-                v1, r_l = _qr_cols(ell[i])
-                new_weights[i] = LowRankState(u1[i], r_l.T, v1)
-
-        elif integrator == "bug":
-            # L sweep also leaves from the starting point
-            ell = {i: v0[i] @ states[i].s.T for i in lowrank_idx}
-            tapes = base_tapes
-            for inner in range(cfg.substeps):
-                if inner > 0:
-                    tapes = repass({i: (states[i].u, ell[i]) for i in lowrank_idx})
-                for i in lowrank_idx:
-                    ell[i] = ell[i] - h * _g_left(tapes[i], states[i].u)
-            u1 = {i: _qr_cols(k[i])[0] for i in lowrank_idx}
-            v1 = {i: _qr_cols(ell[i])[0] for i in lowrank_idx}
-            s_init = {
-                i: (u1[i].T @ states[i].u) @ states[i].s @ (v0[i].T @ v1[i])
-                for i in lowrank_idx
-            }
-            s_tapes = repass({i: (u1[i] @ s_init[i], v1[i]) for i in lowrank_idx})
-            for i in lowrank_idx:
-                s_new = s_init[i] - h * (u1[i].T @ _g_right(s_tapes[i], v1[i]))
-                new_weights[i] = LowRankState(u1[i], s_new, v1[i])
-
-        else:  # abc-psi
-            u_hat = {i: ortho_augment(k0[i], k[i]) for i in lowrank_idx}
-            ell = {i: v0[i] @ (k0[i].T @ u_hat[i]) for i in lowrank_idx}
-            # the augmented start reproduces the base weights exactly, so the
-            # first inner step reuses the base tape
-            tapes = base_tapes
-            for inner in range(cfg.substeps):
-                if inner > 0:
-                    tapes = repass({i: (u_hat[i], ell[i]) for i in lowrank_idx})
-                for i in lowrank_idx:
-                    ell[i] = ell[i] - h * _g_left(tapes[i], u_hat[i])
-            for i in lowrank_idx:
-                k_star, v_star = truncate_state(u_hat[i], ell[i], cfg.policy)
-                w_small, s_new = _qr_cols(u_hat[i].T @ k_star)
-                new_weights[i] = LowRankState(u_hat[i] @ w_small, s_new, v_star)
-
+    h = cfg.h
+    states = iter(states)
     new_layers = []
-    for i, layer in enumerate(net.layers):
+    for layer, tape in zip(net.layers, tapes):
+        bias = layer.bias - h * _g_bias(tape)
         if isinstance(layer, DenseLayer):
-            new_layers.append(DenseLayer(new_weights[i], new_biases[i], layer.activation))
+            w = layer.w - h * (tape.delta.T @ tape.x)
+            new_layers.append(DenseLayer(w, bias, layer.activation))
         else:
-            new_layers.append(LowRankLayer(new_weights[i], new_biases[i], layer.activation))
+            new_layers.append(LowRankLayer(next(states), bias, layer.activation))
     return Network(new_layers), loss
 
 

@@ -64,7 +64,7 @@ def test_criterion_01_loss_descent_inequality():
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.1, r_max=8, r_min=2))
         for _ in range(200):
             audit = StepAudit()
-            state = abc_psi_step(state, problem.oracle, cfg, audit=audit)
+            [state] = abc_psi_step([state], problem.oracle, cfg, audit=audit)
             bound = audit.loss_before - (1 - h / 2) * h * audit.proj_grad_sq
             worst = max(worst, audit.loss_flow - bound)
     report(1, worst <= 1e-9, f"worst slack {worst:.3e} over 1000 steps (limit 1e-9)")
@@ -119,8 +119,8 @@ def test_criterion_04_backward_correction_gap():
 
     def gap(h):
         audit_psi, audit_bc = StepAudit(), StepAudit()
-        psi_step(problem.y0, problem.oracle, StepConfig(h=h), audit=audit_psi)
-        bc_psi_step(problem.y0, problem.oracle, StepConfig(h=h), audit=audit_bc)
+        psi_step([problem.y0], problem.oracle, StepConfig(h=h), audit=audit_psi)
+        bc_psi_step([problem.y0], problem.oracle, StepConfig(h=h), audit=audit_bc)
         return np.linalg.norm(audit_psi.s_mid - audit_bc.s_mid)
 
     ratio = gap(0.01) / gap(0.005)
@@ -143,7 +143,7 @@ def test_criterion_05_augmentation_and_orthonormality():
         h = float(rng.uniform(1e-3, 0.5))
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.05, r_max=2 * r, r_min=1))
         audit = StepAudit()
-        out = abc_psi_step(state, quadratic_oracle(a), cfg, audit=audit)
+        [out] = abc_psi_step([state], quadratic_oracle(a), cfg, audit=audit)
         u_hat = audit.u_hat
         res_u0 = np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u))
         res_k1 = np.linalg.norm(audit.k1 - u_hat @ (u_hat.T @ audit.k1))
@@ -317,7 +317,7 @@ def test_criterion_09_rank_adaptation():
     rank_hit = None
     loss_hit = None
     for step in range(1, 51):
-        state = abc_psi_step(state, oracle, cfg)
+        [state] = abc_psi_step([state], oracle, cfg)
         if rank_hit is None and state.rank == 4:
             rank_hit = step
         if loss_hit is None and oracle.loss_at(state.densify()) < 1e-6:
@@ -343,7 +343,7 @@ def test_criterion_10_convergence_harness():
     best = initial
     for t in range(1, 2001):
         cfg = StepConfig(h=robbins_monro_step(1.5, t), policy=policy)
-        state = abc_psi_step(state, problem.oracle, cfg)
+        [state] = abc_psi_step([state], problem.oracle, cfg)
         best = min(best, projected_grad_norm(state))
     ratio = best / initial
     report(10, ratio <= 1e-3, f"min projected-gradient ratio {ratio:.3e} (limit 1e-3)")

@@ -163,6 +163,14 @@ class TestTrain:
         summary = json.loads(list(tmp_path.glob("train-*.json"))[0].read_text())
         assert summary["status"] == "diverged"
 
+    def test_labels_beyond_output_width(self, data_dir, tmp_path, caplog):
+        # the fixture has four classes; a three-wide output cannot fit them
+        args = train_args(data_dir, tmp_path, "--epochs", "1")
+        args[args.index("--arch") + 1] = "16,12,3"
+        assert main(args) == EXIT_CONFIG
+        assert "label 3" in caplog.text
+        assert not list(tmp_path.glob("train-*"))
+
     def test_dense_baseline_has_no_rank_columns(self, data_dir, tmp_path):
         code = main(train_args(data_dir, tmp_path, "--epochs", "1",
                                "--integrator", "full"))
@@ -201,6 +209,16 @@ class TestCompare:
         assert code == EXIT_OK
         summary = json.loads(list(tmp_path.glob("compare-*.json"))[0].read_text())
         assert len(summary["runs"]) == 1
+
+
+    def test_labels_beyond_output_width(self, data_dir, tmp_path):
+        code = main([
+            "compare", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+            "--arch", "16,12,3", "--rank", "3", "--epochs", "1",
+            "--integrators", "abc-psi,full",
+        ])
+        assert code == EXIT_CONFIG
+        assert not list(tmp_path.glob("compare-*"))
 
 
 class TestOdeBench:

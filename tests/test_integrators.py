@@ -40,12 +40,16 @@ class TestGradientOracle:
         oracle = quadratic_oracle(a)
         k = rng.standard_normal((9, 3))
         v = np.linalg.qr(rng.standard_normal((7, 3)))[0]
-        full_route = oracle.full(k @ v.T) @ v
-        assert np.linalg.norm(oracle.kgrad(k, v) - full_route) <= 1e-10
         u = np.linalg.qr(rng.standard_normal((9, 4)))[0]
         l = rng.standard_normal((7, 4))
-        full_route_l = oracle.full(u @ l.T).T @ u
-        assert np.linalg.norm(oracle.lgrad(u, l) - full_route_l) <= 1e-10
+        # one evaluation at two points gives one handle per point
+        g_k, g_l = oracle.grads([(k, v), (u, l)])
+        full_k = oracle.full(k @ v.T)
+        full_l = oracle.full(u @ l.T)
+        assert np.linalg.norm(g_k.right(v) - full_k @ v) <= 1e-10
+        assert np.linalg.norm(g_k.left(u) - full_k.T @ u) <= 1e-10
+        assert np.linalg.norm(g_l.left(u) - full_l.T @ u) <= 1e-10
+        assert np.linalg.norm(g_l.right(v) - full_l @ v) <= 1e-10
 
     def test_fallback_to_full_gradient(self):
         rng = np.random.default_rng(1)
@@ -54,7 +58,11 @@ class TestGradientOracle:
         rich = quadratic_oracle(a)
         k = rng.standard_normal((6, 2))
         v = np.linalg.qr(rng.standard_normal((5, 2)))[0]
-        assert np.linalg.norm(full_only.kgrad(k, v) - rich.kgrad(k, v)) <= 1e-12
+        u = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+        (g_full,) = full_only.grads([(k, v)])
+        (g_rich,) = rich.grads([(k, v)])
+        assert np.linalg.norm(g_full.right(v) - g_rich.right(v)) <= 1e-12
+        assert np.linalg.norm(g_full.left(u) - g_rich.left(u)) <= 1e-12
 
     def test_requires_some_gradient_form(self):
         with pytest.raises(ValueError):
@@ -82,14 +90,14 @@ class TestEulerFullStep:
 class TestPsiStep:
     def test_zero_gradient_reproduces_state(self):
         state = init_lowrank(8, 6, 3, seed=5)
-        out = psi_step(state, zero_oracle(), StepConfig(h=0.1))
+        [out] = psi_step([state], zero_oracle(), StepConfig(h=0.1))
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
         out.validate()
 
     def test_on_manifold_target_is_fixed_point(self):
         state = init_lowrank(7, 5, 2, seed=6)
         oracle = quadratic_oracle(state.densify())
-        out = psi_step(state, oracle, StepConfig(h=0.1))
+        [out] = psi_step([state], oracle, StepConfig(h=0.1))
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
 
     def test_matches_straight_line_reimplementation(self):
@@ -108,7 +116,7 @@ class TestPsiStep:
         v1, r_l = signed_qr(l1)
         expected = LowRankState(u1, r_l.T, v1)
 
-        out = psi_step(state, quadratic_oracle(a), StepConfig(h=h))
+        [out] = psi_step([state], quadratic_oracle(a), StepConfig(h=h))
         np.testing.assert_allclose(out.u, expected.u, atol=1e-12)
         np.testing.assert_allclose(out.s, expected.s, atol=1e-12)
         np.testing.assert_allclose(out.v, expected.v, atol=1e-12)
@@ -117,7 +125,7 @@ class TestPsiStep:
 class TestBcPsiStep:
     def test_zero_gradient_reproduces_state(self):
         state = init_lowrank(9, 6, 3, seed=8)
-        out = bc_psi_step(state, zero_oracle(), StepConfig(h=0.2))
+        [out] = bc_psi_step([state], zero_oracle(), StepConfig(h=0.2))
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
 
     def test_core_gap_vs_psi_is_second_order(self):
@@ -127,8 +135,8 @@ class TestBcPsiStep:
 
         def gap(h):
             audit_psi, audit_bc = StepAudit(), StepAudit()
-            psi_step(state, oracle, StepConfig(h=h), audit=audit_psi)
-            bc_psi_step(state, oracle, StepConfig(h=h), audit=audit_bc)
+            psi_step([state], oracle, StepConfig(h=h), audit=audit_psi)
+            bc_psi_step([state], oracle, StepConfig(h=h), audit=audit_bc)
             return np.linalg.norm(audit_psi.s_mid - audit_bc.s_mid)
 
         ratio = gap(0.01) / gap(0.005)
@@ -139,8 +147,8 @@ class TestBcPsiStep:
         a = np.random.default_rng(10).standard_normal((6, 5))
         oracle = quadratic_oracle(a)
         cfg = StepConfig(h=0.1)
-        out_psi = psi_step(state, oracle, cfg)
-        out_bc = bc_psi_step(state, oracle, cfg)
+        [out_psi] = psi_step([state], oracle, cfg)
+        [out_bc] = bc_psi_step([state], oracle, cfg)
         # identical K sweep implies the same left basis; the cores differ
         np.testing.assert_allclose(out_psi.u, out_bc.u, atol=1e-12)
         assert np.linalg.norm(out_psi.s - out_bc.s) > 1e-8
@@ -149,7 +157,7 @@ class TestBcPsiStep:
 class TestBugFixedStep:
     def test_zero_gradient_reproduces_state(self):
         state = init_lowrank(7, 6, 2, seed=11)
-        out = bug_fixed_step(state, zero_oracle(), StepConfig(h=0.15))
+        [out] = bug_fixed_step([state], zero_oracle(), StepConfig(h=0.15))
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
 
     def test_full_rank_degenerates_to_euler(self):
@@ -157,7 +165,7 @@ class TestBugFixedStep:
         a = np.random.default_rng(12).standard_normal((6, 4))
         oracle = quadratic_oracle(a)
         h = 0.2
-        out = bug_fixed_step(state, oracle, StepConfig(h=h))
+        [out] = bug_fixed_step([state], oracle, StepConfig(h=h))
         euler = euler_full_step(state.densify(), oracle, h)
         assert np.linalg.norm(out.densify() - euler) <= 1e-8
 
@@ -175,7 +183,7 @@ class TestBugFixedStep:
         s1 = s_init - h * (u1.T @ ((u1 @ s_init @ v1.T - a) @ v1))
         expected = u1 @ s1 @ v1.T
 
-        out = bug_fixed_step(state, quadratic_oracle(a), StepConfig(h=h))
+        [out] = bug_fixed_step([state], quadratic_oracle(a), StepConfig(h=h))
         assert np.linalg.norm(out.densify() - expected) <= 1e-12
 
 
@@ -183,14 +191,14 @@ class TestAbcPsiStep:
     def test_zero_gradient_reproduces_state(self):
         state = init_lowrank(8, 7, 3, seed=14)
         policy = TruncationPolicy(tau=0.0, r_max=6, r_min=1)
-        out = abc_psi_step(state, zero_oracle(), StepConfig(h=0.1, policy=policy))
+        [out] = abc_psi_step([state], zero_oracle(), StepConfig(h=0.1, policy=policy))
         assert out.rank == 3
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
 
     def test_requires_policy(self):
         state = init_lowrank(4, 4, 2, seed=15)
         with pytest.raises(ValueError):
-            abc_psi_step(state, zero_oracle(), StepConfig(h=0.1))
+            abc_psi_step([state], zero_oracle(), StepConfig(h=0.1))
 
     def test_rank_grows_to_target_and_loss_descends(self):
         rng = np.random.default_rng(16)
@@ -202,7 +210,7 @@ class TestAbcPsiStep:
         cfg = StepConfig(h=0.2, policy=TruncationPolicy(tau=1e-3, r_max=4, r_min=2))
         losses = [oracle.loss_at(state.densify())]
         for _ in range(30):
-            state = abc_psi_step(state, oracle, cfg)
+            [state] = abc_psi_step([state], oracle, cfg)
             losses.append(oracle.loss_at(state.densify()))
         assert state.rank == 4
         diffs = np.diff(losses)
@@ -216,7 +224,7 @@ class TestAbcPsiStep:
         h = 0.3
         audit = StepAudit()
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
-        abc_psi_step(state, oracle, cfg, audit=audit)
+        abc_psi_step([state], oracle, cfg, audit=audit)
         # quadratic loss has unit curvature bound
         rhs = audit.loss_before - (1.0 - h / 2.0) * h * audit.proj_grad_sq
         assert audit.loss_flow <= rhs + 1e-9
@@ -227,7 +235,7 @@ class TestAbcPsiStep:
         state = init_lowrank(9, 8, 3, seed=18)
         audit = StepAudit()
         cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=6, r_min=1))
-        abc_psi_step(state, quadratic_oracle(a), cfg, audit=audit)
+        abc_psi_step([state], quadratic_oracle(a), cfg, audit=audit)
         u_hat = audit.u_hat
         assert np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u)) <= 1e-10
         assert np.linalg.norm(audit.k1 - u_hat @ (u_hat.T @ audit.k1)) <= 1e-10
@@ -238,11 +246,11 @@ class TestAbcPsiStep:
         oracle = quadratic_oracle(a)
         cfg = StepConfig(h=0.05, substeps=3,
                          policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
-        out = abc_psi_step(state, oracle, cfg)
+        [out] = abc_psi_step([state], oracle, cfg)
         out.validate()
         # three inner gradient steps move further than one
         cfg1 = StepConfig(h=0.05, substeps=1, policy=cfg.policy)
-        out1 = abc_psi_step(state, oracle, cfg1)
+        [out1] = abc_psi_step([state], oracle, cfg1)
         moved3 = np.linalg.norm(out.densify() - state.densify())
         moved1 = np.linalg.norm(out1.densify() - state.densify())
         assert moved3 > moved1
@@ -268,12 +276,36 @@ class TestOrthonormalityInvariant:
                 h = float(rng.uniform(1e-3, 0.5))
                 policy = TruncationPolicy(tau=0.05, r_max=2 * r, r_min=1)
                 cfg = StepConfig(h=h, policy=policy)
-                out = stepper(state, quadratic_oracle(a), cfg)
+                [out] = stepper([state], quadratic_oracle(a), cfg)
                 r_out = out.rank
                 err_u = np.linalg.norm(out.u.T @ out.u - np.eye(r_out))
                 err_v = np.linalg.norm(out.v.T @ out.v - np.eye(r_out))
                 assert err_u <= 1e-10 * np.sqrt(r_out), f"{name} trial {trial}"
                 assert err_v <= 1e-10 * np.sqrt(r_out), f"{name} trial {trial}"
+
+
+class TestStateLists:
+    def test_separable_oracle_steps_states_independently(self):
+        # the quadratic oracle treats each point on its own, so stepping a
+        # list of states must equal stepping each state alone, bit for bit
+        rng = np.random.default_rng(28)
+        a = rng.standard_normal((9, 7))
+        oracle = quadratic_oracle(a)
+        states = [init_lowrank(9, 7, 2, seed=28), init_lowrank(9, 7, 3, seed=29)]
+        policy = TruncationPolicy(tau=0.05, r_max=4, r_min=1)
+        for substeps in (1, 3):
+            cfg = StepConfig(h=0.1, substeps=substeps, policy=policy)
+            for stepper in (psi_step, bc_psi_step, bug_fixed_step, abc_psi_step):
+                together = stepper(states, oracle, cfg)
+                alone = [stepper([st], oracle, cfg)[0] for st in states]
+                for got, want in zip(together, alone):
+                    for name in ("u", "s", "v"):
+                        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_audit_needs_single_state(self):
+        states = [init_lowrank(6, 5, 2, seed=30), init_lowrank(6, 5, 2, seed=31)]
+        with pytest.raises(ValueError):
+            psi_step(states, zero_oracle(), StepConfig(h=0.1), audit=StepAudit())
 
 
 class TestSStepLossDelta:

@@ -6,13 +6,9 @@ from dlrt.linalg import (
     DimensionError,
     NumericError,
     as_matrix,
-    axpy,
-    frobenius_norm,
     householder_qr,
-    matmul,
     ortho_augment,
     svd_thin,
-    transpose,
 )
 
 
@@ -142,22 +138,6 @@ def test_svd_thin_matches_gram_eigenvalue_route():
 def test_svd_thin_rejects_wide():
     with pytest.raises(DimensionError):
         svd_thin(np.zeros((3, 7)))
-
-
-def test_frobenius_norm_hand_case():
-    assert frobenius_norm([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(np.sqrt(30.0))
-
-
-def test_basic_kernels():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0], [6.0]])
-    np.testing.assert_allclose(matmul(a, b), [[17.0], [39.0]])
-    np.testing.assert_allclose(transpose(a), [[1.0, 3.0], [2.0, 4.0]])
-    np.testing.assert_allclose(axpy(2.0, a, a), 3.0 * a)
-    with pytest.raises(DimensionError):
-        matmul(a, np.zeros((3, 1)))
-    with pytest.raises(DimensionError):
-        axpy(1.0, a, b)
 
 
 def test_as_matrix_rejects_vector():

@@ -7,7 +7,6 @@ from dlrt.lowrank import (
     LowRankState,
     TruncationPolicy,
     compression_rate,
-    default_policy,
     init_lowrank,
     param_count,
     tangent_project,
@@ -219,11 +218,6 @@ class TestCompressionAccounting:
 
 
 class TestPolicy:
-    def test_default_policy(self):
-        policy = default_policy(initial_rank=16, tau=0.1)
-        assert policy.r_min == 2
-        assert policy.r_max == 32
-
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
             TruncationPolicy(tau=-0.1, r_max=4)

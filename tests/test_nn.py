@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dlrt.checkpoint import load_network, save_network
-from dlrt.integrators import GradientOracle, StepConfig, abc_psi_step
+import dlrt.nn as nn_module
+from dlrt.integrators import STEPPERS, GradientOracle, StepConfig
 from dlrt.linalg import DimensionError
 from dlrt.lowrank import LowRankState, TruncationPolicy
 from dlrt.nn import (
@@ -316,36 +317,53 @@ class TestTrainStep:
 
     def test_single_layer_abc_matches_reference_stepper(self):
         # one lowrank layer, identity activation, zero bias: train_step must
-        # agree with the standalone integrator driven by a matching oracle
+        # agree with each standalone stepper driven by a closed-form oracle
+        # that knows nothing of the network code
         spec = [LayerSpec("lowrank", 6, 5, "identity", initial_rank=2)]
         net = build_network(spec, seed=16)
         x, labels = random_batch(net, 8, seed=16)
         policy = TruncationPolicy(tau=1e-6, r_max=4, r_min=1)
-        cfg = StepConfig(h=0.1, policy=policy)
 
         def eval_full(y):
             _, dz = softmax_cross_entropy(x @ y.T, labels)
             return dz.T @ x
 
-        def eval_kgrad(k, v):
-            _, dz = softmax_cross_entropy((x @ v) @ k.T, labels)
-            return dz.T @ (x @ v)
-
-        def eval_lgrad(u, ell):
-            _, dz = softmax_cross_entropy((x @ ell) @ u.T, labels)
-            return x.T @ (dz @ u)
-
         oracle = GradientOracle(
             eval_full=eval_full,
-            eval_kgrad=eval_kgrad,
-            eval_lgrad=eval_lgrad,
             loss=lambda y: softmax_cross_entropy(x @ y.T, labels)[0],
         )
-        expected = abc_psi_step(net.layers[0].state, oracle, cfg)
-        new_net, _ = train_step(net, (x, labels), "abc-psi", cfg)
-        got = new_net.layers[0].state
-        assert got.rank == expected.rank
-        assert np.linalg.norm(got.densify() - expected.densify()) <= 1e-10
+        for integrator, stepper in STEPPERS.items():
+            for substeps in (1, 3):
+                cfg = StepConfig(h=0.1, substeps=substeps, policy=policy)
+                [expected] = stepper([net.layers[0].state], oracle, cfg)
+                new_net, _ = train_step(net, (x, labels), integrator, cfg)
+                got = new_net.layers[0].state
+                assert got.rank == expected.rank, (integrator, substeps)
+                gap = np.linalg.norm(got.densify() - expected.densify())
+                assert gap <= 1e-10, (integrator, substeps)
+
+    @pytest.mark.parametrize("integrator", ["psi", "bc-psi", "bug", "abc-psi", "full"])
+    def test_passes_per_step(self, integrator, monkeypatch):
+        # one network pass is one softmax_cross_entropy call; with s
+        # substeps psi makes 2s+1, bc-psi and bug 2s, abc-psi 2s-1, full 1
+        passes = {"psi": (3, 7), "bc-psi": (2, 6), "bug": (2, 6),
+                  "abc-psi": (1, 5), "full": (1, 1)}[integrator]
+        calls = []
+
+        def counted(logits, labels):
+            calls.append(1)
+            return softmax_cross_entropy(logits, labels)
+
+        monkeypatch.setattr(nn_module, "softmax_cross_entropy", counted)
+        rank = None if integrator == "full" else 2
+        net = build_network(mlp_specs([6, 5, 4, 3], initial_rank=rank), seed=23)
+        x, labels = random_batch(net, 8, seed=23)
+        policy = TruncationPolicy(tau=1e-6, r_max=4, r_min=1)
+        for substeps, expected in zip((1, 3), passes):
+            calls.clear()
+            train_step(net, (x, labels), integrator,
+                       StepConfig(h=0.05, substeps=substeps, policy=policy))
+            assert len(calls) == expected, substeps
 
     def test_deterministic_trajectory(self):
         def run():
