@@ -1,23 +1,17 @@
-"""Binary checkpoint format for low-rank states and networks.
+"""Binary checkpoint format for networks.
 
 Layout (all integers u32 little-endian, all floats f64 little-endian,
 matrices row-major):
 
     magic   4 bytes, b"DLRT"
-    version u32  (1 = list of low-rank states, 2 = network)
+    version u32  (2; version-1 files, bare lists of low-rank states, are rejected)
     count   u32  number of layers
 
-Version 1, per layer:
-    m, n, r  u32 each
-    u        m*r f64
-    s        r*r f64
-    v        n*r f64
-
-Version 2, per layer:
+Per layer:
     kind     u32  (0 = dense, 1 = lowrank)
     act      u32  (0 = relu, 1 = identity)
     dense:   m, n u32; w m*n f64; bias m f64
-    lowrank: m, n, r u32; u, s, v as in version 1; bias m f64
+    lowrank: m, n, r u32; u m*r f64; s r*r f64; v n*r f64; bias m f64
 
 Round-trips are bit-exact: the float payload is written verbatim.
 """
@@ -25,7 +19,7 @@ Round-trips are bit-exact: the float payload is written verbatim.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -35,37 +29,34 @@ from .lowrank import LowRankState
 __all__ = [
     "CheckpointError",
     "MAGIC",
-    "save_states",
-    "load_states",
     "save_network",
     "load_network",
 ]
 
 MAGIC = b"DLRT"
-VERSION_STATES = 1
-VERSION_NETWORK = 2
+VERSION = 2
 
 
 class CheckpointError(Exception):
     """Malformed or truncated checkpoint file."""
 
 
-def write_u32(fh: BinaryIO, value: int) -> None:
+def _write_u32(fh: BinaryIO, value: int) -> None:
     fh.write(struct.pack("<I", value))
 
 
-def read_u32(fh: BinaryIO) -> int:
+def _read_u32(fh: BinaryIO) -> int:
     raw = fh.read(4)
     if len(raw) != 4:
         raise CheckpointError("truncated checkpoint: expected u32")
     return struct.unpack("<I", raw)[0]
 
 
-def write_matrix(fh: BinaryIO, a: np.ndarray) -> None:
+def _write_matrix(fh: BinaryIO, a: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def read_matrix(fh: BinaryIO, rows: int, cols: int) -> np.ndarray:
+def _read_matrix(fh: BinaryIO, rows: int, cols: int) -> np.ndarray:
     nbytes = rows * cols * 8
     raw = fh.read(nbytes)
     if len(raw) != nbytes:
@@ -73,52 +64,15 @@ def read_matrix(fh: BinaryIO, rows: int, cols: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
 
 
-def read_header(fh: BinaryIO, expected_version: int) -> int:
+def _read_header(fh: BinaryIO) -> int:
     """Check magic and version; returns the layer count."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version = read_u32(fh)
-    if version != expected_version:
-        raise CheckpointError(f"unsupported version {version}, expected {expected_version}")
-    return read_u32(fh)
-
-
-def save_states(path, states: Sequence[LowRankState]) -> None:
-    """Write a list of low-rank states (format version 1)."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        write_u32(fh, VERSION_STATES)
-        write_u32(fh, len(states))
-        for state in states:
-            m, n = state.shape
-            write_u32(fh, m)
-            write_u32(fh, n)
-            write_u32(fh, state.rank)
-            write_matrix(fh, state.u)
-            write_matrix(fh, state.s)
-            write_matrix(fh, state.v)
-
-
-def load_states(path) -> list[LowRankState]:
-    """Read a version-1 checkpoint back into low-rank states."""
-    with open(path, "rb") as fh:
-        count = read_header(fh, VERSION_STATES)
-        states = []
-        for _ in range(count):
-            m = read_u32(fh)
-            n = read_u32(fh)
-            r = read_u32(fh)
-            if r > min(m, n):
-                raise DimensionError(f"checkpoint rank {r} exceeds min({m},{n})")
-            u = read_matrix(fh, m, r)
-            s = read_matrix(fh, r, r)
-            v = read_matrix(fh, n, r)
-            states.append(LowRankState(u, s, v))
-        trailing = fh.read(1)
-        if trailing:
-            raise CheckpointError("trailing bytes after last layer")
-        return states
+    version = _read_u32(fh)
+    if version != VERSION:
+        raise CheckpointError(f"unsupported version {version}, expected {VERSION}")
+    return _read_u32(fh)
 
 
 _KIND_DENSE = 0
@@ -128,62 +82,62 @@ _ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
 
 
 def save_network(path, net) -> None:
-    """Write a whole network (format version 2): weights plus biases."""
+    """Write a whole network: weights plus biases."""
     from .nn import DenseLayer
 
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        write_u32(fh, VERSION_NETWORK)
-        write_u32(fh, len(net.layers))
+        _write_u32(fh, VERSION)
+        _write_u32(fh, len(net.layers))
         for layer in net.layers:
             if isinstance(layer, DenseLayer):
-                write_u32(fh, _KIND_DENSE)
-                write_u32(fh, _ACT_CODES[layer.activation])
-                write_u32(fh, layer.out_dim)
-                write_u32(fh, layer.in_dim)
-                write_matrix(fh, layer.w)
+                _write_u32(fh, _KIND_DENSE)
+                _write_u32(fh, _ACT_CODES[layer.activation])
+                _write_u32(fh, layer.out_dim)
+                _write_u32(fh, layer.in_dim)
+                _write_matrix(fh, layer.w)
             else:
                 state = layer.state
-                write_u32(fh, _KIND_LOWRANK)
-                write_u32(fh, _ACT_CODES[layer.activation])
-                write_u32(fh, layer.out_dim)
-                write_u32(fh, layer.in_dim)
-                write_u32(fh, state.rank)
-                write_matrix(fh, state.u)
-                write_matrix(fh, state.s)
-                write_matrix(fh, state.v)
-            write_matrix(fh, layer.bias.reshape(1, -1))
+                _write_u32(fh, _KIND_LOWRANK)
+                _write_u32(fh, _ACT_CODES[layer.activation])
+                _write_u32(fh, layer.out_dim)
+                _write_u32(fh, layer.in_dim)
+                _write_u32(fh, state.rank)
+                _write_matrix(fh, state.u)
+                _write_matrix(fh, state.s)
+                _write_matrix(fh, state.v)
+            _write_matrix(fh, layer.bias.reshape(1, -1))
 
 
 def load_network(path):
-    """Read a version-2 checkpoint back into a Network."""
+    """Read a checkpoint back into a Network."""
     from .nn import DenseLayer, LowRankLayer, Network
 
     with open(path, "rb") as fh:
-        count = read_header(fh, VERSION_NETWORK)
+        count = _read_header(fh)
         layers = []
         for _ in range(count):
-            kind = read_u32(fh)
-            act_code = read_u32(fh)
+            kind = _read_u32(fh)
+            act_code = _read_u32(fh)
             if act_code not in _ACT_NAMES:
                 raise CheckpointError(f"unknown activation code {act_code}")
             act = _ACT_NAMES[act_code]
             if kind == _KIND_DENSE:
-                m = read_u32(fh)
-                n = read_u32(fh)
-                w = read_matrix(fh, m, n)
-                bias = read_matrix(fh, 1, m).ravel()
+                m = _read_u32(fh)
+                n = _read_u32(fh)
+                w = _read_matrix(fh, m, n)
+                bias = _read_matrix(fh, 1, m).ravel()
                 layers.append(DenseLayer(w, bias, act))
             elif kind == _KIND_LOWRANK:
-                m = read_u32(fh)
-                n = read_u32(fh)
-                r = read_u32(fh)
+                m = _read_u32(fh)
+                n = _read_u32(fh)
+                r = _read_u32(fh)
                 if r > min(m, n):
                     raise DimensionError(f"checkpoint rank {r} exceeds min({m},{n})")
-                u = read_matrix(fh, m, r)
-                s = read_matrix(fh, r, r)
-                v = read_matrix(fh, n, r)
-                bias = read_matrix(fh, 1, m).ravel()
+                u = _read_matrix(fh, m, r)
+                s = _read_matrix(fh, r, r)
+                v = _read_matrix(fh, n, r)
+                bias = _read_matrix(fh, 1, m).ravel()
                 layers.append(LowRankLayer(LowRankState(u, s, v), bias, act))
             else:
                 raise CheckpointError(f"unknown layer kind {kind}")

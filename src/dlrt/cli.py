@@ -231,8 +231,9 @@ def _metric_row(epoch, train_loss, test_acc, net):
     )
 
 
-def _run_training(config: RunConfig, integrator: str, seed: int) -> dict:
-    """One training run; returns rows, final net, and status."""
+def _load_splits(config: RunConfig) -> tuple:
+    """The train and test splits, checked against the arch's input and
+    output widths."""
     train = load_dataset(config.data_dir, "train")
     test = load_dataset(config.data_dir, "test")
     if train.images.shape[1] != config.arch[0]:
@@ -245,7 +246,11 @@ def _run_training(config: RunConfig, integrator: str, seed: int) -> dict:
             raise ConfigError(
                 f"arch has {classes} outputs, data has label {split.labels.max()}"
             )
+    return train, test
 
+
+def _run_training(config: RunConfig, integrator: str, seed: int, train, test) -> dict:
+    """One training run; returns rows, final net, and status."""
     if integrator == "full":
         specs = mlp_specs(list(config.arch))
     else:
@@ -313,10 +318,11 @@ def cmd_train(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tag = config.hash()
     try:
-        result = _run_training(config, config.integrator, config.seed)
+        train, test = _load_splits(config)
     except (FileNotFoundError, DataError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_IO
+    result = _run_training(config, config.integrator, config.seed, train, test)
     write_csv(out / f"train-{tag}.csv", tag, result["columns"], result["rows"])
     save_network(out / f"train-{tag}.ckpt", result["net"])
     write_json(
@@ -349,14 +355,15 @@ def cmd_compare(config: RunConfig) -> int:
     tag = config.hash()
     integrators = list(config.integrators) or [config.integrator]
     seeds = list(config.seeds) or [config.seed]
+    try:
+        train, test = _load_splits(config)
+    except (FileNotFoundError, DataError, OSError) as exc:
+        log.error("%s", exc)
+        return EXIT_IO
     runs = []
     for integrator in integrators:
         for seed in seeds:
-            try:
-                result = _run_training(config, integrator, seed)
-            except (FileNotFoundError, DataError, OSError) as exc:
-                log.error("%s", exc)
-                return EXIT_IO
+            result = _run_training(config, integrator, seed, train, test)
             runs.append(result)
             write_csv(
                 out / f"compare-{tag}-{integrator}-s{seed}.csv",

@@ -140,13 +140,14 @@ def load_dataset(data_dir, split: str) -> Dataset:
 def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int) -> list:
     """Seeded shuffled mini-batches covering the dataset exactly once.
 
-    The permutation is keyed by seed XOR epoch so every epoch reshuffles
-    deterministically. The last batch keeps the remainder.
+    The permutation is keyed by the pair (seed, epoch) so every epoch
+    reshuffles deterministically and distinct pairs draw independent
+    orders. The last batch keeps the remainder.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = len(dataset)
-    order = np.random.default_rng(seed ^ epoch).permutation(n)
+    order = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(n)
     out = []
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]

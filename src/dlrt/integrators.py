@@ -17,7 +17,8 @@ share the factored-state conventions of the lowrank module:
 * ``abc_psi_step``: the rank-adaptive method. The left basis is augmented
   with the pre-step K factor, the core is projected into the enlarged
   basis, the right factor is evolved there, and the result is truncated
-  back by a relative singular-value criterion.
+  back by a relative singular-value criterion. Its only factorizations
+  are one QR (the augmentation) and one SVD (the truncation) per state.
 
 All subflows are discretized by explicit Euler; ``StepConfig.substeps``
 repeats the gradient step inside the K and L subflows. A step reuses the
@@ -140,14 +141,12 @@ class StepAudit:
     small scale only.
     """
 
-    k0: Optional[Matrix] = None
     k1: Optional[Matrix] = None
     u_hat: Optional[Matrix] = None
     s_mid: Optional[Matrix] = None
     loss_before: Optional[float] = None
     loss_flow: Optional[float] = None
     proj_grad_sq: Optional[float] = None
-    rank_out: Optional[int] = None
 
 
 def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
@@ -301,11 +300,12 @@ def abc_psi_step(
        current point, u_hat @ l0.T = k0 @ v0.T, so with one substep the
        whole step costs one oracle evaluation.
     5. Truncation of u_hat @ l1.T by the policy's singular-value
-       criterion, then a small QR to restore the orthonormal-times-core
+       criterion. With l1 = P diag(sigma) Q^T the new state is
+       (u_hat Q_r, diag(sigma_r), P_r), already in orthonormal-times-core
        form.
 
-    The cost profile per step is one QR on the m x (2r) augmented block,
-    one SVD of the n x q right factor, and one q x r1 bookkeeping QR.
+    The cost profile per step is one QR on the m x (2r) augmented block
+    and one SVD of the n x q right factor per state.
     """
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
@@ -315,7 +315,7 @@ def abc_psi_step(
     if audit is not None:
         # audit quantities at the pre-step point; needs full/loss forms
         (state,) = states
-        audit.k0, audit.k1, audit.u_hat = k0[0], k1[0], u_hat[0]
+        audit.k1, audit.u_hat = k1[0], u_hat[0]
         if oracle.loss is not None and oracle.eval_full is not None:
             y0 = state.u @ (state.s @ state.v.T)
             audit.loss_before = oracle.loss_at(y0)
@@ -324,16 +324,7 @@ def abc_psi_step(
     l1 = _l_sweep(l0, u_hat, oracle, cfg, grads)
     if audit is not None and oracle.loss is not None:
         audit.loss_flow = oracle.loss_at(u_hat[0] @ l1[0].T)
-    out = []
-    for u, l in zip(u_hat, l1):
-        k_star, v_star = truncate_state(u, l, cfg.policy)
-        # small re-factorization: k_star lies in span(u), so QR the
-        # q x r1 coefficient block instead of the full m x r1 factor
-        w, s_new = householder_qr(u.T @ k_star)
-        out.append(LowRankState(u @ w, s_new, v_star))
-    if audit is not None:
-        audit.rank_out = out[0].rank
-    return out
+    return [LowRankState(*truncate_state(u, l, cfg.policy)) for u, l in zip(u_hat, l1)]
 
 
 def s_step_loss_delta_psi(

@@ -64,9 +64,9 @@ class QrResult(NamedTuple):
 
 
 class SvdResult(NamedTuple):
-    p: Matrix        # (n, q), orthonormal columns
-    sigma: np.ndarray  # (q,), descending, >= 0
-    qmat: Matrix     # (q, q), orthogonal
+    p: Matrix        # (n, k), orthonormal columns, k = min(n, q)
+    sigma: np.ndarray  # (k,), descending, >= 0
+    qmat: Matrix     # (q, k), orthonormal columns
 
 
 def _signed_qr(a: Matrix) -> tuple[Matrix, Matrix]:
@@ -128,22 +128,20 @@ def ortho_augment(u0, k1, drop_tol: float = 1e-12) -> Matrix:
 
 
 def svd_thin(l) -> SvdResult:
-    """Thin SVD l = p @ diag(sigma) @ qmat.T of a tall matrix.
+    """Thin SVD l = p @ diag(sigma) @ qmat.T of a tall or wide matrix.
 
     Parameters
     ----------
-    l : array_like, shape (n, q) with n >= q
+    l : array_like, shape (n, q)
 
     Returns
     -------
     SvdResult
-        ``p`` (n, q) orthonormal columns, ``sigma`` (q,) descending and
-        non-negative, ``qmat`` (q, q) orthogonal.
+        With k = min(n, q): ``p`` (n, k) orthonormal columns, ``sigma``
+        (k,) descending and non-negative, ``qmat`` (q, k) orthonormal
+        columns.
     """
     l = as_matrix(l, "l")
-    n, q = l.shape
-    if n < q:
-        raise DimensionError(f"svd_thin needs rows >= cols, got {n}x{q}")
     try:
         p, sigma, qt = np.linalg.svd(l, full_matrices=False)
     except np.linalg.LinAlgError as exc:

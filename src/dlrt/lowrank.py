@@ -152,13 +152,14 @@ def truncation_rank(sigma, policy: TruncationPolicy) -> int:
     return min(max(r, lo), hi)
 
 
-def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix]:
+def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix, Matrix]:
     """Rank truncation of the product u_hat @ l1.T via an SVD of l1.
 
-    Returns (k_star, v_star) with k_star = u_hat Q_r diag(sigma_r) and
-    v_star = P_r, where l1 = P diag(sigma) Q^T and r is picked by
-    ``truncation_rank``.  The reconstruction k_star @ v_star.T differs
-    from u_hat @ l1.T by exactly the discarded singular-value tail.
+    With l1 = P diag(sigma) Q^T and r picked by ``truncation_rank``,
+    returns the factors (u_hat Q_r, diag(sigma_r), P_r) of the truncated
+    state. When u_hat has orthonormal columns so does u_hat Q_r, and the
+    product of the factors differs from u_hat @ l1.T by exactly the
+    discarded singular-value tail.
     """
     u_hat = as_matrix(u_hat, "u_hat")
     p, sigma, qmat = svd_thin(l1)
@@ -167,9 +168,7 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix]
             f"u_hat cols {u_hat.shape[1]} != l1 cols {qmat.shape[0]}"
         )
     r1 = truncation_rank(sigma, policy)
-    k_star = u_hat @ (qmat[:, :r1] * sigma[:r1])
-    v_star = np.ascontiguousarray(p[:, :r1])
-    return k_star, v_star
+    return u_hat @ qmat[:, :r1], np.diag(sigma[:r1]), np.ascontiguousarray(p[:, :r1])
 
 
 def compression_rate(layers: Sequence[tuple[int, int, int]]) -> float:

@@ -1,63 +1,80 @@
 import numpy as np
 import pytest
 
-from dlrt.checkpoint import MAGIC, CheckpointError, load_states, save_states
+from dlrt.checkpoint import MAGIC, CheckpointError, load_network, save_network
 from dlrt.lowrank import init_lowrank
+from dlrt.nn import DenseLayer, LowRankLayer, Network
+
+
+def lowrank_net(*shapes, seed):
+    """A chain of low-rank identity layers, one per (m, n, r) triple."""
+    rng = np.random.default_rng(seed)
+    return Network([
+        LowRankLayer(init_lowrank(m, n, r, seed=seed + i), rng.standard_normal(m), "identity")
+        for i, (m, n, r) in enumerate(shapes)
+    ])
 
 
 def test_round_trip_bit_exact(tmp_path):
-    states = [init_lowrank(9, 7, 3, seed=0), init_lowrank(7, 5, 2, seed=1)]
-    path = tmp_path / "states.dlrt"
-    save_states(path, states)
-    loaded = load_states(path)
-    assert len(loaded) == 2
-    for before, after in zip(states, loaded):
-        assert np.array_equal(before.u, after.u)
-        assert np.array_equal(before.s, after.s)
-        assert np.array_equal(before.v, after.v)
+    dense = DenseLayer(np.arange(10.0).reshape(2, 5), np.ones(2), "relu")
+    net = Network(lowrank_net((9, 7, 3), (5, 9, 2), seed=0).layers + [dense])
+    path = tmp_path / "net.dlrt"
+    save_network(path, net)
+    loaded = load_network(path)
+    assert len(loaded.layers) == 3
+    for before, after in zip(net.layers[:2], loaded.layers[:2]):
+        assert np.array_equal(before.state.u, after.state.u)
+        assert np.array_equal(before.state.s, after.state.s)
+        assert np.array_equal(before.state.v, after.state.v)
+        assert np.array_equal(before.bias, after.bias)
+    assert np.array_equal(net.layers[2].w, loaded.layers[2].w)
+    assert np.array_equal(net.layers[2].bias, loaded.layers[2].bias)
+    assert [l.activation for l in loaded.layers] == ["identity", "identity", "relu"]
 
 
 def test_double_round_trip_same_bytes(tmp_path):
-    states = [init_lowrank(6, 6, 4, seed=3)]
+    net = lowrank_net((6, 6, 4), seed=3)
     p1 = tmp_path / "a.dlrt"
     p2 = tmp_path / "b.dlrt"
-    save_states(p1, states)
-    save_states(p2, load_states(p1))
+    save_network(p1, net)
+    save_network(p2, load_network(p1))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_header_layout(tmp_path):
     path = tmp_path / "one.dlrt"
-    save_states(path, [init_lowrank(4, 3, 2, seed=5)])
+    save_network(path, lowrank_net((4, 3, 2), seed=5))
     raw = path.read_bytes()
     assert raw[:4] == MAGIC
-    assert int.from_bytes(raw[4:8], "little") == 1  # version
+    assert int.from_bytes(raw[4:8], "little") == 2  # version
     assert int.from_bytes(raw[8:12], "little") == 1  # layer count
-    assert int.from_bytes(raw[12:16], "little") == 4  # m
-    assert int.from_bytes(raw[16:20], "little") == 3  # n
-    assert int.from_bytes(raw[20:24], "little") == 2  # r
-    payload = (4 * 2 + 2 * 2 + 3 * 2) * 8
-    assert len(raw) == 24 + payload
+    assert int.from_bytes(raw[12:16], "little") == 1  # kind: lowrank
+    assert int.from_bytes(raw[16:20], "little") == 1  # activation: identity
+    assert int.from_bytes(raw[20:24], "little") == 4  # m
+    assert int.from_bytes(raw[24:28], "little") == 3  # n
+    assert int.from_bytes(raw[28:32], "little") == 2  # r
+    payload = (4 * 2 + 2 * 2 + 3 * 2 + 4) * 8  # u, s, v, bias
+    assert len(raw) == 32 + payload
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.dlrt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CheckpointError):
-        load_states(path)
+        load_network(path)
 
 
 def test_truncated_rejected(tmp_path):
     path = tmp_path / "trunc.dlrt"
-    save_states(path, [init_lowrank(5, 5, 2, seed=6)])
+    save_network(path, lowrank_net((5, 5, 2), seed=6))
     path.write_bytes(path.read_bytes()[:-9])
     with pytest.raises(CheckpointError):
-        load_states(path)
+        load_network(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "extra.dlrt"
-    save_states(path, [init_lowrank(5, 5, 2, seed=7)])
+    save_network(path, lowrank_net((5, 5, 2), seed=7))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError):
-        load_states(path)
+        load_network(path)

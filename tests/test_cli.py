@@ -171,6 +171,16 @@ class TestTrain:
         assert "label 3" in caplog.text
         assert not list(tmp_path.glob("train-*"))
 
+    def test_augmented_basis_wider_than_input(self, data_dir, tmp_path):
+        # rank 10 augments the 16-input layer's left basis to q = 20 > 16
+        args = train_args(data_dir, tmp_path, "--epochs", "1")
+        args[args.index("--arch") + 1] = "16,64,4"
+        args[args.index("--rank") + 1] = "10"
+        assert main(args) == EXIT_OK
+        net = load_network(list(tmp_path.glob("train-*.ckpt"))[0])
+        for layer in net.layers:
+            layer.state.validate()
+
     def test_dense_baseline_has_no_rank_columns(self, data_dir, tmp_path):
         code = main(train_args(data_dir, tmp_path, "--epochs", "1",
                                "--integrator", "full"))
@@ -210,6 +220,22 @@ class TestCompare:
         summary = json.loads(list(tmp_path.glob("compare-*.json"))[0].read_text())
         assert len(summary["runs"]) == 1
 
+
+    def test_loads_data_once(self, data_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_load(data_dir, split):
+            calls.append(split)
+            return load_dataset(data_dir, split)
+
+        monkeypatch.setattr("dlrt.cli.load_dataset", counting_load)
+        code = main([
+            "compare", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+            "--arch", "16,12,4", "--rank", "3", "--epochs", "1",
+            "--integrators", "abc-psi,bug", "--seeds", "1,2",
+        ])
+        assert code == EXIT_OK
+        assert sorted(calls) == ["test", "train"]
 
     def test_labels_beyond_output_width(self, data_dir, tmp_path):
         code = main([

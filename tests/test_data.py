@@ -151,6 +151,13 @@ class TestBatches:
         b = np.concatenate([b[0].ravel() for b in batches(ds, 64, seed=5, epoch=1)])
         assert not np.array_equal(a, b)
 
+    def test_seed_epoch_pairs_independent(self):
+        # a key of seed XOR epoch would give these two pairs one order
+        ds = self.dataset(64)
+        a = np.concatenate([b[0].ravel() for b in batches(ds, 64, seed=1, epoch=2)])
+        b = np.concatenate([b[0].ravel() for b in batches(ds, 64, seed=2, epoch=1)])
+        assert not np.array_equal(a, b)
+
     def test_oversized_batch(self):
         ds = self.dataset(3)
         got = batches(ds, 10, seed=0, epoch=0)

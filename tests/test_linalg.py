@@ -135,9 +135,15 @@ def test_svd_thin_matches_gram_eigenvalue_route():
     np.testing.assert_allclose(sigma, oracle, rtol=1e-8)
 
 
-def test_svd_thin_rejects_wide():
-    with pytest.raises(DimensionError):
-        svd_thin(np.zeros((3, 7)))
+def test_svd_thin_wide_factorization():
+    # 2 x 4 with singular values 3, 2 in columns 0 and 2
+    l = np.array([[3.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]])
+    p, sigma, qmat = svd_thin(l)
+    assert p.shape == (2, 2) and sigma.shape == (2,) and qmat.shape == (4, 2)
+    np.testing.assert_array_equal(sigma, [3.0, 2.0])
+    np.testing.assert_array_equal(np.abs(p), np.eye(2))
+    np.testing.assert_array_equal(np.abs(qmat), np.eye(4)[:, [0, 2]])
+    np.testing.assert_array_equal(p @ np.diag(sigma) @ qmat.T, l)
 
 
 def test_as_matrix_rejects_vector():

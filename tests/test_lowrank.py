@@ -157,17 +157,17 @@ class TestTruncateState:
         q = np.linalg.qr(rng.standard_normal((4, 1)))[0]
         l1 = (p * 5.0) @ q.T  # exactly rank 1, sigma = (5, 0, 0, 0)
         policy = TruncationPolicy(tau=0.1, r_max=4, r_min=1)
-        k_star, v_star = truncate_state(u_hat, l1, policy)
-        assert k_star.shape == (10, 1)
-        assert np.linalg.norm(u_hat @ l1.T - k_star @ v_star.T) <= 1e-10
+        u, s, v = truncate_state(u_hat, l1, policy)
+        assert u.shape == (10, 1) and s.shape == (1, 1) and v.shape == (8, 1)
+        assert np.linalg.norm(u_hat @ l1.T - u @ s @ v.T) <= 1e-10
 
     def test_no_truncation_when_tau_zero(self):
         rng = np.random.default_rng(10)
         u_hat = np.linalg.qr(rng.standard_normal((12, 6)))[0]
         l1 = rng.standard_normal((9, 6))
         policy = TruncationPolicy(tau=0.0, r_max=6, r_min=1)
-        k_star, v_star = truncate_state(u_hat, l1, policy)
-        err = np.linalg.norm(u_hat @ l1.T - k_star @ v_star.T)
+        u, s, v = truncate_state(u_hat, l1, policy)
+        err = np.linalg.norm(u_hat @ l1.T - u @ s @ v.T)
         assert err <= 1e-10 * np.linalg.norm(l1)
 
     def test_reconstruction_error_equals_tail(self):
@@ -177,8 +177,8 @@ class TestTruncateState:
         policy = TruncationPolicy(tau=0.2, r_max=6, r_min=1)
         sigma = np.linalg.svd(l1, compute_uv=False)
         r1 = truncation_rank(sigma, policy)
-        k_star, v_star = truncate_state(u_hat, l1, policy)
-        err = np.linalg.norm(u_hat @ l1.T - k_star @ v_star.T)
+        u, s, v = truncate_state(u_hat, l1, policy)
+        err = np.linalg.norm(u_hat @ l1.T - u @ s @ v.T)
         tail = np.sqrt(np.sum(sigma[r1:] ** 2))
         assert abs(err - tail) <= 1e-9
 
@@ -186,9 +186,11 @@ class TestTruncateState:
         rng = np.random.default_rng(12)
         u_hat = np.linalg.qr(rng.standard_normal((15, 5)))[0]
         l1 = rng.standard_normal((11, 5))
-        k_star, v_star = truncate_state(u_hat, l1, TruncationPolicy(tau=0.3, r_max=5, r_min=1))
-        r1 = v_star.shape[1]
-        assert np.linalg.norm(v_star.T @ v_star - np.eye(r1)) <= 1e-12
+        u, s, v = truncate_state(u_hat, l1, TruncationPolicy(tau=0.3, r_max=5, r_min=1))
+        r1 = v.shape[1]
+        assert np.linalg.norm(v.T @ v - np.eye(r1)) <= 1e-12
+        assert np.linalg.norm(u.T @ u - np.eye(r1)) <= 1e-12
+        assert np.array_equal(s, np.diag(np.diagonal(s)))
 
 
 class TestCompressionAccounting:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dlrt.checkpoint import load_network, save_network
+import dlrt.integrators as integrators_module
+import dlrt.lowrank as lowrank_module
 import dlrt.nn as nn_module
 from dlrt.integrators import STEPPERS, GradientOracle, StepConfig
 from dlrt.linalg import DimensionError
@@ -364,6 +366,28 @@ class TestTrainStep:
             train_step(net, (x, labels), integrator,
                        StepConfig(h=0.05, substeps=substeps, policy=policy))
             assert len(calls) == expected, substeps
+
+    def test_abc_psi_factorizations_per_layer(self, monkeypatch):
+        # one augmentation QR and one truncation SVD per low-rank layer,
+        # and no other QR
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((integrators_module, "householder_qr"),
+                             (integrators_module, "ortho_augment"),
+                             (lowrank_module, "householder_qr"),
+                             (lowrank_module, "svd_thin")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        net = build_network(mlp_specs([6, 5, 4, 3], initial_rank=2), seed=23)
+        x, labels = random_batch(net, 8, seed=23)
+        policy = TruncationPolicy(tau=1e-6, r_max=4, r_min=1)
+        train_step(net, (x, labels), "abc-psi", StepConfig(h=0.05, policy=policy))
+        assert sorted(calls) == ["ortho_augment"] * 3 + ["svd_thin"] * 3
 
     def test_deterministic_trajectory(self):
         def run():
