@@ -29,6 +29,7 @@ from .integrators import (
     INTEGRATOR_NAMES,
     StepAudit,
     StepConfig,
+    _steps_for,
     abc_psi_step,
     ode_error_study,
     s_step_loss_delta_psi,
@@ -106,6 +107,8 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0 or any(seed < 0 for seed in self.seeds):
+            raise ConfigError("seeds must be >= 0")
         if self.substeps < 1:
             raise ConfigError("substeps must be >= 1")
         if len(self.dims) != 2 or any(d < 1 for d in self.dims):
@@ -116,6 +119,11 @@ class RunConfig:
             raise ConfigError("h_list must hold positive step sizes")
         if self.t_end <= 0 or self.ref_h <= 0:
             raise ConfigError("t_end and ref_h must be positive")
+        for h in (*self.h_list, self.ref_h):
+            try:
+                _steps_for(h, self.t_end)
+            except ValueError as exc:
+                raise ConfigError(str(exc))
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         return self

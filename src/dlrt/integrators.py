@@ -15,10 +15,11 @@ share the factored-state conventions of the lowrank module:
 * ``bug_fixed_step``: K and L subflows advanced in parallel from the same
   initial state, then a Galerkin core step in the fresh bases.
 * ``abc_psi_step``: the rank-adaptive method. The left basis is augmented
-  with the pre-step K factor, the core is projected into the enlarged
-  basis, the right factor is evolved there, and the result is truncated
-  back by a relative singular-value criterion. Its only factorizations
-  are one QR (the augmentation) and one SVD (the truncation) per state.
+  with the swept K factor, the core is carried into the enlarged basis,
+  the right factor is evolved there, and the result is truncated back by a
+  relative singular-value criterion. Its only factorizations are one QR of
+  an m x r residual (the augmentation) and one SVD (the truncation) per
+  state.
 
 All subflows are discretized by explicit Euler; ``StepConfig.substeps``
 repeats the gradient step inside the K and L subflows. A step reuses the
@@ -292,10 +293,12 @@ def abc_psi_step(
     Order of operations:
 
     1. K sweep from k0 = u0 @ s0.
-    2. Enlarged left basis u_hat from one QR of [k0 | k1]; dependent
-       trailing columns are dropped, so its width q is at most 2r.
+    2. Enlarged left basis u_hat = [u0 | b], with b an orthonormal basis of
+       k1's part orthogonal to u0 (one QR of an m x r residual). Dependent
+       columns are dropped, so its width q is at most 2r.
     3. Core correction folded into the right factor: l0 = v0 @ k0.T @ u_hat
-       (the current iterate expressed against u_hat).
+       (the current iterate expressed against u_hat), which is
+       [v0 @ s0.T | 0] because k0.T @ u_hat = [s0.T | 0].
     4. L sweep in the enlarged basis. Its first substep starts at the
        current point, u_hat @ l0.T = k0 @ v0.T, so with one substep the
        whole step costs one oracle evaluation.
@@ -304,14 +307,17 @@ def abc_psi_step(
        (u_hat Q_r, diag(sigma_r), P_r), already in orthonormal-times-core
        form.
 
-    The cost profile per step is one QR on the m x (2r) augmented block
-    and one SVD of the n x q right factor per state.
+    The cost profile per step is one QR of the m x r residual and one SVD
+    of the n x q right factor per state.
     """
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
-    k0, grads, k1 = _k_sweep(states, oracle, cfg, audit)
-    u_hat = [ortho_augment(k, k_new) for k, k_new in zip(k0, k1)]
-    l0 = [st.v @ (k.T @ u) for st, k, u in zip(states, k0, u_hat)]
+    _, grads, k1 = _k_sweep(states, oracle, cfg, audit)
+    u_hat = [ortho_augment(st.u, k) for st, k in zip(states, k1)]
+    l0 = [
+        np.hstack([st.v @ st.s.T, np.zeros((st.v.shape[0], u.shape[1] - st.rank))])
+        for st, u in zip(states, u_hat)
+    ]
     if audit is not None:
         # audit quantities at the pre-step point; needs full/loss forms
         (state,) = states

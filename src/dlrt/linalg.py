@@ -103,13 +103,23 @@ def householder_qr(a) -> QrResult:
 
 
 def ortho_augment(u0, k1, drop_tol: float = 1e-12) -> Matrix:
-    """Orthonormal basis for the joint column span of ``u0`` and ``k1``.
+    """Orthonormal basis [u0 | q] for the joint column span of ``u0`` and ``k1``.
 
-    Computes the reduced QR of the concatenation [u0 | k1].  Trailing
-    columns whose R diagonal falls below ``drop_tol`` times the largest
-    diagonal are numerically dependent on earlier columns and are dropped,
-    so the returned basis may have fewer columns than the concatenation.
-    At least one column is always kept.
+    ``u0`` (m, r) must have orthonormal columns; it is returned unchanged as
+    the leading block. ``q`` is an orthonormal basis of the part of ``k1``
+    orthogonal to ``u0``: ``k1`` is projected against ``u0`` twice and the
+    residual factored by one Householder QR, which costs O(m c^2) for c
+    columns of ``k1`` instead of O(m (r + c)^2) for a QR of [u0 | k1].
+
+    A residual column whose R diagonal is at most ``drop_tol`` times the
+    norm of ``k1`` depends on the columns before it and is dropped, so
+    ``q`` may have fewer columns than ``k1``, or none (always when m = r).
+    Dropping a column that is not trailing takes a second QR without it,
+    since the Householder column it leaves behind is arbitrary and may
+    reach into span(u0). When rounding leaves ``q`` with a component along
+    ``u0`` above ``drop_tol`` (an ill-conditioned residual, such as two
+    nearly parallel columns of ``k1``), ``q`` is projected once more and
+    re-orthonormalized, so the result is orthonormal for every ``k1``.
     """
     u0 = as_matrix(u0, "u0")
     k1 = as_matrix(k1, "k1")
@@ -117,14 +127,23 @@ def ortho_augment(u0, k1, drop_tol: float = 1e-12) -> Matrix:
         raise DimensionError(
             f"row counts differ: {u0.shape[0]} vs {k1.shape[0]}"
         )
-    stacked = np.hstack([u0, k1])
-    q, r = _signed_qr(stacked)
-    diag = np.abs(np.diagonal(r))
-    lead = diag.max()
-    keep = diag.size
-    while keep > 1 and diag[keep - 1] <= drop_tol * lead:
-        keep -= 1
-    return np.ascontiguousarray(q[:, :keep])
+    tol = drop_tol * np.linalg.norm(k1)
+    res = k1 - u0 @ (u0.T @ k1)
+    res -= u0 @ (u0.T @ res)
+    while True:
+        q, r = _signed_qr(res)
+        dependent = np.abs(np.diagonal(r)) <= tol
+        keep = dependent.size
+        while keep and dependent[keep - 1]:
+            keep -= 1
+        if not dependent[:keep].any():
+            break
+        res = np.delete(res, np.flatnonzero(dependent), axis=1)
+    q = q[:, :keep]
+    leak = u0.T @ q
+    if np.linalg.norm(leak) > drop_tol:
+        q = _signed_qr(q - u0 @ leak)[0]
+    return np.hstack([u0, q])
 
 
 def svd_thin(l) -> SvdResult:

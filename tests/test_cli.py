@@ -181,6 +181,12 @@ class TestTrain:
         for layer in net.layers:
             layer.state.validate()
 
+    def test_negative_seed_rejected(self, data_dir, tmp_path):
+        args = train_args(data_dir, tmp_path, "--epochs", "1")
+        args[args.index("--seed") + 1] = "-1"
+        assert main(args) == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
     def test_dense_baseline_has_no_rank_columns(self, data_dir, tmp_path):
         code = main(train_args(data_dir, tmp_path, "--epochs", "1",
                                "--integrator", "full"))
@@ -237,6 +243,15 @@ class TestCompare:
         assert code == EXIT_OK
         assert sorted(calls) == ["test", "train"]
 
+    def test_negative_seed_in_list_rejected(self, data_dir, tmp_path):
+        code = main([
+            "compare", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+            "--arch", "16,12,4", "--rank", "3", "--epochs", "1",
+            "--integrators", "abc-psi", "--seeds", "0,-1",
+        ])
+        assert code == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
     def test_labels_beyond_output_width(self, data_dir, tmp_path):
         code = main([
             "compare", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
@@ -287,6 +302,24 @@ class TestOdeBench:
         assert summary["plateau"] is True
 
 
+    def test_step_not_dividing_t_end_rejected(self, tmp_path):
+        code = main([
+            "ode-bench", "--out-dir", str(tmp_path), "--dims", "8,6",
+            "--target-rank", "2", "--h-list", "0.3", "--t-end", "1.0",
+        ])
+        assert code == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
+    def test_reference_step_not_dividing_t_end_rejected(self, tmp_path):
+        code = main([
+            "ode-bench", "--out-dir", str(tmp_path), "--dims", "8,6",
+            "--target-rank", "2", "--h-list", "0.1", "--t-end", "1.0",
+            "--ref-h", "0.3",
+        ])
+        assert code == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
+
 class TestDescentAudit:
     def test_clean_pass(self, tmp_path):
         code = main([
@@ -315,3 +348,11 @@ class TestDescentAudit:
             list(tmp_path.glob("descent-audit-*.json"))[0].read_text()
         )
         assert summary["h_within_guarantee"] is False
+
+    def test_negative_seed_rejected(self, tmp_path):
+        code = main([
+            "descent-audit", "--out-dir", str(tmp_path), "--dims", "8,6",
+            "--target-rank", "2", "--steps", "5", "--seed", "-1",
+        ])
+        assert code == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())

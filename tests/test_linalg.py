@@ -73,32 +73,75 @@ def test_qr_rank_deficient_keeps_contract():
     assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-13
 
 
+def assert_augments(u0, k1):
+    """The ortho_augment contract: u0 bit for bit first, orthonormal, spans k1."""
+    basis = ortho_augment(u0, k1)
+    assert np.array_equal(basis[:, : u0.shape[1]], u0)
+    assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-12
+    assert np.linalg.norm(k1 - basis @ (basis.T @ k1)) <= 1e-10
+    return basis
+
+
 def test_ortho_augment_spans_both_blocks():
     rng = np.random.default_rng(5)
     u0 = householder_qr(rng.standard_normal((20, 3))).q
-    k1 = rng.standard_normal((20, 3))
-    basis = ortho_augment(u0, k1)
+    basis = assert_augments(u0, rng.standard_normal((20, 3)))
     assert basis.shape == (20, 6)
-    proj = basis @ (basis.T @ u0)
-    assert np.linalg.norm(u0 - proj) <= 1e-10
-    proj_k = basis @ (basis.T @ k1)
-    assert np.linalg.norm(k1 - proj_k) <= 1e-10
-    assert np.linalg.norm(basis.T @ basis - np.eye(6)) <= 1e-12
 
 
 def test_ortho_augment_drops_duplicate_columns():
     rng = np.random.default_rng(6)
     u0 = householder_qr(rng.standard_normal((15, 4))).q
-    basis = ortho_augment(u0, u0)
-    assert basis.shape == (15, 4)
-    assert np.linalg.norm(u0 - basis @ (basis.T @ u0)) <= 1e-10
+    assert assert_augments(u0, u0.copy()).shape == (15, 4)
 
 
 def test_ortho_augment_drops_zero_block():
     rng = np.random.default_rng(8)
     u0 = householder_qr(rng.standard_normal((12, 3))).q
-    basis = ortho_augment(u0, np.zeros((12, 3)))
-    assert basis.shape == (12, 3)
+    assert assert_augments(u0, np.zeros((12, 3))).shape == (12, 3)
+
+
+def test_ortho_augment_zero_first_column():
+    # the zero residual column leaves an arbitrary Householder column;
+    # projecting and factoring once would keep it (orthonormality error ~0.5)
+    rng = np.random.default_rng(12)
+    u0 = householder_qr(rng.standard_normal((20, 4))).q
+    k1 = rng.standard_normal((20, 4))
+    k1[:, 0] = 0.0
+    assert assert_augments(u0, k1).shape == (20, 7)
+    # same with u0 holding coordinate axes, where that column can lie in span(u0)
+    assert assert_augments(np.eye(20)[:, :4], k1).shape == (20, 7)
+
+
+def test_ortho_augment_middle_column_in_span():
+    rng = np.random.default_rng(13)
+    u0 = householder_qr(rng.standard_normal((20, 4))).q
+    k1 = rng.standard_normal((20, 4))
+    k1[:, 1] = u0 @ rng.standard_normal(4)
+    assert assert_augments(u0, k1).shape == (20, 7)
+
+
+def test_ortho_augment_nearly_parallel_columns():
+    # an ill-conditioned residual leaves q with a component along u0 far
+    # above rounding (about 1e-5 here), which the re-projection removes
+    rng = np.random.default_rng(14)
+    u0 = householder_qr(rng.standard_normal((40, 6))).q
+    k1 = rng.standard_normal((40, 6))
+    k1[:, 3] = k1[:, 0] + 1e-11 * rng.standard_normal(40)
+    assert assert_augments(u0, k1).shape == (40, 12)
+
+
+def test_ortho_augment_square_u0_returned_alone():
+    rng = np.random.default_rng(15)
+    u0 = householder_qr(rng.standard_normal((6, 6))).q
+    assert assert_augments(u0, rng.standard_normal((6, 6))).shape == (6, 6)
+
+
+def test_ortho_augment_complement_narrower_than_k1():
+    # m - r = 2 < 3 columns of k1: one residual column is dependent
+    rng = np.random.default_rng(16)
+    u0 = householder_qr(rng.standard_normal((5, 3))).q
+    assert assert_augments(u0, rng.standard_normal((5, 3))).shape == (5, 5)
 
 
 def test_ortho_augment_row_mismatch():

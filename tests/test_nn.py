@@ -418,6 +418,24 @@ class TestTrainStep:
             assert loss <= prev + 1e-8
             prev = loss
 
+    def test_long_run_keeps_bases_orthonormal(self):
+        # the augmented basis keeps u0 as it is, so the rounding of every
+        # step stays in u; over 3000 steps its Gram error grows to ~3e-13
+        # here (about 1e-16 per step), far inside the validate() bound
+        rng = np.random.default_rng(24)
+        centers = rng.standard_normal((10, 40))
+        net = build_network(mlp_specs([40, 30, 30, 10], initial_rank=6), seed=24)
+        cfg = StepConfig(h=0.05, policy=TruncationPolicy(tau=0.05, r_max=12, r_min=2))
+        for step in range(1, 3001):
+            labels = rng.integers(0, 10, size=32)
+            x = centers[labels] + 0.5 * rng.standard_normal((32, 40))
+            net, _ = train_step(net, (x, labels), "abc-psi", cfg)
+            if step % 500 == 0:
+                for layer in net.layers:
+                    layer.state.validate()
+        for layer in net.layers:
+            layer.state.validate(tol=1e-12)
+
     def test_substeps_run(self):
         net = tiny_mixed_net(seed=19)
         x, labels = random_batch(net, 8, seed=19)
