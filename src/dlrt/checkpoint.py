@@ -18,7 +18,10 @@ Round-trips are bit-exact: the float payload is written verbatim.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -29,6 +32,7 @@ from .lowrank import LowRankState
 __all__ = [
     "CheckpointError",
     "MAGIC",
+    "atomic_write",
     "save_network",
     "load_network",
 ]
@@ -75,6 +79,22 @@ def _read_header(fh: BinaryIO) -> int:
     return _read_u32(fh)
 
 
+@contextmanager
+def atomic_write(path, mode: str, **open_kwargs):
+    """Open a temporary file in ``path``'s directory for writing; when the
+    block finishes it replaces ``path``, and when the block raises it is
+    deleted, so ``path`` never holds a partial write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 _KIND_DENSE = 0
 _KIND_LOWRANK = 1
 _ACT_CODES = {"relu": 0, "identity": 1}
@@ -82,10 +102,10 @@ _ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
 
 
 def save_network(path, net) -> None:
-    """Write a whole network: weights plus biases."""
+    """Write a whole network, weights plus biases, through ``atomic_write``."""
     from .nn import DenseLayer
 
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         _write_u32(fh, VERSION)
         _write_u32(fh, len(net.layers))

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .checkpoint import save_network
+from .checkpoint import atomic_write, save_network
 from .data import DataError, batches, load_dataset
 from .integrators import (
     INTEGRATOR_NAMES,
@@ -175,7 +175,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 def write_csv(path, config_hash, columns, rows) -> None:
     """CSV with a comment line naming the tool version and config hash."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         fh.write(f"# dlrt {__version__} config {config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -183,30 +183,19 @@ def write_csv(path, config_hash, columns, rows) -> None:
 
 
 def write_json(path, payload) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _net_param_count(net) -> int:
-    total = 0
-    for layer in net.layers:
-        if isinstance(layer, LowRankLayer):
-            total += param_count([(layer.out_dim, layer.in_dim, layer.rank)])
-        else:
-            total += layer.out_dim * layer.in_dim
-    return total
-
-
-def _net_compression(net) -> float:
-    triples = [
-        (layer.in_dim, layer.out_dim, layer.rank)
+def _layer_triples(net) -> list:
+    """(in_dim, out_dim, rank) per layer, rank None for a dense layer: the
+    input of ``param_count`` and ``compression_rate``."""
+    return [
+        (layer.in_dim, layer.out_dim,
+         layer.rank if isinstance(layer, LowRankLayer) else None)
         for layer in net.layers
-        if isinstance(layer, LowRankLayer)
     ]
-    if not triples:
-        return 0.0
-    return compression_rate(triples)
 
 
 def _dataset_loss(net, dataset, chunk=1024) -> float:
@@ -231,11 +220,11 @@ def _diverged(loss, net) -> bool:
 
 
 def _metric_row(epoch, train_loss, test_acc, net):
-    ranks = net.ranks()
+    triples = _layer_triples(net)
     return (
         [epoch, repr(float(train_loss)), repr(float(test_acc))]
-        + ranks
-        + [_net_param_count(net), repr(round(_net_compression(net), 6))]
+        + net.ranks()
+        + [param_count(triples), repr(round(compression_rate(triples), 6))]
     )
 
 
@@ -297,6 +286,7 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
             "epoch %d: train_loss %.4f test_acc %.4f ranks %s",
             epoch, float(np.mean(losses)), float(rows[-1][2]), net.ranks(),
         )
+    triples = _layer_triples(net)
     return {
         "status": status,
         "rows": rows,
@@ -306,8 +296,8 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
         "integrator": integrator,
         "seed": seed,
         "final_accuracy": float(rows[-1][2]),
-        "param_count": _net_param_count(net),
-        "compression_rate": _net_compression(net),
+        "param_count": param_count(triples),
+        "compression_rate": compression_rate(triples),
     }
 
 
@@ -325,11 +315,7 @@ def cmd_train(config: RunConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tag = config.hash()
-    try:
-        train, test = _load_splits(config)
-    except (FileNotFoundError, DataError, OSError) as exc:
-        log.error("%s", exc)
-        return EXIT_IO
+    train, test = _load_splits(config)
     result = _run_training(config, config.integrator, config.seed, train, test)
     write_csv(out / f"train-{tag}.csv", tag, result["columns"], result["rows"])
     save_network(out / f"train-{tag}.ckpt", result["net"])
@@ -363,11 +349,7 @@ def cmd_compare(config: RunConfig) -> int:
     tag = config.hash()
     integrators = list(config.integrators) or [config.integrator]
     seeds = list(config.seeds) or [config.seed]
-    try:
-        train, test = _load_splits(config)
-    except (FileNotFoundError, DataError, OSError) as exc:
-        log.error("%s", exc)
-        return EXIT_IO
+    train, test = _load_splits(config)
     runs = []
     for integrator in integrators:
         for seed in seeds:
@@ -617,15 +599,13 @@ def main(argv=None) -> int:
         if k not in ("command", "func", "config") and v is not None
     }
     try:
-        config = load_config(args.config, overrides)
+        return args.func(load_config(args.config, overrides))
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    try:
-        return args.func(config)
-    except ConfigError as exc:
+    except (DataError, OSError) as exc:
         log.error("%s", exc)
-        return EXIT_CONFIG
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -158,7 +158,7 @@ def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
 
 
 def _k_sweep(
-    states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig, audit
+    states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig, audit=None
 ) -> tuple:
     """K subflow of every state from k0 = u0 @ s0 with the right bases frozen.
 
@@ -200,8 +200,8 @@ def _psi_ks(
 ) -> tuple:
     """The K sweep and the single-step S sweep of a projector-splitting step.
 
-    Returns (k1, u1, s_tilde, s1): the swept K factors, their QR factors
-    u1 @ s_tilde, and the cores after the S sweep, which moves along the
+    Returns (u1, s_tilde, s1): the QR factors u1 @ s_tilde of the swept K
+    factors, and the cores after the S sweep, which moves along the
     positive gradient direction.
     """
     _, _, k1 = _k_sweep(states, oracle, cfg, audit)
@@ -211,7 +211,7 @@ def _psi_ks(
         s + cfg.h * (u.T @ g.right(st.v))
         for u, s, st, g in zip(u1, s_tilde, states, grads)
     ]
-    return k1, u1, s_tilde, s1
+    return u1, s_tilde, s1
 
 
 def psi_step(
@@ -225,10 +225,10 @@ def psi_step(
     The S sweep moves along the positive gradient direction; that is the
     splitting's backward-in-time substep, not a bug.
     """
-    k1, u1, _, s1 = _psi_ks(states, oracle, cfg, audit)
+    u1, _, s1 = _psi_ks(states, oracle, cfg, audit)
     l1 = _l_sweep([st.v @ s.T for st, s in zip(states, s1)], u1, oracle, cfg)
     if audit is not None:
-        audit.k1, audit.s_mid = k1[0], s1[0]
+        audit.s_mid = s1[0]
     return [_refactor(u, l) for u, l in zip(u1, l1)]
 
 
@@ -249,7 +249,7 @@ def bc_psi_step(
     s_bar = [u.T @ k for u, k in zip(u1, k0)]
     l1 = _l_sweep([st.v @ s.T for st, s in zip(states, s_bar)], u1, oracle, cfg)
     if audit is not None:
-        audit.k1, audit.s_mid = k1[0], s_bar[0]
+        audit.s_mid = s_bar[0]
     return [_refactor(u, l) for u, l in zip(u1, l1)]
 
 
@@ -257,7 +257,6 @@ def bug_fixed_step(
     states: Sequence[LowRankState],
     oracle: GradientOracle,
     cfg: StepConfig,
-    audit: Optional[StepAudit] = None,
 ) -> list:
     """Fixed-rank basis-update and Galerkin step.
 
@@ -266,7 +265,7 @@ def bug_fixed_step(
     one evaluation); the core is then rebuilt in the two fresh bases and
     advanced by one explicit-Euler step.
     """
-    _, grads, k1 = _k_sweep(states, oracle, cfg, audit)
+    _, grads, k1 = _k_sweep(states, oracle, cfg)
     u0 = [st.u for st in states]
     l1 = _l_sweep([st.v @ st.s.T for st in states], u0, oracle, cfg, grads)
     u1 = [householder_qr(k).q for k in k1]
@@ -277,8 +276,6 @@ def bug_fixed_step(
     ]
     grads = oracle.grads([(u @ s, v) for u, s, v in zip(u1, s_init, v1)])
     s1 = [s - cfg.h * (u.T @ g.right(v)) for u, s, v, g in zip(u1, s_init, v1, grads)]
-    if audit is not None:
-        audit.k1, audit.s_mid = k1[0], s_init[0]
     return [LowRankState(u, s, v) for u, s, v in zip(u1, s1, v1)]
 
 
@@ -346,7 +343,7 @@ def s_step_loss_delta_psi(
     """
     if oracle.loss is None:
         raise ValueError("s_step_loss_delta_psi requires the oracle's loss form")
-    _, (u1,), (s_tilde,), (s1,) = _psi_ks([state], oracle, cfg)
+    (u1,), (s_tilde,), (s1,) = _psi_ks([state], oracle, cfg)
     loss_before = oracle.loss_at(u1 @ (s_tilde @ state.v.T))
     loss_after = oracle.loss_at(u1 @ (s1 @ state.v.T))
     return loss_before, loss_after

@@ -27,6 +27,9 @@ __all__ = [
 # Dense real matrix carrier: 2-D C-contiguous float64 ndarray.
 Matrix = np.ndarray
 
+# ortho_augment's relative threshold for dependent residual columns
+DROP_TOL = 1e-12
+
 
 class LinalgError(Exception):
     """Base class for numeric-kernel failures."""
@@ -102,7 +105,7 @@ def householder_qr(a) -> QrResult:
     return QrResult(q, r)
 
 
-def ortho_augment(u0, k1, drop_tol: float = 1e-12) -> Matrix:
+def ortho_augment(u0, k1) -> Matrix:
     """Orthonormal basis [u0 | q] for the joint column span of ``u0`` and ``k1``.
 
     ``u0`` (m, r) must have orthonormal columns; it is returned unchanged as
@@ -111,13 +114,13 @@ def ortho_augment(u0, k1, drop_tol: float = 1e-12) -> Matrix:
     residual factored by one Householder QR, which costs O(m c^2) for c
     columns of ``k1`` instead of O(m (r + c)^2) for a QR of [u0 | k1].
 
-    A residual column whose R diagonal is at most ``drop_tol`` times the
+    A residual column whose R diagonal is at most ``DROP_TOL`` times the
     norm of ``k1`` depends on the columns before it and is dropped, so
     ``q`` may have fewer columns than ``k1``, or none (always when m = r).
     Dropping a column that is not trailing takes a second QR without it,
     since the Householder column it leaves behind is arbitrary and may
     reach into span(u0). When rounding leaves ``q`` with a component along
-    ``u0`` above ``drop_tol`` (an ill-conditioned residual, such as two
+    ``u0`` above ``DROP_TOL`` (an ill-conditioned residual, such as two
     nearly parallel columns of ``k1``), ``q`` is projected once more and
     re-orthonormalized, so the result is orthonormal for every ``k1``.
     """
@@ -127,7 +130,7 @@ def ortho_augment(u0, k1, drop_tol: float = 1e-12) -> Matrix:
         raise DimensionError(
             f"row counts differ: {u0.shape[0]} vs {k1.shape[0]}"
         )
-    tol = drop_tol * np.linalg.norm(k1)
+    tol = DROP_TOL * np.linalg.norm(k1)
     res = k1 - u0 @ (u0.T @ k1)
     res -= u0 @ (u0.T @ res)
     while True:
@@ -141,7 +144,7 @@ def ortho_augment(u0, k1, drop_tol: float = 1e-12) -> Matrix:
         res = np.delete(res, np.flatnonzero(dependent), axis=1)
     q = q[:, :keep]
     leak = u0.T @ q
-    if np.linalg.norm(leak) > drop_tol:
+    if np.linalg.norm(leak) > DROP_TOL:
         q = _signed_qr(q - u0 @ leak)[0]
     return np.hstack([u0, q])
 

@@ -171,30 +171,26 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
     return u_hat @ qmat[:, :r1], np.diag(sigma[:r1]), np.ascontiguousarray(p[:, :r1])
 
 
-def compression_rate(layers: Sequence[tuple[int, int, int]]) -> float:
-    """Percent reduction of factored parameters vs dense layers.
+def param_count(layers: Sequence[tuple[int, int, int | None]]) -> int:
+    """Weight count of a network, biases excluded.
 
-    Each layer is (in_dim, out_dim, rank); the rate is
-    (1 - sum((in+out)*r) / sum(in*out)) * 100 and may be negative when
-    the factors outweigh the dense matrix.
+    Each layer is (in_dim, out_dim, rank). A low-rank layer counts
+    (in + out) * rank, since it is applied as the out x rank factor u @ s
+    and the in x rank factor v; a dense layer, given rank None, counts
+    in * out.
     """
+    total = 0
+    for i_l, o_l, r_l in layers:
+        if i_l <= 0 or o_l <= 0 or (r_l is not None and r_l < 0):
+            raise ValueError(f"bad layer dims ({i_l}, {o_l}, {r_l})")
+        total += i_l * o_l if r_l is None else (i_l + o_l) * r_l
+    return total
+
+
+def compression_rate(layers: Sequence[tuple[int, int, int | None]]) -> float:
+    """Percent of the dense weights that the same triples save:
+    (1 - param_count / sum(in*out)) * 100, which is 0 for a dense net and
+    negative when the factors outweigh the dense matrices."""
     if not layers:
         raise ValueError("need at least one layer")
-    dense = 0
-    factored = 0
-    for i_l, o_l, r_l in layers:
-        if i_l <= 0 or o_l <= 0 or r_l < 0:
-            raise ValueError(f"bad layer dims ({i_l}, {o_l}, {r_l})")
-        dense += i_l * o_l
-        factored += (i_l + o_l) * r_l
-    return (1.0 - factored / dense) * 100.0
-
-
-def param_count(layers: Sequence[tuple[int, int, int]]) -> int:
-    """Total factored parameter count: sum of m*r + n*r + r*r per layer."""
-    total = 0
-    for m_l, n_l, r_l in layers:
-        if m_l <= 0 or n_l <= 0 or r_l < 0:
-            raise ValueError(f"bad layer dims ({m_l}, {n_l}, {r_l})")
-        total += m_l * r_l + n_l * r_l + r_l * r_l
-    return total
+    return (1.0 - param_count(layers) / sum(i_l * o_l for i_l, o_l, _ in layers)) * 100.0

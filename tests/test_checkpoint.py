@@ -78,3 +78,15 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError):
         load_network(path)
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "net.dlrt"
+    net = lowrank_net((6, 5, 2), (4, 6, 2), seed=5)
+    save_network(path, net)
+    good = path.read_bytes()
+    net.layers[1].activation = "tanh"  # no activation code: fails after layer 0
+    with pytest.raises(KeyError):
+        save_network(path, net)
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["net.dlrt"]

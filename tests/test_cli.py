@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,6 +14,8 @@ from dlrt.cli import (
     RunConfig,
     load_config,
     main,
+    write_csv,
+    write_json,
 )
 from dlrt.data import Dataset, load_dataset, write_idx_images, write_idx_labels
 from dlrt.lowrank import compression_rate
@@ -87,6 +90,28 @@ class TestRunConfig:
         assert cfg.h_list == (0.1, 0.05)
 
 
+class TestWriters:
+    """A failed write leaves the previous file in place and no temporary."""
+
+    def test_write_csv_failure_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, "0123456789ab", ["x"], [[1], [2]])
+        good = path.read_bytes()
+        with pytest.raises(csv.Error):
+            write_csv(path, "0123456789ab", ["x"], [[3], 4])  # 4 is not a row
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_write_json_failure_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"a": 1})
+        good = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 1, "b": object()})
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 class TestTrain:
     def test_end_to_end(self, data_dir, tmp_path):
         code = main(train_args(data_dir, tmp_path, "--epochs", "2"))
@@ -100,9 +125,11 @@ class TestTrain:
                           "rank_1", "param_count", "compression_rate"]
         assert len(lines) == 2 + 3  # comment, header, epochs 0..2
 
-        # the compression column must recompute from the logged ranks
+        # the param_count and compression columns must recompute from the
+        # logged ranks
         last = lines[-1].split(",")
         ranks = [int(last[3]), int(last[4])]
+        assert int(last[5]) == (16 + 12) * ranks[0] + (12 + 4) * ranks[1]
         expected = compression_rate([(16, 12, ranks[0]), (12, 4, ranks[1])])
         assert abs(float(last[6]) - expected) <= 1e-6
 
@@ -186,6 +213,13 @@ class TestTrain:
         args[args.index("--seed") + 1] = "-1"
         assert main(args) == EXIT_CONFIG
         assert not list(tmp_path.iterdir())
+
+    def test_out_dir_under_a_file(self, data_dir, tmp_path, caplog):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(train_args(data_dir, blocker / "x", "--epochs", "1"))
+        assert code == EXIT_IO
+        assert str(blocker / "x") in caplog.text
 
     def test_dense_baseline_has_no_rank_columns(self, data_dir, tmp_path):
         code = main(train_args(data_dir, tmp_path, "--epochs", "1",
@@ -277,6 +311,17 @@ class TestOdeBench:
         lines = list(tmp_path.glob("ode-bench-*.csv"))[0].read_text().splitlines()
         assert lines[1] == "h,error,observed_order"
         assert len(lines) == 5
+
+    def test_out_dir_is_a_file(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([
+            "ode-bench", "--out-dir", str(blocker), "--dims", "8,6",
+            "--target-rank", "2", "--tau", "0", "--h-list", "0.1",
+            "--t-end", "1.0", "--ref-h", "0.01",
+        ])
+        assert code == EXIT_IO
+        assert blocker.read_text() == ""
 
     def test_single_h_no_order(self, tmp_path):
         code = main([

@@ -209,7 +209,19 @@ class TestCompressionAccounting:
         assert compression_rate([(30, 20, 0)]) == pytest.approx(100.0)
 
     def test_param_count_hand_case(self):
-        assert param_count([(784, 500, 25)]) == 32725
+        assert param_count([(784, 500, 25)]) == (784 + 500) * 25 == 32100
+
+    def test_dense_layer(self):
+        assert param_count([(784, 500, None)]) == 784 * 500
+        assert compression_rate([(784, 500, None)]) == 0.0
+        assert compression_rate([(784, 500, None), (500, 10, None)]) == 0.0
+
+    def test_mixed_dense_and_lowrank(self):
+        layers = [(784, 500, 25), (500, 10, None)]
+        count = (784 + 500) * 25 + 500 * 10
+        assert param_count(layers) == count
+        dense = 784 * 500 + 500 * 10
+        assert compression_rate(layers) == (1.0 - count / dense) * 100.0
 
     def test_param_count_zero_rank(self):
         assert param_count([(12, 7, 0)]) == 0
