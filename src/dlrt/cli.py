@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -60,7 +60,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings for all subcommands; each command reads the slice it needs."""
+    """Settings for all subcommands. Each command reads the slice its parser
+    declares; the other fields keep their defaults."""
 
     integrator: str = "abc-psi"
     integrators: tuple = ()  # compare: defaults to (integrator,)
@@ -87,11 +88,8 @@ class RunConfig:
     steps: int = 200
 
     def validate(self) -> "RunConfig":
-        names = set(INTEGRATOR_NAMES)
-        if self.integrator not in names:
-            raise ConfigError(f"unknown integrator {self.integrator!r}")
-        for name in self.integrators:
-            if name not in names:
+        for name in (self.integrator, *self.integrators):
+            if name not in INTEGRATOR_NAMES:
                 raise ConfigError(f"unknown integrator {name!r}")
         if len(self.arch) < 2 or any(w < 1 for w in self.arch):
             raise ConfigError("arch needs >= 2 positive layer widths")
@@ -141,13 +139,18 @@ class RunConfig:
         return TruncationPolicy(tau=self.tau, r_max=r_max, r_min=min(self.r_min, r_max))
 
 
-_LIST_FIELDS = {"integrators", "seeds", "arch", "dims", "h_list"}
+_LIST_FIELDS = {f.name for f in fields(RunConfig) if isinstance(f.default, tuple)}
 
 
-def load_config(path=None, overrides=None) -> RunConfig:
-    """Defaults, then JSON file settings, then flag overrides."""
+def load_config(path=None, overrides=None, keys=None) -> RunConfig:
+    """Defaults, then ``$DLRT_DATA_DIR``, then JSON file settings, then flag
+    overrides. File settings outside ``keys``, the settings a command reads
+    (default: all), keep their defaults; keys that are no field fail."""
     valid = {f.name for f in fields(RunConfig)}
+    keys = valid if keys is None else set(keys)
     merged = {}
+    if "data_dir" in keys and os.environ.get(DATA_DIR_ENV):
+        merged["data_dir"] = os.environ[DATA_DIR_ENV]
     if path is not None:
         try:
             with open(path) as fh:
@@ -161,7 +164,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         unknown = set(file_cfg) - valid
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
+        merged.update((k, v) for k, v in file_cfg.items() if k in keys)
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
@@ -186,6 +189,27 @@ def write_json(path, payload) -> None:
     with atomic_write(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@dataclass(frozen=True)
+class _Outputs:
+    """A command's output files, named ``<command>-<hash>...``."""
+
+    command: str
+    config: RunConfig
+    dir: Path
+    tag: str  # config.hash()
+
+    def path(self, suffix: str) -> Path:
+        return self.dir / f"{self.command}-{self.tag}{suffix}"
+
+    def write_csv(self, suffix: str, columns, rows) -> None:
+        write_csv(self.path(suffix), self.tag, columns, rows)
+
+    def write_summary(self, **fields) -> None:
+        """The JSON summary: the command, its config and hash, then ``fields``."""
+        header = {"command": self.command, "config": asdict(self.config), "config_hash": self.tag}
+        write_json(self.path(".json"), {**header, **fields})
 
 
 def _layer_triples(net) -> list:
@@ -231,6 +255,8 @@ def _metric_row(epoch, train_loss, test_acc, net):
 def _load_splits(config: RunConfig) -> tuple:
     """The train and test splits, checked against the arch's input and
     output widths."""
+    if config.data_dir is None:
+        raise ConfigError(f"no data directory: pass --data-dir or set {DATA_DIR_ENV}")
     train = load_dataset(config.data_dir, "train")
     test = load_dataset(config.data_dir, "test")
     if train.images.shape[1] != config.arch[0]:
@@ -301,37 +327,18 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
     }
 
 
-def _resolve_data_dir(config: RunConfig) -> RunConfig:
-    if config.data_dir is None:
-        env = os.environ.get(DATA_DIR_ENV)
-        if env:
-            return replace(config, data_dir=env)
-        raise ConfigError(f"no data directory: pass --data-dir or set {DATA_DIR_ENV}")
-    return config
-
-
-def cmd_train(config: RunConfig) -> int:
-    config = _resolve_data_dir(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = config.hash()
+def cmd_train(config: RunConfig, out: _Outputs) -> int:
     train, test = _load_splits(config)
     result = _run_training(config, config.integrator, config.seed, train, test)
-    write_csv(out / f"train-{tag}.csv", tag, result["columns"], result["rows"])
-    save_network(out / f"train-{tag}.ckpt", result["net"])
-    write_json(
-        out / f"train-{tag}.json",
-        {
-            "command": "train",
-            "config": asdict(config),
-            "config_hash": tag,
-            "status": result["status"],
-            "epochs_completed": len(result["rows"]) - 1,
-            "final_accuracy": result["final_accuracy"],
-            "param_count": result["param_count"],
-            "compression_rate": result["compression_rate"],
-            "runtime_s": result["runtime_s"],
-        },
+    out.write_csv(".csv", result["columns"], result["rows"])
+    save_network(out.path(".ckpt"), result["net"])
+    out.write_summary(
+        status=result["status"],
+        epochs_completed=len(result["rows"]) - 1,
+        final_accuracy=result["final_accuracy"],
+        param_count=result["param_count"],
+        compression_rate=result["compression_rate"],
+        runtime_s=result["runtime_s"],
     )
     print(
         f"train {config.integrator} seed {config.seed}: {result['status']}, "
@@ -342,11 +349,7 @@ def cmd_train(config: RunConfig) -> int:
     return EXIT_OK if result["status"] == "ok" else EXIT_DIVERGED
 
 
-def cmd_compare(config: RunConfig) -> int:
-    config = _resolve_data_dir(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = config.hash()
+def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     integrators = list(config.integrators) or [config.integrator]
     seeds = list(config.seeds) or [config.seed]
     train, test = _load_splits(config)
@@ -355,10 +358,7 @@ def cmd_compare(config: RunConfig) -> int:
         for seed in seeds:
             result = _run_training(config, integrator, seed, train, test)
             runs.append(result)
-            write_csv(
-                out / f"compare-{tag}-{integrator}-s{seed}.csv",
-                tag, result["columns"], result["rows"],
-            )
+            out.write_csv(f"-{integrator}-s{seed}.csv", result["columns"], result["rows"])
     rows = []
     for r in runs:
         rows.append(
@@ -377,37 +377,32 @@ def cmd_compare(config: RunConfig) -> int:
              repr(mean), params]
         )
         print(f"{integrator:>10} {mean:9.4f} {std:7.4f} {params:8d} {len(ok):2d}/{len(seeds)}")
-    write_csv(
-        out / f"compare-{tag}.csv", tag,
-        ["row", "integrator", "seed", "status", "accuracy", "param_count"],
-        rows,
+    out.write_csv(
+        ".csv", ["row", "integrator", "seed", "status", "accuracy", "param_count"], rows
     )
-    write_json(
-        out / f"compare-{tag}.json",
-        {
-            "command": "compare",
-            "config": asdict(config),
-            "config_hash": tag,
-            "runs": [
-                {k: r[k] for k in
-                 ("integrator", "seed", "status", "final_accuracy", "param_count",
-                  "runtime_s")}
-                for r in runs
-            ],
-        },
+    out.write_summary(
+        runs=[
+            {k: r[k] for k in
+             ("integrator", "seed", "status", "final_accuracy", "param_count",
+              "runtime_s")}
+            for r in runs
+        ],
     )
     return EXIT_OK
 
 
-def cmd_ode_bench(config: RunConfig) -> int:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = config.hash()
+def _synthetic_problem(config: RunConfig) -> tuple:
+    """The synthetic problem of ode-bench and descent-audit, and its
+    truncation policy."""
     m, n = config.dims
     problem = synthetic_quadratic_problem(
         m, n, config.target_rank, eps=config.eps, seed=config.seed
     )
-    policy = config.policy(config.target_rank)
+    return problem, config.policy(config.target_rank)
+
+
+def cmd_ode_bench(config: RunConfig, out: _Outputs) -> int:
+    problem, policy = _synthetic_problem(config)
     template = StepConfig(h=1.0, substeps=config.substeps, policy=policy)
     h_list = sorted(config.h_list, reverse=True)
     results = ode_error_study(
@@ -426,19 +421,13 @@ def cmd_ode_bench(config: RunConfig) -> int:
             order = repr(value)
         rows.append([repr(h), repr(err), order])
         prev = (h, err)
-    write_csv(out / f"ode-bench-{tag}.csv", tag, ["h", "error", "observed_order"], rows)
+    out.write_csv(".csv", ["h", "error", "observed_order"], rows)
     plateau = bool(orders) and orders[-1] < 0.5
-    write_json(
-        out / f"ode-bench-{tag}.json",
-        {
-            "command": "ode-bench",
-            "config": asdict(config),
-            "config_hash": tag,
-            "integrator": config.integrator,
-            "errors": [[float(h), float(e)] for h, e in results],
-            "observed_orders": orders,
-            "plateau": plateau,
-        },
+    out.write_summary(
+        integrator=config.integrator,
+        errors=[[float(h), float(e)] for h, e in results],
+        observed_orders=orders,
+        plateau=plateau,
     )
     for (h, err), row in zip(results, rows):
         print(f"h={h:<10g} error={err:.6e} order={row[2] or '-'}")
@@ -447,14 +436,8 @@ def cmd_ode_bench(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_descent_audit(config: RunConfig) -> int:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = config.hash()
-    m, n = config.dims
-    problem = synthetic_quadratic_problem(
-        m, n, config.target_rank, eps=config.eps, seed=config.seed
-    )
+def cmd_descent_audit(config: RunConfig, out: _Outputs) -> int:
+    problem, policy = _synthetic_problem(config)
     # quadratic loss has curvature constant 1
     curvature = 1.0
     h = config.lr
@@ -464,7 +447,6 @@ def cmd_descent_audit(config: RunConfig) -> int:
             "h=%g exceeds 2/c_l=%g: the descent inequality is no longer "
             "guaranteed; violations below are reported, not fatal", h, 2.0 / curvature,
         )
-    policy = config.policy(config.target_rank)
     cfg = StepConfig(h=h, substeps=config.substeps, policy=policy)
     states = [problem.y0]
     rows = []
@@ -488,26 +470,20 @@ def cmd_descent_audit(config: RunConfig) -> int:
              repr(margin), int(violated)]
         )
     s_before, s_after = s_step_loss_delta_psi(problem.y0, problem.oracle, cfg)
-    write_csv(
-        out / f"descent-audit-{tag}.csv", tag,
+    out.write_csv(
+        ".csv",
         ["step", "loss_before", "loss_after_flow", "descent_bound", "margin",
          "violated"],
         rows,
     )
-    write_json(
-        out / f"descent-audit-{tag}.json",
-        {
-            "command": "descent-audit",
-            "config": asdict(config),
-            "config_hash": tag,
-            "steps": config.steps,
-            "violations": violations,
-            "worst_margin": worst,
-            "h_within_guarantee": guaranteed,
-            "s_step_loss_before": s_before,
-            "s_step_loss_after": s_after,
-            "s_step_delta": s_after - s_before,
-        },
+    out.write_summary(
+        steps=config.steps,
+        violations=violations,
+        worst_margin=worst,
+        h_within_guarantee=guaranteed,
+        s_step_loss_before=s_before,
+        s_step_loss_after=s_after,
+        s_step_delta=s_after - s_before,
     )
     print(
         f"descent audit: {config.steps} steps, {violations} violations; "
@@ -518,19 +494,17 @@ def cmd_descent_audit(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _int_list(text):
-    return tuple(int(x) for x in text.split(",") if x)
-
-
-def _float_list(text):
-    return tuple(float(x) for x in text.split(",") if x)
-
-
-def _str_list(text):
-    return tuple(x.strip() for x in text.split(",") if x.strip())
+def _list(cast):
+    """argparse type: a comma-separated list of ``cast`` values."""
+    def parse(text):
+        return tuple(cast(x.strip()) for x in text.split(",") if x.strip())
+    parse.__name__ = f"{cast.__name__} list"  # named in argparse's error message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dlrt`` parser: each subcommand takes exactly the settings it
+    reads, and each flag is declared once, in a parent group."""
     parser = argparse.ArgumentParser(
         prog="dlrt",
         description="Low-rank training experiments with splitting integrators",
@@ -538,49 +512,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dlrt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)  # every command
     common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--integrator", choices=INTEGRATOR_NAMES)
-    common.add_argument("--lr", type=float, help="step size / learning rate")
+    common.add_argument("--out-dir", dest="out_dir")
+    common.add_argument("--seed", type=int)
     common.add_argument("--tau", type=float, help="truncation tolerance")
-    common.add_argument("--rank", type=int, help="initial rank per layer")
     common.add_argument("--r-min", dest="r_min", type=int)
     common.add_argument("--r-max", dest="r_max", type=int)
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--batch-size", dest="batch_size", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--data-dir", dest="data_dir",
-                        help=f"directory of IDX files (default ${DATA_DIR_ENV})")
-    common.add_argument("--out-dir", dest="out_dir")
     common.add_argument("--substeps", type=int)
-    common.add_argument("--arch", type=_int_list,
-                        help="comma-separated layer widths")
+    integrator = argparse.ArgumentParser(add_help=False)  # train, compare, ode-bench
+    integrator.add_argument("--integrator", choices=INTEGRATOR_NAMES)
+    lr = argparse.ArgumentParser(add_help=False)  # train, compare, descent-audit
+    lr.add_argument("--lr", type=float, help="step size / learning rate")
+    training = argparse.ArgumentParser(add_help=False)  # train, compare
+    training.add_argument("--rank", type=int, help="initial rank per layer")
+    training.add_argument("--epochs", type=int)
+    training.add_argument("--batch-size", dest="batch_size", type=int)
+    training.add_argument("--data-dir", dest="data_dir",
+                          help=f"directory of IDX files (default ${DATA_DIR_ENV})")
+    training.add_argument("--arch", type=_list(int), help="comma-separated layer widths")
+    problem = argparse.ArgumentParser(add_help=False)  # ode-bench, descent-audit
+    problem.add_argument("--dims", type=_list(int), help="problem size m,n")
+    problem.add_argument("--target-rank", dest="target_rank", type=int)
+    problem.add_argument("--eps", type=float, help="full-rank perturbation size")
 
-    p_train = sub.add_parser("train", parents=[common], help="one training run")
+    p_train = sub.add_parser("train", parents=[common, integrator, lr, training],
+                             help="one training run")
     p_train.set_defaults(func=cmd_train)
 
-    p_cmp = sub.add_parser("compare", parents=[common],
+    p_cmp = sub.add_parser("compare", parents=[common, integrator, lr, training],
                            help="train across integrators and seeds")
-    p_cmp.add_argument("--integrators", type=_str_list,
+    p_cmp.add_argument("--integrators", type=_list(str),
                        help="comma-separated integrator names")
-    p_cmp.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
+    p_cmp.add_argument("--seeds", type=_list(int), help="comma-separated seeds")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_ode = sub.add_parser("ode-bench", parents=[common],
+    p_ode = sub.add_parser("ode-bench", parents=[common, integrator, problem],
                            help="step-size robustness study on a synthetic problem")
-    p_ode.add_argument("--dims", type=_int_list, help="problem size m,n")
-    p_ode.add_argument("--target-rank", dest="target_rank", type=int)
-    p_ode.add_argument("--eps", type=float, help="full-rank perturbation size")
-    p_ode.add_argument("--h-list", dest="h_list", type=_float_list)
+    p_ode.add_argument("--h-list", dest="h_list", type=_list(float))
     p_ode.add_argument("--t-end", dest="t_end", type=float)
     p_ode.add_argument("--ref-h", dest="ref_h", type=float)
     p_ode.set_defaults(func=cmd_ode_bench)
 
-    p_aud = sub.add_parser("descent-audit", parents=[common],
+    p_aud = sub.add_parser("descent-audit", parents=[common, lr, problem],
                            help="check the per-step loss descent inequality")
-    p_aud.add_argument("--dims", type=_int_list)
-    p_aud.add_argument("--target-rank", dest="target_rank", type=int)
-    p_aud.add_argument("--eps", type=float)
     p_aud.add_argument("--steps", type=int)
     p_aud.set_defaults(func=cmd_descent_audit)
 
@@ -591,21 +566,17 @@ def main(argv=None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "func", "config") and v is not None
-    }
+    settings = vars(build_parser().parse_args(argv))
+    command, func, path = settings.pop("command"), settings.pop("func"), settings.pop("config")
     try:
-        return args.func(load_config(args.config, overrides))
-    except ConfigError as exc:
+        # the parser's destinations are exactly the settings the command reads
+        config = load_config(path, settings, keys=settings)
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return func(config, _Outputs(command, config, out_dir, config.hash()))
+    except (ConfigError, DataError, OSError) as exc:
         log.error("%s", exc)
-        return EXIT_CONFIG
-    except (DataError, OSError) as exc:
-        log.error("%s", exc)
-        return EXIT_IO
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ class DataError(Exception):
 @dataclass(frozen=True)
 class Dataset:
     images: np.ndarray  # N x pixels, float64 in [0, 1]
-    labels: np.ndarray  # N ints in [0, 10)
+    labels: np.ndarray  # N non-negative ints, one class index per image
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
@@ -80,7 +80,8 @@ def load_idx_images(path) -> np.ndarray:
 
 
 def load_idx_labels(path) -> np.ndarray:
-    """Label vector; every entry must be a valid class in [0, 10)."""
+    """Label vector of class indices, as int64. Whether they fit a network's
+    output width is the caller's check."""
     raw = _read_bytes(path)
     magic, = _read_u32s(raw, 1)
     if magic != LABEL_MAGIC:
@@ -89,10 +90,7 @@ def load_idx_labels(path) -> np.ndarray:
     body = raw[8:]
     if len(body) != count:
         raise DataError(f"expected {count} label bytes, found {len(body)}")
-    labels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-    if labels.size and labels.max() >= 10:
-        raise DataError(f"label {labels.max()} out of range [0, 10)")
-    return labels
+    return np.frombuffer(body, dtype=np.uint8).astype(np.int64)
 
 
 def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:

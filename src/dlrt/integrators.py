@@ -138,8 +138,8 @@ class StepAudit:
     Pass an instance to a stepper advancing a single state to have it
     filled in place. Which fields are populated depends on the stepper;
     audits that need losses or the basis-projected gradient require the
-    oracle's loss and full forms and densify the iterate, so use them at
-    small scale only.
+    oracle's loss and full forms (the oracle raises ``ValueError`` without
+    them) and densify the iterate, so use them at small scale only.
     """
 
     k1: Optional[Matrix] = None
@@ -316,16 +316,16 @@ def abc_psi_step(
         for st, u in zip(states, u_hat)
     ]
     if audit is not None:
-        # audit quantities at the pre-step point; needs full/loss forms
+        # audit quantities at the pre-step point; the oracle's loss_at and
+        # full raise when it lacks those forms
         (state,) = states
         audit.k1, audit.u_hat = k1[0], u_hat[0]
-        if oracle.loss is not None and oracle.eval_full is not None:
-            y0 = state.u @ (state.s @ state.v.T)
-            audit.loss_before = oracle.loss_at(y0)
-            g0 = oracle.full(y0)
-            audit.proj_grad_sq = float(np.sum((u_hat[0].T @ g0) ** 2))
+        y0 = state.u @ (state.s @ state.v.T)
+        audit.loss_before = oracle.loss_at(y0)
+        g0 = oracle.full(y0)
+        audit.proj_grad_sq = float(np.sum((u_hat[0].T @ g0) ** 2))
     l1 = _l_sweep(l0, u_hat, oracle, cfg, grads)
-    if audit is not None and oracle.loss is not None:
+    if audit is not None:
         audit.loss_flow = oracle.loss_at(u_hat[0] @ l1[0].T)
     return [LowRankState(*truncate_state(u, l, cfg.policy)) for u, l in zip(u_hat, l1)]
 

@@ -221,6 +221,21 @@ class TestTrain:
         assert code == EXIT_IO
         assert str(blocker / "x") in caplog.text
 
+    def test_more_than_ten_classes(self, tmp_path):
+        # any IDX dataset works: labels are only checked against arch[-1]
+        rng = np.random.default_rng(5)
+        data = tmp_path / "idx"
+        data.mkdir()
+        for n, images, labels in [
+            (120, "train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+            (48, "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
+        ]:
+            write_idx_images(data / images, rng.random((n, 16)), rows=4, cols=4)
+            write_idx_labels(data / labels, np.arange(n) % 12)
+        args = train_args(data, tmp_path / "out", "--epochs", "1")
+        args[args.index("--arch") + 1] = "16,12,12"
+        assert main(args) == EXIT_OK
+
     def test_dense_baseline_has_no_rank_columns(self, data_dir, tmp_path):
         code = main(train_args(data_dir, tmp_path, "--epochs", "1",
                                "--integrator", "full"))
@@ -401,3 +416,42 @@ class TestDescentAudit:
         ])
         assert code == EXIT_CONFIG
         assert not list(tmp_path.iterdir())
+
+
+class TestCommandSettings:
+    """Each command takes only the settings it reads; other config-file
+    keys keep their defaults and stay out of the hash."""
+
+    ODE_ARGS = ["--dims", "8,6", "--target-rank", "2", "--tau", "0",
+                "--h-list", "0.1", "--t-end", "1.0", "--ref-h", "0.01"]
+
+    @pytest.mark.parametrize("args", [
+        ["ode-bench", "--epochs", "3"],
+        ["descent-audit", "--integrator", "psi"],
+    ])
+    def test_unread_flag_rejected(self, args, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, unread", [
+        ("train", {"t_end": 0.25}),
+        ("train", {"t_end": 0.25, "h_list": [0.05]}),
+        ("ode-bench", {"epochs": 7, "arch": [3, 3]}),
+    ])
+    def test_unread_config_keys_keep_defaults(self, command, unread, data_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(unread))
+        if command == "train":
+            args = train_args(data_dir, tmp_path / "out", "--epochs", "0")[1:]
+        else:
+            args = ["--out-dir", str(tmp_path / "out")] + self.ODE_ARGS
+        outputs = []
+        for extra in ([], ["--config", str(cfg)]):
+            assert main([command, *args, *extra]) == EXIT_OK
+            out = tmp_path / "out"
+            outputs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+            for p in out.iterdir():
+                p.unlink()
+        assert outputs[0] and outputs[0] == outputs[1]

@@ -1,8 +1,9 @@
-"""The README's CLI reference checked against the code: config keys, flags
-and exit codes."""
+"""The README's CLI reference checked against the code: config keys, flags,
+example commands and exit codes."""
 
 import argparse
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +11,10 @@ from dlrt import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 CONFIG_FIELDS = [f.name for f in fields(cli.RunConfig)]
+(SUBCOMMANDS,) = [
+    a.choices for a in cli.build_parser()._actions
+    if isinstance(a, argparse._SubParsersAction)
+]
 
 
 def section(heading):
@@ -24,14 +29,29 @@ def test_config_keys_list_run_config_fields():
 
 
 def test_every_flag_sets_a_config_field():
-    (subparsers,) = [
-        a for a in cli.build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    ]
-    for command, parser in subparsers.choices.items():
+    for command, parser in SUBCOMMANDS.items():
         dests = {a.dest for a in parser._actions if a.option_strings}
         stray = dests - {"help", "config"} - set(CONFIG_FIELDS)
         assert not stray, f"{command}: flags without a config field: {sorted(stray)}"
+
+
+def test_flag_table_lists_each_command_flags():
+    rows = re.findall(r"^\| `?([\w-]+)`? +\|(.*)\|$", section("### Flags"), re.M)
+    listed = {name: set(re.findall(r"`(--[\w-]+)`", flags))
+              for name, flags in rows if name != "command"}
+    common = listed.pop("all")
+    assert set(listed) == set(SUBCOMMANDS)
+    for command, parser in SUBCOMMANDS.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert common | listed[command] == flags, command
+
+
+def test_readme_commands_parse():
+    shell = "\n".join(re.findall(r"```sh\n(.*?)```", README, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in shell.splitlines() if line.startswith("dlrt ")]
+    assert {argv[0] for argv in commands} == set(SUBCOMMANDS)
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
 
 
 def test_exit_code_table_lists_exit_constants():

@@ -240,6 +240,15 @@ class TestAbcPsiStep:
         assert np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u)) <= 1e-10
         assert np.linalg.norm(audit.k1 - u_hat @ (u_hat.T @ audit.k1)) <= 1e-10
 
+    @pytest.mark.parametrize("loss, missing", [(False, "loss"), (True, "full-gradient")])
+    def test_audit_needs_loss_and_full_forms(self, loss, missing):
+        # the audit raises instead of leaving its loss fields None
+        rich = quadratic_oracle(np.random.default_rng(20).standard_normal((7, 6)))
+        oracle = GradientOracle(eval_grads=rich.eval_grads, loss=rich.loss if loss else None)
+        cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
+        with pytest.raises(ValueError, match=f"no {missing} form"):
+            abc_psi_step([init_lowrank(7, 6, 2, seed=20)], oracle, cfg, audit=StepAudit())
+
     def test_substeps_accepted(self):
         state = init_lowrank(7, 6, 2, seed=19)
         a = np.random.default_rng(19).standard_normal((7, 6))
