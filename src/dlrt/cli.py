@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -140,12 +140,42 @@ class RunConfig:
 
 
 _LIST_FIELDS = {f.name for f in fields(RunConfig) if isinstance(f.default, tuple)}
+_DEFAULTS = RunConfig()
+# settings only some integrators read: the truncation policy (abc-psi) and
+# the factored layers' initial rank and substeps (every low-rank integrator)
+_POLICY_FIELDS = ("tau", "r_min", "r_max")
+_LOWRANK_FIELDS = ("rank", "substeps")
+
+
+def _unread_at_defaults(config: RunConfig, keys) -> RunConfig:
+    """``config`` with the settings its run does not read at their defaults,
+    so that they neither fail validation nor change the hash.
+
+    Compare (the command that reads ``integrators``) takes ``integrator``
+    and ``seed`` only as fallbacks for its lists, so the lists are resolved
+    from them and they are reset. Integrator-specific settings are reset
+    when none of the run's integrators reads them.
+    """
+    if "integrators" in keys:
+        config = replace(
+            config,
+            integrators=config.integrators or (config.integrator,),
+            seeds=config.seeds or (config.seed,),
+            integrator=_DEFAULTS.integrator,
+            seed=_DEFAULTS.seed,
+        )
+    names = set(config.integrators or (config.integrator,))
+    unread = [] if "abc-psi" in names else list(_POLICY_FIELDS)
+    if names == {"full"}:
+        unread += _LOWRANK_FIELDS
+    return replace(config, **{key: getattr(_DEFAULTS, key) for key in unread})
 
 
 def load_config(path=None, overrides=None, keys=None) -> RunConfig:
     """Defaults, then ``$DLRT_DATA_DIR``, then JSON file settings, then flag
     overrides. File settings outside ``keys``, the settings a command reads
-    (default: all), keep their defaults; keys that are no field fail."""
+    (default: all), keep their defaults, and so do the settings that none of
+    the run's integrators reads; keys that are no field fail."""
     valid = {f.name for f in fields(RunConfig)}
     keys = valid if keys is None else set(keys)
     merged = {}
@@ -171,7 +201,7 @@ def load_config(path=None, overrides=None, keys=None) -> RunConfig:
     for key in _LIST_FIELDS & set(merged):
         merged[key] = tuple(merged[key])
     try:
-        return RunConfig(**merged).validate()
+        return _unread_at_defaults(RunConfig(**merged), keys).validate()
     except TypeError as exc:
         raise ConfigError(str(exc))
 
@@ -350,8 +380,7 @@ def cmd_train(config: RunConfig, out: _Outputs) -> int:
 
 
 def cmd_compare(config: RunConfig, out: _Outputs) -> int:
-    integrators = list(config.integrators) or [config.integrator]
-    seeds = list(config.seeds) or [config.seed]
+    integrators, seeds = config.integrators, config.seeds  # resolved by load_config
     train, test = _load_splits(config)
     runs = []
     for integrator in integrators:

@@ -17,9 +17,11 @@ share the factored-state conventions of the lowrank module:
 * ``abc_psi_step``: the rank-adaptive method. The left basis is augmented
   with the swept K factor, the core is carried into the enlarged basis,
   the right factor is evolved there, and the result is truncated back by a
-  relative singular-value criterion. Its only factorizations are one QR of
-  an m x r residual (the augmentation) and one SVD (the truncation) per
-  state.
+  relative singular-value criterion. Its only factorizations per state are
+  one QR of an m x r residual (the augmentation) and, for the truncation,
+  one q x q symmetric eigendecomposition of the right factor's Gram matrix
+  (an SVD of the n x q factor itself when the Gram route's accuracy guard
+  trips).
 
 All subflows are discretized by explicit Euler; ``StepConfig.substeps``
 repeats the gradient step inside the K and L subflows. A step reuses the
@@ -302,10 +304,14 @@ def abc_psi_step(
     5. Truncation of u_hat @ l1.T by the policy's singular-value
        criterion. With l1 = P diag(sigma) Q^T the new state is
        (u_hat Q_r, diag(sigma_r), P_r), already in orthonormal-times-core
-       form.
+       form. sigma and Q come from the eigendecomposition of the q x q
+       Gram matrix l1.T @ l1, and only the r kept columns of P are formed;
+       ``truncate_state`` falls back to gesdd of l1 when that route would
+       be inaccurate.
 
-    The cost profile per step is one QR of the m x r residual and one SVD
-    of the n x q right factor per state.
+    The cost profile per step is one QR of the m x r residual and one q x q
+    symmetric eigendecomposition per state; gesdd of the n x q right factor
+    when the guard trips.
     """
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")

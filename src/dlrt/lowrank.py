@@ -29,6 +29,13 @@ __all__ = [
     "param_count",
 ]
 
+# truncate_state's Gram route needs the smallest kept sigma_r / sigma_1 at
+# least GRAM_MIN_RATIO, and the policy's tail threshold at least
+# GRAM_TAIL_MARGIN times the eigenvalues' rounding level q * eps * sigma_1^2
+GRAM_MIN_RATIO = 1e-2
+GRAM_TAIL_MARGIN = 1e4
+_EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class LowRankState:
@@ -158,15 +165,60 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
     With l1 = P diag(sigma) Q^T and r picked by ``truncation_rank``,
     returns the factors (u_hat Q_r, diag(sigma_r), P_r) of the truncated
     state. When u_hat has orthonormal columns so does u_hat Q_r, and the
-    product of the factors differs from u_hat @ l1.T by exactly the
-    discarded singular-value tail.
+    product of the factors differs from u_hat @ l1.T by the discarded
+    singular-value tail.
+
+    For a tall l1 (n x q, n >= q) the SVD is read off the q x q Gram
+    matrix: l1^T l1 = Q diag(sigma^2) Q^T by a symmetric eigensolver, then
+    only the kept columns P_r = l1 Q_r / sigma_r are formed. At the paper
+    net's 784 x 100 the whole truncation takes 3.0 ms against 6.7 ms for
+    the gesdd of l1 alone (one BLAS thread, 2-core x86 host). But the Gram
+    matrix squares the conditioning: the errors of sigma_r and of P_r's
+    orthonormality grow as (sigma_1 / sigma_r)^2. Measured ||P_r^T P_r - I||
+    for 784 x 100 l1 with log-spaced sigma (largest of 20 draws):
+
+        sigma_r / sigma_1    1e-1   1e-2   1e-3     1e-4    1e-5
+        ||P^T P - I||        7e-14  2e-12  1.1e-10  7.8e-9  5.7e-7
+
+    ``LowRankState.validate`` allows 1e-10 * sqrt(r), so the Gram route is
+    taken only while the smallest kept sigma_r / sigma_1 is at least
+    ``GRAM_MIN_RATIO`` (1e-2, a margin of over 70x), and only while the
+    policy's tail threshold is ``GRAM_TAIL_MARGIN`` times above the
+    eigenvalues' rounding level q * eps * sigma_1^2, so the rank is chosen
+    from eigenvalues that rounding cannot move across it (tau = 0 and tiny
+    tau never pass). Otherwise, and for a wide l1, the result is that of
+    ``svd_thin`` (LAPACK gesdd), bit for bit.
+
+    Raises
+    ------
+    DimensionError
+        If u_hat's column count differs from l1's.
+    NumericError
+        If an input holds non-finite entries or a factorization fails.
     """
     u_hat = as_matrix(u_hat, "u_hat")
+    l1 = as_matrix(l1, "l1")
+    n, q = l1.shape
+    if u_hat.shape[1] != q:
+        raise DimensionError(f"u_hat cols {u_hat.shape[1]} != l1 cols {q}")
+    if n >= q:
+        try:
+            lam, w = np.linalg.eigh(l1.T @ l1)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        lam, w = np.maximum(lam[::-1], 0.0), w[:, ::-1]  # descending
+        sigma = np.sqrt(lam)
+        r1 = truncation_rank(sigma, policy)
+        total = lam.sum()
+        # the bound truncation_rank compares the squared tail against
+        tail_limit = policy.tau * math.sqrt(total) if policy.squared else policy.tau**2 * total
+        if (
+            sigma[r1 - 1] >= GRAM_MIN_RATIO * sigma[0]
+            and tail_limit > GRAM_TAIL_MARGIN * q * _EPS * lam[0]
+        ):
+            w_r = w[:, :r1]
+            return u_hat @ w_r, np.diag(sigma[:r1]), (l1 @ w_r) / sigma[:r1]
     p, sigma, qmat = svd_thin(l1)
-    if u_hat.shape[1] != qmat.shape[0]:
-        raise DimensionError(
-            f"u_hat cols {u_hat.shape[1]} != l1 cols {qmat.shape[0]}"
-        )
     r1 = truncation_rank(sigma, policy)
     return u_hat @ qmat[:, :r1], np.diag(sigma[:r1]), np.ascontiguousarray(p[:, :r1])
 

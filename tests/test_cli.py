@@ -455,3 +455,32 @@ class TestCommandSettings:
             for p in out.iterdir():
                 p.unlink()
         assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command, variants, distinct", [
+        # compare reads --integrator and --seed only as list fallbacks
+        ("compare", [["--integrators", "psi"], ["--integrators", "psi", "--integrator", "bug"],
+                     ["--integrator", "psi"]], 1),
+        ("compare", [["--seeds", "3"], ["--seed", "3"], ["--seeds", "3", "--seed", "5"]], 1),
+        ("compare", [["--integrators", "psi"], ["--integrators", "psi,bug"]], 2),
+        # a dense run reads no low-rank setting, psi no truncation setting
+        ("train", [["--integrator", "full", "--rank", "5"],
+                   ["--integrator", "full", "--rank", "6", "--tau", "0.3", "--r-min", "3",
+                    "--r-max", "4", "--substeps", "2"]], 1),
+        ("train", [["--integrator", "psi"], ["--integrator", "psi", "--tau", "0.3"]], 1),
+        ("train", [["--integrator", "psi"], ["--integrator", "psi", "--rank", "2"],
+                   ["--integrator", "abc-psi"], ["--integrator", "abc-psi", "--tau", "0.3"]], 4),
+        ("ode-bench", [["--integrator", "full"],
+                       ["--integrator", "full", "--substeps", "3", "--r-min", "1"]], 1),
+    ])
+    def test_hash_covers_settings_read(self, command, variants, distinct, data_dir, tmp_path):
+        hashes = set()
+        for i, extra in enumerate(variants):
+            out = tmp_path / str(i)
+            if command == "ode-bench":
+                args = ["--out-dir", str(out)] + self.ODE_ARGS
+            else:
+                args = train_args(data_dir, out, "--epochs", "0")[1:]
+            assert main([command, *args, *extra]) == EXIT_OK
+            (summary,) = out.glob("*.json")
+            hashes.add(json.loads(summary.read_text())["config_hash"])
+        assert len(hashes) == distinct

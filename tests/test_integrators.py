@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dlrt.lowrank
 from dlrt.integrators import (
     GradientOracle,
     OdeProblem,
@@ -17,6 +18,7 @@ from dlrt.integrators import (
     s_step_loss_delta_psi,
     synthetic_quadratic_problem,
 )
+from dlrt.linalg import svd_thin
 from dlrt.lowrank import LowRankState, TruncationPolicy, init_lowrank
 
 
@@ -291,6 +293,25 @@ class TestOrthonormalityInvariant:
                 err_v = np.linalg.norm(out.v.T @ out.v - np.eye(r_out))
                 assert err_u <= 1e-10 * np.sqrt(r_out), f"{name} trial {trial}"
                 assert err_v <= 1e-10 * np.sqrt(r_out), f"{name} trial {trial}"
+
+    def test_abc_psi_gram_truncation_stays_orthonormal(self, monkeypatch):
+        # thousands of steps whose truncations all take the Gram route:
+        # u_hat @ W_r compounds the eigensolver's rounding step after step
+        fallbacks = []
+
+        def counting(l):
+            fallbacks.append(l.shape)
+            return svd_thin(l)
+
+        monkeypatch.setattr(dlrt.lowrank, "svd_thin", counting)
+        problem = synthetic_quadratic_problem(60, 40, 4, eps=1e-2, seed=3)
+        cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=8, r_min=2))
+        states = [problem.y0]
+        for step in range(1, 3001):
+            states = abc_psi_step(states, problem.oracle, cfg)
+            if step % 100 == 0:
+                states[0].validate()
+        assert not fallbacks and states[0].rank == 4
 
 
 class TestStateLists:

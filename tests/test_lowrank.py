@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlrt.linalg import DimensionError
+import dlrt.lowrank
+from dlrt.linalg import DimensionError, NumericError, svd_thin
 from dlrt.lowrank import (
+    GRAM_MIN_RATIO,
     LowRankState,
     TruncationPolicy,
     compression_rate,
@@ -191,6 +193,118 @@ class TestTruncateState:
         assert np.linalg.norm(v.T @ v - np.eye(r1)) <= 1e-12
         assert np.linalg.norm(u.T @ u - np.eye(r1)) <= 1e-12
         assert np.array_equal(s, np.diag(np.diagonal(s)))
+
+
+def gesdd_truncation(u_hat, l1, policy):
+    """truncate_state's gesdd route: the reference for its Gram route."""
+    p, sigma, qmat = svd_thin(l1)
+    r1 = truncation_rank(sigma, policy)
+    return u_hat @ qmat[:, :r1], np.diag(sigma[:r1]), np.ascontiguousarray(p[:, :r1])
+
+
+def conditioned(n, q, sigma, seed):
+    """u_hat (n + 5, q) with orthonormal columns and l1 (n, q) with singular
+    values ``sigma`` (length <= q, the rest exactly zero)."""
+    rng = np.random.default_rng(seed)
+    u_hat = np.linalg.qr(rng.standard_normal((n + 5, q)))[0]
+    k = len(sigma)
+    p = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    qmat = np.linalg.qr(rng.standard_normal((q, k)))[0]
+    return u_hat, (p * np.asarray(sigma)) @ qmat.T
+
+
+@pytest.fixture
+def gesdd_calls(monkeypatch):
+    """Counts truncate_state's calls of svd_thin, its gesdd fallback."""
+    calls = []
+
+    def counting(l):
+        calls.append(l.shape)
+        return svd_thin(l)
+
+    monkeypatch.setattr(dlrt.lowrank, "svd_thin", counting)
+    return calls
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTruncateStateRoutes:
+    """The Gram route (q x q eigh) against the gesdd route it replaces."""
+
+    @pytest.mark.parametrize("cond", [1e-1, 1e-2, 1e-4, 1e-8])
+    @pytest.mark.parametrize("tau", [0.0, 1e-6, 1e-3, 0.05, 0.3])
+    def test_matches_gesdd(self, cond, tau):
+        u_hat, l1 = conditioned(120, 30, np.logspace(0, np.log10(cond), 30), seed=13)
+        policy = TruncationPolicy(tau=tau, r_max=30, r_min=1)
+        u, s, v = truncate_state(u_hat, l1, policy)
+        u_ref, s_ref, v_ref = gesdd_truncation(u_hat, l1, policy)
+        assert s.shape == s_ref.shape
+        np.testing.assert_allclose(np.diagonal(s), np.diagonal(s_ref), rtol=1e-12, atol=0)
+        assert np.linalg.norm(u @ s @ v.T - u_ref @ s_ref @ v_ref.T) <= 1e-13 * s_ref[0, 0]
+        LowRankState(u, s, v).validate()
+
+    def test_tiny_tau_takes_gesdd(self, gesdd_calls):
+        for tau in (0.0, 1e-6):
+            u_hat, l1 = conditioned(60, 12, np.linspace(1.0, 0.5, 12), seed=14)
+            policy = TruncationPolicy(tau=tau, r_max=12, r_min=1)
+            out = truncate_state(u_hat, l1, policy)
+            assert_same_bytes(out, gesdd_truncation(u_hat, l1, policy))
+        assert gesdd_calls == [(60, 12), (60, 12)]
+
+    @pytest.mark.parametrize("step, gram", [(1.01, True), (0.99, False)])
+    def test_min_ratio_boundary(self, step, gram, gesdd_calls):
+        # keep 8 values down to step * GRAM_MIN_RATIO, the rest far below
+        # the tail threshold
+        sigma = np.concatenate([np.logspace(0, np.log10(step * GRAM_MIN_RATIO), 8),
+                                np.full(8, 1e-6)])
+        u_hat, l1 = conditioned(200, 16, sigma, seed=15)
+        policy = TruncationPolicy(tau=1e-3, r_max=16, r_min=1)
+        out = truncate_state(u_hat, l1, policy)
+        assert out[1].shape == (8, 8)
+        assert bool(gesdd_calls) != gram
+        LowRankState(*out).validate()
+        if not gram:
+            assert_same_bytes(out, gesdd_truncation(u_hat, l1, policy))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @pytest.mark.parametrize("sigma", [[3.0, 1.0], [0.0]])
+    def test_exact_rank_clamped_by_r_min_takes_gesdd(self, tau, sigma, gesdd_calls):
+        # rank 2 (or l1 = 0) with r_min 4: the kept sigma_3, sigma_4 are
+        # rounding noise (or zero)
+        u_hat, l1 = conditioned(40, 8, sigma, seed=16)
+        policy = TruncationPolicy(tau=tau, r_max=8, r_min=4)
+        out = truncate_state(u_hat, l1, policy)
+        assert out[1].shape[0] >= 4 and gesdd_calls
+        assert_same_bytes(out, gesdd_truncation(u_hat, l1, policy))
+
+    def test_wide_takes_gesdd(self, gesdd_calls):
+        u_hat, l1 = conditioned(5, 9, np.linspace(2.0, 1.0, 5), seed=17)
+        policy = TruncationPolicy(tau=0.3, r_max=9, r_min=1)
+        out = truncate_state(u_hat, l1, policy)
+        assert_same_bytes(out, gesdd_truncation(u_hat, l1, policy))
+        assert gesdd_calls == [(5, 9)]
+
+    def test_gram_route_reruns_identical(self, gesdd_calls):
+        u_hat, l1 = conditioned(80, 20, np.logspace(0, -1, 20), seed=18)
+        policy = TruncationPolicy(tau=0.2, r_max=20, r_min=1)
+        assert_same_bytes(truncate_state(u_hat, l1, policy), truncate_state(u_hat, l1, policy))
+        assert not gesdd_calls
+
+    def test_eigh_failure_is_numeric_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        u_hat, l1 = conditioned(30, 6, np.linspace(1.0, 0.5, 6), seed=19)
+        with pytest.raises(NumericError, match="eigendecomposition"):
+            truncate_state(u_hat, l1, TruncationPolicy(tau=0.1, r_max=6, r_min=1))
+
+    def test_column_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            truncate_state(np.eye(6)[:, :3], np.ones((5, 4)), TruncationPolicy(tau=0.1, r_max=4))
 
 
 class TestCompressionAccounting:
