@@ -199,6 +199,8 @@ def load_config(path=None, overrides=None, keys=None) -> RunConfig:
         if value is not None:
             merged[key] = value
     for key in _LIST_FIELDS & set(merged):
+        if not isinstance(merged[key], (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {merged[key]!r}")
         merged[key] = tuple(merged[key])
     try:
         return _unread_at_defaults(RunConfig(**merged), keys).validate()

@@ -3,9 +3,11 @@
 Every factorization here carries an explicit result contract (orthonormal
 factors, sign conventions, dimension checks) so the integrator steps built
 on top are deterministic for identical input on the same build. The
-``abc-psi`` truncation (``lowrank.truncate_state``) takes its SVD from a
-q x q Gram eigendecomposition of a tall factor and calls ``svd_thin`` only
-when that route's accuracy guard trips or the factor is wide.
+``abc-psi`` truncation (``lowrank.truncate_state``) and the low-rank layer
+init (``nn.build_network``) take their SVDs from a Gram eigendecomposition
+of a tall factor, through ``lowrank``'s one Gram route, and call
+``svd_thin`` only when that route's accuracy guard trips or the factor is
+wide.
 """
 
 from __future__ import annotations

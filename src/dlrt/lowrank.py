@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,9 +30,9 @@ __all__ = [
     "param_count",
 ]
 
-# truncate_state's Gram route needs the smallest kept sigma_r / sigma_1 at
-# least GRAM_MIN_RATIO, and the policy's tail threshold at least
-# GRAM_TAIL_MARGIN times the eigenvalues' rounding level q * eps * sigma_1^2
+# _gram_svd's Gram route needs the smallest kept sigma_r / sigma_1 at least
+# GRAM_MIN_RATIO; truncate_state's also needs the policy's tail threshold at
+# least GRAM_TAIL_MARGIN times the eigenvalues' rounding level q*eps*sigma_1^2
 GRAM_MIN_RATIO = 1e-2
 GRAM_TAIL_MARGIN = 1e4
 _EPS = float(np.finfo(np.float64).eps)
@@ -159,6 +160,46 @@ def truncation_rank(sigma, policy: TruncationPolicy) -> int:
     return min(max(r, lo), hi)
 
 
+def _gram_svd(
+    l: Matrix,
+    rank: Callable[[np.ndarray], int],
+    trust: Optional[Callable[[np.ndarray], bool]] = None,
+    transposed: bool = False,
+) -> tuple[Matrix, np.ndarray, Matrix]:
+    """Leading factors (P_r, sigma_r, Q_r) of the thin SVD l = P diag(sigma) Q^T,
+    with r = rank(sigma).
+
+    For a tall l (n x q, n >= q), sigma and Q come from the q x q Gram
+    matrix: l^T l = Q diag(sigma^2) Q^T by a symmetric eigensolver, and only
+    the kept columns P_r = l Q_r / sigma_r are formed. The Gram matrix
+    squares the conditioning, so this route is taken only while
+    sigma_r / sigma_1 >= ``GRAM_MIN_RATIO`` and ``trust`` (given the
+    eigenvalues sigma^2, descending) holds. Otherwise, and for a wide l, the
+    factors are read off ``svd_thin`` (LAPACK gesdd): of l, or of l^T when
+    ``transposed`` says the caller holds l^T, so the fallback's bytes are
+    those of the gesdd of the caller's matrix. The returned arrays may be
+    non-contiguous views.
+    """
+    n, q = l.shape
+    if n >= q:
+        try:
+            lam, w = np.linalg.eigh(l.T @ l)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        lam, w = np.maximum(lam[::-1], 0.0), w[:, ::-1]  # descending
+        sigma = np.sqrt(lam)
+        r = rank(sigma)
+        if sigma[r - 1] >= GRAM_MIN_RATIO * sigma[0] and (trust is None or trust(lam)):
+            w_r = w[:, :r]
+            return (l @ w_r) / sigma[:r], sigma[:r], w_r
+    if transposed:
+        qmat, sigma, p = svd_thin(l.T)
+    else:
+        p, sigma, qmat = svd_thin(l)
+    r = rank(sigma)
+    return p[:, :r], sigma[:r], qmat[:, :r]
+
+
 def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix, Matrix]:
     """Rank truncation of the product u_hat @ l1.T via an SVD of l1.
 
@@ -168,12 +209,12 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
     product of the factors differs from u_hat @ l1.T by the discarded
     singular-value tail.
 
-    For a tall l1 (n x q, n >= q) the SVD is read off the q x q Gram
-    matrix: l1^T l1 = Q diag(sigma^2) Q^T by a symmetric eigensolver, then
-    only the kept columns P_r = l1 Q_r / sigma_r are formed. At the paper
-    net's 784 x 100 the whole truncation takes 3.0 ms against 6.7 ms for
-    the gesdd of l1 alone (one BLAS thread, 2-core x86 host). But the Gram
-    matrix squares the conditioning: the errors of sigma_r and of P_r's
+    The SVD takes the Gram route of ``_gram_svd``, the one ``build_network``
+    shares: for a tall l1 (n x q, n >= q), sigma and Q come off the q x q
+    Gram matrix l1^T l1 and only P_r = l1 Q_r / sigma_r is formed. At the
+    paper net's 784 x 100 the whole truncation takes 3.0 ms against 6.7 ms
+    for the gesdd of l1 alone (one BLAS thread, 2-core x86 host). But the
+    Gram matrix squares the conditioning: the errors of sigma_r and of P_r's
     orthonormality grow as (sigma_1 / sigma_r)^2. Measured ||P_r^T P_r - I||
     for 784 x 100 l1 with log-spaced sigma (largest of 20 draws):
 
@@ -182,12 +223,13 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
 
     ``LowRankState.validate`` allows 1e-10 * sqrt(r), so the Gram route is
     taken only while the smallest kept sigma_r / sigma_1 is at least
-    ``GRAM_MIN_RATIO`` (1e-2, a margin of over 70x), and only while the
-    policy's tail threshold is ``GRAM_TAIL_MARGIN`` times above the
-    eigenvalues' rounding level q * eps * sigma_1^2, so the rank is chosen
-    from eigenvalues that rounding cannot move across it (tau = 0 and tiny
-    tau never pass). Otherwise, and for a wide l1, the result is that of
-    ``svd_thin`` (LAPACK gesdd), bit for bit.
+    ``GRAM_MIN_RATIO`` (1e-2, a margin of over 70x). On top of that shared
+    guard, the truncation requires the policy's tail threshold to be
+    ``GRAM_TAIL_MARGIN`` times above the eigenvalues' rounding level
+    q * eps * sigma_1^2, so the rank is chosen from eigenvalues that
+    rounding cannot move across it (tau = 0 and tiny tau never pass).
+    Otherwise, and for a wide l1, the result is that of ``svd_thin``
+    (LAPACK gesdd), bit for bit.
 
     Raises
     ------
@@ -198,29 +240,20 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
     """
     u_hat = as_matrix(u_hat, "u_hat")
     l1 = as_matrix(l1, "l1")
-    n, q = l1.shape
+    q = l1.shape[1]
     if u_hat.shape[1] != q:
         raise DimensionError(f"u_hat cols {u_hat.shape[1]} != l1 cols {q}")
-    if n >= q:
-        try:
-            lam, w = np.linalg.eigh(l1.T @ l1)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
-        lam, w = np.maximum(lam[::-1], 0.0), w[:, ::-1]  # descending
-        sigma = np.sqrt(lam)
-        r1 = truncation_rank(sigma, policy)
+
+    def tail_clear_of_rounding(lam):
         total = lam.sum()
         # the bound truncation_rank compares the squared tail against
         tail_limit = policy.tau * math.sqrt(total) if policy.squared else policy.tau**2 * total
-        if (
-            sigma[r1 - 1] >= GRAM_MIN_RATIO * sigma[0]
-            and tail_limit > GRAM_TAIL_MARGIN * q * _EPS * lam[0]
-        ):
-            w_r = w[:, :r1]
-            return u_hat @ w_r, np.diag(sigma[:r1]), (l1 @ w_r) / sigma[:r1]
-    p, sigma, qmat = svd_thin(l1)
-    r1 = truncation_rank(sigma, policy)
-    return u_hat @ qmat[:, :r1], np.diag(sigma[:r1]), np.ascontiguousarray(p[:, :r1])
+        return tail_limit > GRAM_TAIL_MARGIN * q * _EPS * lam[0]
+
+    p_r, sigma_r, q_r = _gram_svd(
+        l1, partial(truncation_rank, policy=policy), tail_clear_of_rounding
+    )
+    return u_hat @ q_r, np.diag(sigma_r), np.ascontiguousarray(p_r)
 
 
 def param_count(layers: Sequence[tuple[int, int, int | None]]) -> int:

@@ -456,6 +456,20 @@ class TestCommandSettings:
                 p.unlink()
         assert outputs[0] and outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("compare", "seeds", 5),
+        ("compare", "arch", 784),
+        ("ode-bench", "h_list", 0.1),
+    ])
+    def test_non_list_config_value_rejected(self, command, key, value, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert key in caplog.text
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("command, variants, distinct", [
         # compare reads --integrator and --seed only as list fallbacks
         ("compare", [["--integrators", "psi"], ["--integrators", "psi", "--integrator", "bug"],

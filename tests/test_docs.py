@@ -1,7 +1,9 @@
 """The README's CLI reference checked against the code: config keys, flags,
-example commands and exit codes."""
+example commands and exit codes; and the one call site of each dense
+factorization in the source."""
 
 import argparse
+import ast
 import re
 import shlex
 from dataclasses import fields
@@ -9,7 +11,8 @@ from pathlib import Path
 
 from dlrt import cli
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 CONFIG_FIELDS = [f.name for f in fields(cli.RunConfig)]
 (SUBCOMMANDS,) = [
     a.choices for a in cli.build_parser()._actions
@@ -58,3 +61,34 @@ def test_exit_code_table_lists_exit_constants():
     table = section("### Exit codes")
     listed = sorted(int(code) for code in re.findall(r"^\| (\d+) ", table, re.M))
     assert listed == sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+
+
+def numpy_linalg_uses(names):
+    """(enclosing qualified name, function) of every numpy.linalg reference
+    to one of ``names`` in src/dlrt, by attribute or by import."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            elif (isinstance(child, ast.Attribute) and child.attr in names
+                  and ast.unparse(child.value).split(".")[-1] == "linalg"):
+                found.append((where, child.attr))
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg"):
+                found.extend((where, a.name) for a in child.names if a.name in names)
+            visit(child, inner)
+
+    for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_one_svd_and_one_eigh_call_site():
+    # every SVD goes through linalg.svd_thin and every Gram eigendecomposition
+    # through lowrank's shared Gram route, so each has one guard and one
+    # error mapping
+    uses = numpy_linalg_uses({"svd", "eigh"})
+    assert {where for where, name in uses if name == "svd"} == {"linalg.svd_thin"}
+    assert {where for where, name in uses if name == "eigh"} == {"lowrank._gram_svd"}

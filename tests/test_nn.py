@@ -6,7 +6,7 @@ import dlrt.integrators as integrators_module
 import dlrt.lowrank as lowrank_module
 import dlrt.nn as nn_module
 from dlrt.integrators import STEPPERS, GradientOracle, StepConfig
-from dlrt.linalg import DimensionError
+from dlrt.linalg import DimensionError, NumericError
 from dlrt.lowrank import LowRankState, TruncationPolicy
 from dlrt.nn import (
     BatchGrad,
@@ -93,6 +93,65 @@ class TestBuildNetwork:
         )
         diff = np.linalg.norm(dense.layers[0].w - lowrank.layers[0].densify())
         assert diff <= 1e-12
+
+    @staticmethod
+    def gram_route_calls(monkeypatch):
+        """Records the Gram matrices eigh sees and counts svd_thin calls."""
+        calls = {"eigh": [], "svd_thin": 0}
+        eigh, svd_thin = np.linalg.eigh, lowrank_module.svd_thin
+
+        def counting_eigh(a):
+            calls["eigh"].append(a.shape)
+            return eigh(a)
+
+        def counting_svd(l):
+            calls["svd_thin"] += 1
+            return svd_thin(l)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(lowrank_module, "svd_thin", counting_svd)
+        return calls
+
+    @pytest.mark.parametrize("widths, rank", [
+        ([784, 500, 500, 500, 500, 10], 50),  # the paper net: out <= in
+        ([40, 90], 10),  # an expanding layer: out > in
+    ])
+    def test_gram_route_matches_gesdd(self, widths, rank, monkeypatch):
+        calls = self.gram_route_calls(monkeypatch)
+        net = build_network(mlp_specs(widths, initial_rank=rank), seed=0)
+        draws = build_network(mlp_specs(widths), seed=0)  # the same dense draws
+        assert calls["svd_thin"] == 0
+        assert calls["eigh"] == [(min(l.in_dim, l.out_dim),) * 2 for l in net.layers]
+        for layer, dense in zip(net.layers, draws.layers):
+            st = layer.state.validate(tol=1e-12)
+            r = st.rank
+            left, sigma, right_t = np.linalg.svd(dense.w, full_matrices=False)
+            w_r = (left[:, :r] * sigma[:r]) @ right_t[:r]
+            assert np.linalg.norm(st.densify() - w_r) <= 1e-13 * np.linalg.norm(w_r)
+            assert np.max(np.abs(np.diag(st.s) - sigma[:r]) / sigma[:r]) <= 1e-13
+
+    @pytest.mark.parametrize("in_dim, out_dim, seed", [(100, 100, 0), (100, 99, 0), (99, 100, 2)])
+    def test_ill_conditioned_draw_keeps_gesdd_bytes(self, in_dim, out_dim, seed, monkeypatch):
+        r = min(in_dim, out_dim)
+        w = np.sqrt(2.0 / in_dim) * np.random.default_rng(seed).standard_normal((out_dim, in_dim))
+        left, sig, right_t = np.linalg.svd(w, full_matrices=False)
+        assert sig[r - 1] / sig[0] < lowrank_module.GRAM_MIN_RATIO
+        calls = self.gram_route_calls(monkeypatch)
+        spec = LayerSpec("lowrank", in_dim, out_dim, "identity", initial_rank=r)
+        st = build_network([spec], seed=seed).layers[0].state
+        assert calls["svd_thin"] == 1
+        assert np.array_equal(st.u, np.ascontiguousarray(left[:, :r]))
+        assert np.array_equal(st.s, np.diag(sig[:r]))
+        assert np.array_equal(st.v, np.ascontiguousarray(right_t[:r].T))
+        assert st.u.flags.c_contiguous and st.v.flags.c_contiguous
+
+    def test_eigh_failure_is_numeric_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericError):
+            build_network(mlp_specs([8, 6, 4], initial_rank=3), seed=2)
 
     def test_chain_mismatch_rejected(self):
         good = build_network(mlp_specs([4, 3, 2]), seed=0)
@@ -249,6 +308,19 @@ class TestBackward:
         st = net.layers[0].state
         assert np.linalg.norm(grads.weights[0].g_v - full @ st.v) <= 1e-10
         assert np.linalg.norm(grads.weights[0].g_u - full.T @ st.u) <= 1e-10
+
+    def test_right_contraction_reuses_forward_product(self):
+        # at the evaluated right factor, g.right reads the forward pass's
+        # x @ b; it must equal delta.T @ (x @ b) recomputed, byte for byte
+        net = build_network(mlp_specs([6, 5, 4, 3], initial_rank=2), seed=12)
+        x, labels = random_batch(net, 8, seed=12)
+        pairs = [(l.state.u @ l.state.s, l.state.v) for l in net.layers]
+        grads = nn_module._network_oracle(net, x, labels, []).grads(pairs)
+        for g, (_, b) in zip(grads, pairs):
+            tape = g.right.args[0]
+            assert tape.b is b and np.array_equal(tape.xb, tape.x @ b)
+            assert np.array_equal(g.right(b), tape.delta.T @ (tape.x @ b))
+            assert np.array_equal(g.right(b.copy()), g.right(b))
 
     def test_stale_cache_rejected(self):
         net = tiny_mixed_net(seed=10)
@@ -468,6 +540,16 @@ class TestEvaluate:
         images = np.ones((4, 2))
         assert evaluate(net, (images, np.zeros(4, dtype=int))) == 1.0
         assert evaluate(net, (images, np.full(4, 2))) == 0.0
+
+    def test_chunks_agree_with_forward(self):
+        # evaluate's cache-free chunked pass predicts what forward's logits do
+        net = build_network(mlp_specs([6, 5, 4, 3], initial_rank=2), seed=24)
+        x, labels = random_batch(net, 11, seed=24)
+        logits, _ = forward(net, x)
+        expected = np.mean(np.argmax(logits, axis=1) == labels)
+        assert evaluate(net, (x, labels), chunk=4) == expected
+        with pytest.raises(DimensionError):
+            evaluate(net, (np.zeros((2, 5)), np.zeros(2, dtype=int)))
 
 
 class TestNetworkCheckpoint:
