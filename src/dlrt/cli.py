@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class RunConfig:
     declares; the other fields keep their defaults."""
 
     integrator: str = "abc-psi"
-    integrators: tuple = ()  # compare: defaults to (integrator,)
-    arch: tuple = (784, 500, 500, 500, 500, 10)
+    integrators: tuple[str, ...] = ()  # compare: defaults to (integrator,)
+    arch: tuple[int, ...] = (784, 500, 500, 500, 500, 10)
     lr: float = 0.01
     tau: float = 0.1
     rank: int = 50
@@ -74,15 +74,15 @@ class RunConfig:
     batch_size: int = 64
     epochs: int = 20
     seed: int = 0
-    seeds: tuple = ()  # compare: defaults to (seed,)
+    seeds: tuple[int, ...] = ()  # compare: defaults to (seed,)
     data_dir: Optional[str] = None
     out_dir: str = "runs"
     substeps: int = 1
     # synthetic-problem settings (ode-bench, descent-audit)
-    dims: tuple = (50, 40)
+    dims: tuple[int, ...] = (50, 40)
     target_rank: int = 4
     eps: float = 0.0
-    h_list: tuple = (0.1, 0.05, 0.025)
+    h_list: tuple[float, ...] = (0.1, 0.05, 0.025)
     t_end: float = 1.0
     ref_h: float = 1e-4
     steps: int = 200
@@ -139,7 +139,7 @@ class RunConfig:
         return TruncationPolicy(tau=self.tau, r_max=r_max, r_min=min(self.r_min, r_max))
 
 
-_LIST_FIELDS = {f.name for f in fields(RunConfig) if isinstance(f.default, tuple)}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _DEFAULTS = RunConfig()
 # settings only some integrators read: the truncation policy (abc-psi) and
 # the factored layers' initial rank and substeps (every low-rank integrator)
@@ -171,12 +171,36 @@ def _unread_at_defaults(config: RunConfig, keys) -> RunConfig:
     return replace(config, **{key: getattr(_DEFAULTS, key) for key in unread})
 
 
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits a ``RunConfig`` annotation: a list for a
+    tuple, a bool for no number, an int for a float."""
+    if get_origin(kind) is Union:
+        return any(_fits(value, arg) for arg in get_args(kind))
+    if get_origin(kind) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _fits(item, get_args(kind)[0]) for item in value
+        )
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _type_name(kind) -> str:
+    """A ``RunConfig`` annotation in JSON words, e.g. "a list of int"."""
+    if get_origin(kind) is tuple:
+        return f"a list of {_type_name(get_args(kind)[0])}"
+    if get_origin(kind) is Union:  # Optional[X]
+        return f"{_type_name(get_args(kind)[0])} or null"
+    return kind.__name__
+
+
 def load_config(path=None, overrides=None, keys=None) -> RunConfig:
     """Defaults, then ``$DLRT_DATA_DIR``, then JSON file settings, then flag
     overrides. File settings outside ``keys``, the settings a command reads
     (default: all), keep their defaults, and so do the settings that none of
-    the run's integrators reads; keys that are no field fail."""
-    valid = {f.name for f in fields(RunConfig)}
+    the run's integrators reads; keys that are no field fail, and so do
+    values that do not fit their field's annotation."""
+    valid = set(_FIELD_TYPES)
     keys = valid if keys is None else set(keys)
     merged = {}
     if "data_dir" in keys and os.environ.get(DATA_DIR_ENV):
@@ -198,14 +222,13 @@ def load_config(path=None, overrides=None, keys=None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    for key in _LIST_FIELDS & set(merged):
-        if not isinstance(merged[key], (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {merged[key]!r}")
-        merged[key] = tuple(merged[key])
-    try:
-        return _unread_at_defaults(RunConfig(**merged), keys).validate()
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    for key, value in merged.items():
+        kind = _FIELD_TYPES[key]
+        if not _fits(value, kind):
+            raise ConfigError(f"{key} must be {_type_name(kind)}, got {value!r}")
+        if get_origin(kind) is tuple:
+            merged[key] = tuple(value)
+    return _unread_at_defaults(RunConfig(**merged), keys).validate()
 
 
 def write_csv(path, config_hash, columns, rows) -> None:
@@ -605,8 +628,10 @@ def main(argv=None) -> int:
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return func(config, _Outputs(command, config, out_dir, config.hash()))
-    except (ConfigError, DataError, OSError) as exc:
+    except (ConfigError, DataError, OSError, NumericError) as exc:
         log.error("%s", exc)
+        if isinstance(exc, NumericError):
+            return EXIT_DIVERGED
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_IO
 
 

@@ -18,16 +18,19 @@ share the factored-state conventions of the lowrank module:
   with the swept K factor, the core is carried into the enlarged basis,
   the right factor is evolved there, and the result is truncated back by a
   relative singular-value criterion. Its only factorizations per state are
-  one QR of an m x r residual (the augmentation) and, for the truncation,
-  one q x q symmetric eigendecomposition of the right factor's Gram matrix
-  (an SVD of the n x q factor itself when the Gram route's accuracy guard
-  trips).
+  one QR of an m x r residual (the augmentation) and the truncation's, see
+  ``lowrank.truncate_state``.
 
 All subflows are discretized by explicit Euler; ``StepConfig.substeps``
 repeats the gradient step inside the K and L subflows. A step reuses the
 gradient at the current point wherever a substep starts there, so with s
 substeps it costs 2s+1 (psi), 2s (bc-psi, bug) or 2s-1 (abc-psi) oracle
 evaluations.
+
+Steppers trust their states and their oracle: no array is scanned for
+non-finite entries inside a step. A non-finite value reaches a QR
+(``psi``, ``bc-psi``, ``bug``) or the truncation (``abc-psi``), which raise
+``NumericError``; ``ode_error_study`` checks the endpoints of its flows.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .linalg import Matrix, as_matrix, householder_qr, ortho_augment
+from .linalg import Matrix, NumericError, as_matrix, householder_qr, ortho_augment
 from .lowrank import LowRankState, TruncationPolicy, truncate_state
 
 __all__ = [
@@ -153,10 +156,13 @@ class StepAudit:
 
 
 def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
-    """Dense explicit-Euler descent step w - h * grad(w)."""
-    w = as_matrix(w, "w")
-    g = as_matrix(oracle.full(w), "gradient")
-    return w - h * g
+    """Dense explicit-Euler descent step w - h * grad(w).
+
+    Neither ``w`` nor the oracle's gradient is checked, as the factored
+    steppers do not check their states: a non-finite iterate carries on to
+    the end of the flow, where ``ode_error_study`` rejects it.
+    """
+    return w - h * oracle.full(w)
 
 
 def _k_sweep(
@@ -304,14 +310,13 @@ def abc_psi_step(
     5. Truncation of u_hat @ l1.T by the policy's singular-value
        criterion. With l1 = P diag(sigma) Q^T the new state is
        (u_hat Q_r, diag(sigma_r), P_r), already in orthonormal-times-core
-       form. sigma and Q come from the eigendecomposition of the q x q
-       Gram matrix l1.T @ l1, and only the r kept columns of P are formed;
-       ``truncate_state`` falls back to gesdd of l1 when that route would
-       be inaccurate.
+       form. ``truncate_state`` reads sigma and Q off the q x q Gram matrix
+       l1.T @ l1, or takes gesdd of l1 where its guard says so.
 
-    The cost profile per step is one QR of the m x r residual and one q x q
-    symmetric eigendecomposition per state; gesdd of the n x q right factor
-    when the guard trips.
+    The cost profile per step is one QR of the m x r residual and the
+    truncation's q x q eigendecomposition per state. A non-finite value in
+    a state or an oracle contraction reaches l1, and the truncation raises
+    ``NumericError``.
     """
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
@@ -411,7 +416,7 @@ def synthetic_quadratic_problem(
         a = a + eps * (e / np.linalg.norm(e))
     s0 = np.diag(sigma_a) + start_offset * rng.standard_normal((rank, rank)) / np.sqrt(rank)
     y0 = LowRankState(u_a, s0, v_a)
-    return OdeProblem(oracle=quadratic_oracle(a), y0=y0, w0=y0.densify())
+    return OdeProblem(oracle=quadratic_oracle(a), y0=y0)
 
 
 def robbins_monro_step(h0: float, t: int) -> float:
@@ -434,19 +439,16 @@ STEPPERS: dict[str, Callable] = {
 class OdeProblem:
     """A deterministic matrix gradient flow for the robustness study.
 
-    ``oracle`` must expose the full gradient; ``y0`` is the factored
-    initial point and ``w0`` the dense initial point of the reference
-    flow (normally the densified ``y0``; an offset models an initial
-    approximation gap).
+    ``oracle`` must expose the full gradient; ``y0`` is the initial point
+    of every flow, the dense ones starting from ``y0.densify()``.
     """
 
     oracle: GradientOracle
     y0: LowRankState
-    w0: Matrix
 
 
 def _integrate_dense(problem: OdeProblem, h: float, steps: int) -> Matrix:
-    w = problem.w0
+    w = problem.y0.densify()
     for _ in range(steps):
         w = euler_full_step(w, problem.oracle, h)
     return w
@@ -470,13 +472,19 @@ def ode_error_study(
     """Terminal-time error of an integrator against a fine dense reference.
 
     The reference trajectory is the dense explicit-Euler flow from
-    problem.w0 with step ref_h.  For each h the chosen integrator runs
-    from problem.y0 (or w0 for the dense baseline) to t_end, and the
-    Frobenius distance to the reference endpoint is recorded.
+    problem.y0 with step ref_h.  For each h the chosen integrator runs
+    from problem.y0 to t_end, and the Frobenius distance to the reference
+    endpoint is recorded.
 
     Returns a list of (h, error) rows in the order of ``h_list``.
     ``cfg_template`` carries substeps and the truncation policy for the
     rank-adaptive stepper.
+
+    Raises
+    ------
+    NumericError
+        If an error is not finite: the reference or the integrator's flow
+        diverged.
     """
     if integrator not in INTEGRATOR_NAMES:
         raise ValueError(f"unknown integrator {integrator!r}")
@@ -498,5 +506,7 @@ def ode_error_study(
             for _ in range(steps):
                 states = stepper(states, problem.oracle, cfg)
             err = float(np.linalg.norm(states[0].densify() - w_ref))
+        if not np.isfinite(err):
+            raise NumericError(f"non-finite error at h={h}: a flow diverged")
         rows.append((float(h), err))
     return rows

@@ -3,11 +3,9 @@
 Every factorization here carries an explicit result contract (orthonormal
 factors, sign conventions, dimension checks) so the integrator steps built
 on top are deterministic for identical input on the same build. The
-``abc-psi`` truncation (``lowrank.truncate_state``) and the low-rank layer
-init (``nn.build_network``) take their SVDs from a Gram eigendecomposition
-of a tall factor, through ``lowrank``'s one Gram route, and call
-``svd_thin`` only when that route's accuracy guard trips or the factor is
-wide.
+``abc-psi`` truncation and the low-rank layer init take their SVDs from
+``lowrank._gram_svd``, which calls ``svd_thin`` only where its guard trips
+or the factor is wide.
 """
 
 from __future__ import annotations
@@ -128,9 +126,11 @@ def ortho_augment(u0, k1) -> Matrix:
     ``u0`` above ``DROP_TOL`` (an ill-conditioned residual, such as two
     nearly parallel columns of ``k1``), ``q`` is projected once more and
     re-orthonormalized, so the result is orthonormal for every ``k1``.
+
+    Unlike ``householder_qr`` and ``svd_thin``, it checks shapes only: it
+    trusts the float64 arrays ``abc_psi_step`` builds, whose truncation
+    raises ``NumericError`` on a non-finite entry.
     """
-    u0 = as_matrix(u0, "u0")
-    k1 = as_matrix(k1, "k1")
     if u0.shape[0] != k1.shape[0]:
         raise DimensionError(
             f"row counts differ: {u0.shape[0]} vs {k1.shape[0]}"

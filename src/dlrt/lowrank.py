@@ -171,9 +171,17 @@ def _gram_svd(
 
     For a tall l (n x q, n >= q), sigma and Q come from the q x q Gram
     matrix: l^T l = Q diag(sigma^2) Q^T by a symmetric eigensolver, and only
-    the kept columns P_r = l Q_r / sigma_r are formed. The Gram matrix
-    squares the conditioning, so this route is taken only while
-    sigma_r / sigma_1 >= ``GRAM_MIN_RATIO`` and ``trust`` (given the
+    the kept columns P_r = l Q_r / sigma_r are formed. But the Gram matrix
+    squares the conditioning: the errors of sigma_r and of P_r's
+    orthonormality grow as (sigma_1 / sigma_r)^2. Measured ||P_r^T P_r - I||
+    for 784 x 100 l with log-spaced sigma (largest of 20 draws):
+
+        sigma_r / sigma_1    1e-1   1e-2   1e-3     1e-4    1e-5
+        ||P^T P - I||        7e-14  2e-12  1.1e-10  7.8e-9  5.7e-7
+
+    ``LowRankState.validate`` allows 1e-10 * sqrt(r), so this route is taken
+    only while the smallest kept sigma_r / sigma_1 is at least
+    ``GRAM_MIN_RATIO`` (1e-2, a margin of over 70x) and ``trust`` (given the
     eigenvalues sigma^2, descending) holds. Otherwise, and for a wide l, the
     factors are read off ``svd_thin`` (LAPACK gesdd): of l, or of l^T when
     ``transposed`` says the caller holds l^T, so the fallback's bytes are
@@ -211,35 +219,26 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
 
     The SVD takes the Gram route of ``_gram_svd``, the one ``build_network``
     shares: for a tall l1 (n x q, n >= q), sigma and Q come off the q x q
-    Gram matrix l1^T l1 and only P_r = l1 Q_r / sigma_r is formed. At the
-    paper net's 784 x 100 the whole truncation takes 3.0 ms against 6.7 ms
-    for the gesdd of l1 alone (one BLAS thread, 2-core x86 host). But the
-    Gram matrix squares the conditioning: the errors of sigma_r and of P_r's
-    orthonormality grow as (sigma_1 / sigma_r)^2. Measured ||P_r^T P_r - I||
-    for 784 x 100 l1 with log-spaced sigma (largest of 20 draws):
-
-        sigma_r / sigma_1    1e-1   1e-2   1e-3     1e-4    1e-5
-        ||P^T P - I||        7e-14  2e-12  1.1e-10  7.8e-9  5.7e-7
-
-    ``LowRankState.validate`` allows 1e-10 * sqrt(r), so the Gram route is
-    taken only while the smallest kept sigma_r / sigma_1 is at least
-    ``GRAM_MIN_RATIO`` (1e-2, a margin of over 70x). On top of that shared
-    guard, the truncation requires the policy's tail threshold to be
+    Gram matrix l1^T l1 and only P_r = l1 Q_r / sigma_r is formed, under
+    ``_gram_svd``'s accuracy guard on sigma_r / sigma_1. On top of that
+    shared guard, the truncation requires the policy's tail threshold to be
     ``GRAM_TAIL_MARGIN`` times above the eigenvalues' rounding level
     q * eps * sigma_1^2, so the rank is chosen from eigenvalues that
     rounding cannot move across it (tau = 0 and tiny tau never pass).
     Otherwise, and for a wide l1, the result is that of ``svd_thin``
     (LAPACK gesdd), bit for bit.
 
+    The inputs are taken as float64 arrays and not scanned: a non-finite
+    entry of l1 makes the eigensolver fail or reaches sigma, which
+    ``truncation_rank`` rejects.
+
     Raises
     ------
     DimensionError
         If u_hat's column count differs from l1's.
     NumericError
-        If an input holds non-finite entries or a factorization fails.
+        If l1 holds non-finite entries or a factorization fails.
     """
-    u_hat = as_matrix(u_hat, "u_hat")
-    l1 = as_matrix(l1, "l1")
     q = l1.shape[1]
     if u_hat.shape[1] != q:
         raise DimensionError(f"u_hat cols {u_hat.shape[1]} != l1 cols {q}")

@@ -177,17 +177,13 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
     baseline instead of collapsing when the net is deep.
 
     The rank-r part is read off the Gram matrix of the draw's smaller side
-    by ``lowrank``'s Gram route, the one ``truncate_state`` takes: for
+    by ``lowrank._gram_svd``, the route ``truncate_state`` takes: for
     out <= in the tall factor is w^T (w^T = P diag(sigma) Q^T gives v = P_r,
-    u = Q_r), for out > in it is w itself (u = P_r, v = Q_r). The route's
-    guard is the one truncate_state shares: while sigma_r / sigma_1 is
-    below ``GRAM_MIN_RATIO`` the factors are those of ``svd_thin(w)``, bit
-    for bit. On the paper net sigma_r / sigma_1 is at least 0.78 on every
-    layer, and the factors match gesdd's to rounding level, up to a shared
-    sign of each column pair of u and v. The paper net
-    (784-500x4-10, rank 50) builds in 199 ms against 349 ms with a gesdd
-    per layer, and 784-128-10 at rank 16 in 5.0 ms against 14.4 ms (medians
-    of 7, one BLAS thread, shared 2-core x86 host).
+    u = Q_r), for out > in it is w itself (u = P_r, v = Q_r). Where that
+    route's accuracy guard trips, the factors are those of ``svd_thin(w)``,
+    bit for bit. On the paper net sigma_r / sigma_1 is at least 0.78 on
+    every layer, and the factors match gesdd's to rounding level, up to a
+    shared sign of each column pair of u and v.
     """
     rng = np.random.default_rng(seed)
     layers = []

@@ -460,6 +460,10 @@ class TestCommandSettings:
         ("compare", "seeds", 5),
         ("compare", "arch", 784),
         ("ode-bench", "h_list", 0.1),
+        # values of the wrong type for their field, inside a list or not
+        ("ode-bench", "dims", [8.5, 6]),
+        ("descent-audit", "steps", 2.5),
+        ("compare", "arch", [16.5, 4]),
     ])
     def test_non_list_config_value_rejected(self, command, key, value, tmp_path, caplog):
         cfg = tmp_path / "cfg.json"
@@ -498,3 +502,20 @@ class TestCommandSettings:
             (summary,) = out.glob("*.json")
             hashes.add(json.loads(summary.read_text())["config_hash"])
         assert len(hashes) == distinct
+
+
+class TestNumericFailures:
+    """A non-finite value outside training exits 4 and writes nothing."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("args", [
+        ["descent-audit", "--lr", "1e300", "--steps", "5"],
+        ["ode-bench", "--integrator", "psi", "--h-list", "1e155", "--t-end", "1e155",
+         "--ref-h", "1e155"],
+        # the dense flow at h = 3 overflows; the study's endpoint check raises
+        ["ode-bench", "--integrator", "full", "--dims", "8,6", "--target-rank", "2",
+         "--h-list", "3", "--t-end", "3300", "--ref-h", "3"],
+    ])
+    def test_exit_diverged(self, args, tmp_path):
+        assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_DIVERGED
+        assert not list(tmp_path.iterdir())

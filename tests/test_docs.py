@@ -1,9 +1,10 @@
 """The README's CLI reference checked against the code: config keys, flags,
-example commands and exit codes; and the one call site of each dense
-factorization in the source."""
+example commands and exit codes; the one call site of each dense
+factorization in the source; and the names the benchmark's tracer wraps."""
 
 import argparse
 import ast
+import importlib
 import re
 import shlex
 from dataclasses import fields
@@ -92,3 +93,19 @@ def test_one_svd_and_one_eigh_call_site():
     uses = numpy_linalg_uses({"svd", "eigh"})
     assert {where for where, name in uses if name == "svd"} == {"linalg.svd_thin"}
     assert {where for where, name in uses if name == "eigh"} == {"lowrank._gram_svd"}
+
+
+def test_traced_names_exist():
+    # bench/spans.py rebinds each TRACED name with getattr, so a renamed or
+    # removed function breaks the traced benchmark; read its table without
+    # importing the benchmark
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    (traced,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+    ]
+    assert traced
+    for module_name, names in traced.items():
+        module = importlib.import_module(module_name)
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, f"{module_name} lacks {missing}"

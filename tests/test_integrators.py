@@ -3,8 +3,8 @@ import pytest
 
 import dlrt.lowrank
 from dlrt.integrators import (
+    Gradient,
     GradientOracle,
-    OdeProblem,
     StepAudit,
     StepConfig,
     abc_psi_step,
@@ -18,7 +18,7 @@ from dlrt.integrators import (
     s_step_loss_delta_psi,
     synthetic_quadratic_problem,
 )
-from dlrt.linalg import svd_thin
+from dlrt.linalg import NumericError, svd_thin
 from dlrt.lowrank import LowRankState, TruncationPolicy, init_lowrank
 
 
@@ -388,6 +388,64 @@ class TestOdeErrorStudy:
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
         with pytest.raises(ValueError):
             ode_error_study(problem, "full", [0.3], t_end=1.0, ref_h=0.01)
+
+
+class TestNonFiniteValues:
+    """Steppers do not scan their arrays; a non-finite value still raises
+    NumericError within the step or the study."""
+
+    CFG = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=6, r_min=1))
+
+    @staticmethod
+    def poisoned(side, value):
+        # quadratic oracle whose right or left contraction holds one bad entry
+        rich = quadratic_oracle(np.random.default_rng(40).standard_normal((12, 10)))
+
+        def bad(contract):
+            def out(basis):
+                g = contract(basis)
+                g[0, 0] = value
+                return g
+            return out
+
+        def eval_grads(pairs):
+            return [
+                Gradient(bad(g.right), g.left) if side == "right" else Gradient(g.right, bad(g.left))
+                for g in rich.eval_grads(pairs)
+            ]
+
+        return GradientOracle(eval_grads=eval_grads)
+
+    @pytest.mark.parametrize("side, value", [("right", np.nan), ("left", np.inf)])
+    def test_abc_psi_bad_contraction(self, side, value):
+        with pytest.raises(NumericError):
+            abc_psi_step([init_lowrank(12, 10, 3, seed=40)], self.poisoned(side, value), self.CFG)
+
+    def test_abc_psi_nan_in_state(self):
+        state = init_lowrank(12, 10, 3, seed=41)
+        u = state.u.copy()
+        u[4, 1] = np.nan
+        oracle = quadratic_oracle(np.random.default_rng(41).standard_normal((12, 10)))
+        with pytest.raises(NumericError):
+            abc_psi_step([LowRankState(u, state.s, state.v)], oracle, self.CFG)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_dense_flow(self):
+        # at h = 3 the dense iterate grows as 2^n and overflows after ~1024 steps
+        problem = synthetic_quadratic_problem(8, 6, 2, eps=0.0, seed=42)
+        with pytest.raises(NumericError, match="diverged"):
+            ode_error_study(problem, "full", [3.0], t_end=3.0 * 1100, ref_h=3.0)
+
+    def test_study_scans_no_array(self, as_matrix_calls):
+        # the README's ode-bench problem: 10000 dense reference steps and 150
+        # abc-psi steps, none of which re-checks its own arrays
+        problem = synthetic_quadratic_problem(20, 16, 4, eps=1e-6, seed=0)
+        cfg = StepConfig(h=1.0, policy=TruncationPolicy(tau=0.1, r_max=8, r_min=2))
+        as_matrix_calls.clear()
+        rows = ode_error_study(problem, "abc-psi", [0.1, 0.05, 0.025, 0.0125],
+                               t_end=1.0, ref_h=1e-4, cfg_template=cfg)
+        assert len(rows) == 4
+        assert as_matrix_calls == []
 
 
 def test_robbins_monro_step():

@@ -461,6 +461,27 @@ class TestTrainStep:
         train_step(net, (x, labels), "abc-psi", StepConfig(h=0.05, policy=policy))
         assert sorted(calls) == ["ortho_augment"] * 3 + ["svd_thin"] * 3
 
+    def test_nan_in_layer_factor(self):
+        net = build_network(mlp_specs([6, 5, 4, 3], initial_rank=2), seed=24)
+        st = net.layers[1].state
+        u = st.u.copy()
+        u[2, 0] = np.nan
+        net.layers[1] = LowRankLayer(LowRankState(u, st.s, st.v), net.layers[1].bias)
+        x, labels = random_batch(net, 8, seed=24)
+        policy = TruncationPolicy(tau=0.1, r_max=4, r_min=1)
+        with pytest.raises(NumericError):
+            train_step(net, (x, labels), "abc-psi", StepConfig(h=0.05, policy=policy))
+
+    def test_paper_net_abc_psi_checks_only_the_batch(self, as_matrix_calls):
+        # 784-500x4-10 at rank 50, batch 64: the one scan is train_step's
+        # check of the batch; the step's kernels trust what it builds
+        net = build_network(mlp_specs([784, 500, 500, 500, 500, 10], initial_rank=50), seed=0)
+        x, labels = random_batch(net, 64, seed=0)
+        cfg = StepConfig(h=0.01, policy=TruncationPolicy(tau=0.1, r_max=100, r_min=2))
+        as_matrix_calls.clear()
+        train_step(net, (x, labels), "abc-psi", cfg)
+        assert as_matrix_calls == ["x"]
+
     def test_deterministic_trajectory(self):
         def run():
             net = build_network(mlp_specs([6, 5, 3], initial_rank=2), seed=17)
