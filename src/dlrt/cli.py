@@ -136,7 +136,7 @@ class RunConfig:
 
     def policy(self, initial_rank: int) -> TruncationPolicy:
         r_max = self.r_max if self.r_max is not None else max(2 * initial_rank, self.r_min)
-        return TruncationPolicy(tau=self.tau, r_max=r_max, r_min=min(self.r_min, r_max))
+        return TruncationPolicy(tau=self.tau, r_max=r_max, r_min=self.r_min)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -173,7 +173,7 @@ def _unread_at_defaults(config: RunConfig, keys) -> RunConfig:
 
 def _fits(value, kind) -> bool:
     """Whether a JSON value fits a ``RunConfig`` annotation: a list for a
-    tuple, a bool for no number, an int for a float."""
+    tuple, a bool for no number, an int or a finite float for a float."""
     if get_origin(kind) is Union:
         return any(_fits(value, arg) for arg in get_args(kind))
     if get_origin(kind) is tuple:
@@ -182,7 +182,9 @@ def _fits(value, kind) -> bool:
         )
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:  # NaN, the infinities and ints past float range fail
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def _type_name(kind) -> str:
@@ -191,7 +193,7 @@ def _type_name(kind) -> str:
         return f"a list of {_type_name(get_args(kind)[0])}"
     if get_origin(kind) is Union:  # Optional[X]
         return f"{_type_name(get_args(kind)[0])} or null"
-    return kind.__name__
+    return "finite float" if kind is float else kind.__name__
 
 
 def load_config(path=None, overrides=None, keys=None) -> RunConfig:
@@ -286,16 +288,16 @@ def _dataset_loss(net, dataset, chunk=1024) -> float:
     return total / len(dataset)
 
 
-def _diverged(loss, net) -> bool:
+def _divergence(loss, net) -> Optional[str]:
+    """Why a step's loss and net count as diverged, or None if they do not."""
     if not np.isfinite(loss):
-        return True
-    for layer in net.layers:
-        if isinstance(layer, LowRankLayer):
-            if np.linalg.norm(layer.state.s) > DIVERGENCE_NORM:
-                return True
-        elif np.linalg.norm(layer.w) > DIVERGENCE_NORM:
-            return True
-    return False
+        return f"loss {loss}"
+    for idx, layer in enumerate(net.layers):
+        weight = layer.state.s if isinstance(layer, LowRankLayer) else layer.w
+        norm = np.linalg.norm(weight)
+        if norm > DIVERGENCE_NORM:
+            return f"layer {idx} weight norm {norm:.3e} exceeds {DIVERGENCE_NORM:g}"
+    return None
 
 
 def _metric_row(epoch, train_loss, test_acc, net):
@@ -308,12 +310,15 @@ def _metric_row(epoch, train_loss, test_acc, net):
 
 
 def _load_splits(config: RunConfig) -> tuple:
-    """The train and test splits, checked against the arch's input and
-    output widths."""
+    """The train and test splits, checked to be non-empty and against the
+    arch's input and output widths."""
     if config.data_dir is None:
         raise ConfigError(f"no data directory: pass --data-dir or set {DATA_DIR_ENV}")
     train = load_dataset(config.data_dir, "train")
     test = load_dataset(config.data_dir, "test")
+    for name, split in (("train", train), ("test", test)):
+        if not len(split):
+            raise DataError(f"the {name} split holds no samples")
     if train.images.shape[1] != config.arch[0]:
         raise ConfigError(
             f"arch expects {config.arch[0]} inputs, data has {train.images.shape[1]}"
@@ -351,14 +356,15 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
         for batch in batches(train, config.batch_size, seed, epoch):
             try:
                 net, loss = train_step(net, batch, integrator, cfg)
-            except NumericError:
-                loss = float("nan")
+                reason = _divergence(loss, net)
+            except NumericError as exc:
+                loss, reason = float("nan"), str(exc)
             losses.append(loss)
-            if _diverged(loss, net):
+            if reason is not None:
                 status = "diverged"
                 break
         if status == "diverged":
-            log.error("diverged in epoch %d (loss %s)", epoch, losses[-1])
+            log.error("diverged in epoch %d: %s", epoch, reason)
             break
         rows.append(
             _metric_row(epoch, np.mean(losses), net_accuracy(net, test), net)

@@ -35,6 +35,7 @@ non-finite entries inside a step. A non-finite value reaches a QR
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -310,13 +311,14 @@ def abc_psi_step(
     5. Truncation of u_hat @ l1.T by the policy's singular-value
        criterion. With l1 = P diag(sigma) Q^T the new state is
        (u_hat Q_r, diag(sigma_r), P_r), already in orthonormal-times-core
-       form. ``truncate_state`` reads sigma and Q off the q x q Gram matrix
-       l1.T @ l1, or takes gesdd of l1 where its guard says so.
+       form. ``truncate_state`` reads sigma off the Gram matrix of l1's
+       smaller side (l1.T @ l1, q x q, for the usual tall l1), or takes
+       gesdd of l1 where its guard says so.
 
     The cost profile per step is one QR of the m x r residual and the
-    truncation's q x q eigendecomposition per state. A non-finite value in
-    a state or an oracle contraction reaches l1, and the truncation raises
-    ``NumericError``.
+    truncation's eigendecomposition, at most q x q, per state. A non-finite
+    value in a state or an oracle contraction reaches l1, and the truncation
+    raises ``NumericError``.
     """
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
@@ -455,7 +457,10 @@ def _integrate_dense(problem: OdeProblem, h: float, steps: int) -> Matrix:
 
 
 def _steps_for(h: float, t_end: float) -> int:
-    steps = int(round(t_end / h))
+    ratio = t_end / h
+    if not math.isfinite(ratio):
+        raise ValueError(f"step size {h} gives a step count {ratio} for t_end {t_end}")
+    steps = int(round(ratio))
     if steps < 1 or abs(steps * h - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"step size {h} does not divide t_end {t_end}")
     return steps

@@ -4,8 +4,7 @@ Every factorization here carries an explicit result contract (orthonormal
 factors, sign conventions, dimension checks) so the integrator steps built
 on top are deterministic for identical input on the same build. The
 ``abc-psi`` truncation and the low-rank layer init take their SVDs from
-``lowrank._gram_svd``, which calls ``svd_thin`` only where its guard trips
-or the factor is wide.
+``lowrank._gram_svd``, which calls ``svd_thin`` only where its guard trips.
 """
 
 from __future__ import annotations

@@ -32,7 +32,8 @@ __all__ = [
 
 # _gram_svd's Gram route needs the smallest kept sigma_r / sigma_1 at least
 # GRAM_MIN_RATIO; truncate_state's also needs the policy's tail threshold at
-# least GRAM_TAIL_MARGIN times the eigenvalues' rounding level q*eps*sigma_1^2
+# least GRAM_TAIL_MARGIN times the eigenvalues' rounding level k*eps*sigma_1^2,
+# k the Gram matrix's size
 GRAM_MIN_RATIO = 1e-2
 GRAM_TAIL_MARGIN = 1e4
 _EPS = float(np.finfo(np.float64).eps)
@@ -95,7 +96,7 @@ class TruncationPolicy:
     squared: bool = False
 
     def __post_init__(self):
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if not (1 <= self.r_min <= self.r_max):
             raise ValueError(f"need 1 <= r_min <= r_max, got [{self.r_min}, {self.r_max}]")
@@ -164,17 +165,19 @@ def _gram_svd(
     l: Matrix,
     rank: Callable[[np.ndarray], int],
     trust: Optional[Callable[[np.ndarray], bool]] = None,
-    transposed: bool = False,
 ) -> tuple[Matrix, np.ndarray, Matrix]:
     """Leading factors (P_r, sigma_r, Q_r) of the thin SVD l = P diag(sigma) Q^T,
     with r = rank(sigma).
 
-    For a tall l (n x q, n >= q), sigma and Q come from the q x q Gram
-    matrix: l^T l = Q diag(sigma^2) Q^T by a symmetric eigensolver, and only
-    the kept columns P_r = l Q_r / sigma_r are formed. But the Gram matrix
-    squares the conditioning: the errors of sigma_r and of P_r's
-    orthonormality grow as (sigma_1 / sigma_r)^2. Measured ||P_r^T P_r - I||
-    for 784 x 100 l with log-spaced sigma (largest of 20 draws):
+    sigma and one side's vectors come from the Gram matrix of l's smaller
+    side by a symmetric eigensolver: l^T l = Q diag(sigma^2) Q^T for a tall l
+    (n x q, n > q), l l^T = P diag(sigma^2) P^T otherwise, so a square l
+    takes l l^T. Only the other side's kept columns are formed, as
+    P_r = l Q_r / sigma_r or Q_r = l^T P_r / sigma_r. But the Gram matrix
+    squares the conditioning: the errors of sigma_r and of the formed
+    columns' orthonormality grow as (sigma_1 / sigma_r)^2. Measured
+    ||P_r^T P_r - I|| for 784 x 100 l with log-spaced sigma (largest of 20
+    draws):
 
         sigma_r / sigma_1    1e-1   1e-2   1e-3     1e-4    1e-5
         ||P^T P - I||        7e-14  2e-12  1.1e-10  7.8e-9  5.7e-7
@@ -182,28 +185,28 @@ def _gram_svd(
     ``LowRankState.validate`` allows 1e-10 * sqrt(r), so this route is taken
     only while the smallest kept sigma_r / sigma_1 is at least
     ``GRAM_MIN_RATIO`` (1e-2, a margin of over 70x) and ``trust`` (given the
-    eigenvalues sigma^2, descending) holds. Otherwise, and for a wide l, the
-    factors are read off ``svd_thin`` (LAPACK gesdd): of l, or of l^T when
-    ``transposed`` says the caller holds l^T, so the fallback's bytes are
-    those of the gesdd of the caller's matrix. The returned arrays may be
-    non-contiguous views.
+    eigenvalues sigma^2, descending, one per row of the Gram matrix) holds.
+    Otherwise the factors are those of ``svd_thin(l)`` (LAPACK gesdd), bit
+    for bit. The returned arrays may be non-contiguous views.
     """
     n, q = l.shape
-    if n >= q:
-        try:
-            lam, w = np.linalg.eigh(l.T @ l)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
-        lam, w = np.maximum(lam[::-1], 0.0), w[:, ::-1]  # descending
-        sigma = np.sqrt(lam)
-        r = rank(sigma)
-        if sigma[r - 1] >= GRAM_MIN_RATIO * sigma[0] and (trust is None or trust(lam)):
-            w_r = w[:, :r]
-            return (l @ w_r) / sigma[:r], sigma[:r], w_r
-    if transposed:
-        qmat, sigma, p = svd_thin(l.T)
-    else:
-        p, sigma, qmat = svd_thin(l)
+    g = l.T if n > q else l  # the Gram matrix g g^T is the smaller one
+    gram = g @ g.T
+    try:
+        lam, w = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        if not np.isfinite(gram).all():  # scanned on failure only: a diverged factor
+            raise NumericError(
+                f"factor diverged: entries up to {np.abs(l).max():.3e}, Gram matrix not finite"
+            ) from exc
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    lam, w = np.maximum(lam[::-1], 0.0), w[:, ::-1]  # descending
+    sigma = np.sqrt(lam)
+    r = rank(sigma)
+    if sigma[r - 1] >= GRAM_MIN_RATIO * sigma[0] and (trust is None or trust(lam)):
+        kept, formed = w[:, :r], (g.T @ w[:, :r]) / sigma[:r]
+        return (formed, sigma[:r], kept) if n > q else (kept, sigma[:r], formed)
+    p, sigma, qmat = svd_thin(l)
     r = rank(sigma)
     return p[:, :r], sigma[:r], qmat[:, :r]
 
@@ -218,14 +221,13 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
     singular-value tail.
 
     The SVD takes the Gram route of ``_gram_svd``, the one ``build_network``
-    shares: for a tall l1 (n x q, n >= q), sigma and Q come off the q x q
-    Gram matrix l1^T l1 and only P_r = l1 Q_r / sigma_r is formed, under
-    ``_gram_svd``'s accuracy guard on sigma_r / sigma_1. On top of that
-    shared guard, the truncation requires the policy's tail threshold to be
-    ``GRAM_TAIL_MARGIN`` times above the eigenvalues' rounding level
-    q * eps * sigma_1^2, so the rank is chosen from eigenvalues that
-    rounding cannot move across it (tau = 0 and tiny tau never pass).
-    Otherwise, and for a wide l1, the result is that of ``svd_thin``
+    shares, for a tall and a wide l1 alike, under ``_gram_svd``'s accuracy
+    guard on sigma_r / sigma_1. On top of that shared guard, the truncation
+    requires the policy's tail threshold to be ``GRAM_TAIL_MARGIN`` times
+    above the eigenvalues' rounding level k * eps * sigma_1^2, with k the
+    Gram matrix's size (q for a tall l1, n x q with n > q), so the rank is
+    chosen from eigenvalues that rounding cannot move across it (tau = 0 and
+    tiny tau never pass). Otherwise the result is that of ``svd_thin``
     (LAPACK gesdd), bit for bit.
 
     The inputs are taken as float64 arrays and not scanned: a non-finite
@@ -239,15 +241,14 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
     NumericError
         If l1 holds non-finite entries or a factorization fails.
     """
-    q = l1.shape[1]
-    if u_hat.shape[1] != q:
-        raise DimensionError(f"u_hat cols {u_hat.shape[1]} != l1 cols {q}")
+    if u_hat.shape[1] != l1.shape[1]:
+        raise DimensionError(f"u_hat cols {u_hat.shape[1]} != l1 cols {l1.shape[1]}")
 
     def tail_clear_of_rounding(lam):
         total = lam.sum()
         # the bound truncation_rank compares the squared tail against
         tail_limit = policy.tau * math.sqrt(total) if policy.squared else policy.tau**2 * total
-        return tail_limit > GRAM_TAIL_MARGIN * q * _EPS * lam[0]
+        return tail_limit > GRAM_TAIL_MARGIN * lam.size * _EPS * lam[0]
 
     p_r, sigma_r, q_r = _gram_svd(
         l1, partial(truncation_rank, policy=policy), tail_clear_of_rounding

@@ -176,14 +176,12 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
     factors start orthonormal and the layer's output scale tracks the dense
     baseline instead of collapsing when the net is deep.
 
-    The rank-r part is read off the Gram matrix of the draw's smaller side
-    by ``lowrank._gram_svd``, the route ``truncate_state`` takes: for
-    out <= in the tall factor is w^T (w^T = P diag(sigma) Q^T gives v = P_r,
-    u = Q_r), for out > in it is w itself (u = P_r, v = Q_r). Where that
-    route's accuracy guard trips, the factors are those of ``svd_thin(w)``,
-    bit for bit. On the paper net sigma_r / sigma_1 is at least 0.78 on
-    every layer, and the factors match gesdd's to rounding level, up to a
-    shared sign of each column pair of u and v.
+    The rank-r part w = u_r diag(sigma_r) v_r^T is read off the Gram matrix
+    of the draw's smaller side by ``lowrank._gram_svd``, the route
+    ``truncate_state`` takes, or off ``svd_thin(w)``, bit for bit, where
+    that route's accuracy guard trips. On the paper net sigma_r / sigma_1 is
+    at least 0.78 on every layer, and the factors match gesdd's to rounding
+    level, up to a shared sign of each column pair of u and v.
     """
     rng = np.random.default_rng(seed)
     layers = []
@@ -194,30 +192,25 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
         if spec.kind == "dense":
             layers.append(DenseLayer(w, bias, spec.activation))
         else:
-            r = spec.initial_rank
-            wide = spec.out_dim <= spec.in_dim
-            p, sigma, q = _gram_svd(w.T if wide else w, lambda _: r, transposed=wide)
-            left, right = (q, p) if wide else (p, q)
-            state = LowRankState(
-                np.ascontiguousarray(left), np.diag(sigma), np.ascontiguousarray(right)
-            )
-            layers.append(LowRankLayer(state, bias, spec.activation))
+            u, sigma, v = _gram_svd(w, lambda _: spec.initial_rank)
+            u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
+            layers.append(LowRankLayer(LowRankState(u, np.diag(sigma), v), bias, spec.activation))
     return Network(layers)
 
 
 # -- forward / backward tape ------------------------------------------------
 #
-# Internally every layer is viewed as w = a @ b.T (dense layers set b = I
-# implicitly). The tape keeps each layer's input, the forward pass's x @ b
-# and the pre-activation gradient, so that backward can contract gradients
-# against whatever factor the active integrator phase needs, without ever
-# forming delta.T @ x in full.
+# Internally every layer is viewed as w = a @ b.T; a dense layer is a = w
+# with no right factor (b = None), so its pass skips the x @ b product. The
+# tape keeps each layer's input, the forward pass's x @ b and the
+# pre-activation gradient, so that backward can contract gradients against
+# whatever factor the active integrator phase needs, without ever forming
+# delta.T @ x in full.
 
 
 class _Repr(NamedTuple):
-    a: Optional[Matrix]  # left factor, out_dim x r (None for dense)
+    a: Matrix  # left factor, out_dim x r (the weight, out_dim x in_dim, for dense)
     b: Optional[Matrix]  # right factor, in_dim x r (None for dense)
-    w: Optional[Matrix]  # dense weight (None for factored)
     bias: np.ndarray
     activation: str
 
@@ -226,14 +219,14 @@ class _Tape(NamedTuple):
     x: Matrix  # layer input, batch x in_dim
     delta: Optional[Matrix]  # grad wrt pre-activation, batch x out_dim
     b: Optional[Matrix]  # the pass's right factor (None for dense)
-    xb: Optional[Matrix]  # x @ b, formed by the forward pass (None for dense)
+    xb: Matrix  # x @ b, formed by the forward pass (x itself for dense)
 
 
 def _base_repr(layer) -> _Repr:
     if isinstance(layer, DenseLayer):
-        return _Repr(None, None, layer.w, layer.bias, layer.activation)
+        return _Repr(layer.w, None, layer.bias, layer.activation)
     st = layer.state
-    return _Repr(st.u @ st.s, st.v, None, layer.bias, layer.activation)
+    return _Repr(st.u @ st.s, st.v, layer.bias, layer.activation)
 
 
 def _run_forward(reprs, x, caches=None):
@@ -244,12 +237,8 @@ def _run_forward(reprs, x, caches=None):
     # paper-net evaluation's time
     cur = x
     for rep in reprs:
-        if rep.w is not None:
-            xb = None
-            z = cur @ rep.w.T + rep.bias
-        else:
-            xb = cur @ rep.b
-            z = xb @ rep.a.T + rep.bias
+        xb = cur if rep.b is None else cur @ rep.b
+        z = xb @ rep.a.T + rep.bias
         if caches is not None:
             caches.append((cur, xb, z))
         cur = np.maximum(z, 0.0) if rep.activation == "relu" else z
@@ -267,10 +256,9 @@ def _run_backward(reprs, caches, dlogits):
         dz = d * (z > 0.0) if rep.activation == "relu" else d
         tapes[idx] = _Tape(x_in, dz, rep.b, xb)
         if idx > 0:
-            if rep.w is not None:
-                d = dz @ rep.w
-            else:
-                d = (dz @ rep.a) @ rep.b.T
+            d = dz @ rep.a
+            if rep.b is not None:
+                d = d @ rep.b.T
     return tapes
 
 
@@ -295,8 +283,8 @@ class _Cache(NamedTuple):
     layer_caches: list
 
 
-def _net_input(net: Network, x_batch) -> Matrix:
-    x = as_matrix(x_batch, "x_batch")
+def _net_input(net: Network, x) -> Matrix:
+    x = as_matrix(x, "x")
     if x.shape[1] != net.in_dim:
         raise DimensionError(
             f"input width {x.shape[1]} does not match layer 0 ({net.in_dim})"
@@ -378,7 +366,7 @@ def _network_oracle(net: Network, x: Matrix, labels, first: list) -> GradientOra
     def eval_grads(pairs):
         pairs = iter(pairs)
         reprs = [
-            _Repr(*next(pairs), None, layer.bias, layer.activation)
+            _Repr(*next(pairs), layer.bias, layer.activation)
             if isinstance(layer, LowRankLayer)
             else _base_repr(layer)
             for layer in net.layers
@@ -409,7 +397,7 @@ def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
     if integrator not in INTEGRATOR_NAMES:
         raise ValueError(f"unknown integrator {integrator!r}")
     x, labels = batch
-    x = as_matrix(x, "x")
+    x = _net_input(net, x)
     states = [layer.state for layer in net.layers if isinstance(layer, LowRankLayer)]
     if integrator == "full" and states:
         raise ValueError("full integrator requires an all-dense network")

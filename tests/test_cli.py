@@ -504,6 +504,98 @@ class TestCommandSettings:
         assert len(hashes) == distinct
 
 
+class TestNonFiniteSettings:
+    """A NaN, infinite or overflowing float setting exits 2, names its key
+    and writes nothing."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("descent-audit", "--lr", "nan"),
+        ("compare", "--lr", "inf"),
+        ("train", "--lr", "-inf"),
+        ("ode-bench", "--tau", "nan"),
+        ("descent-audit", "--tau", "nan"),
+        ("ode-bench", "--eps", "nan"),
+        ("descent-audit", "--eps", "inf"),
+        ("ode-bench", "--h-list", "0.1,nan"),
+        ("ode-bench", "--t-end", "nan"),
+        ("ode-bench", "--ref-h", "inf"),
+    ])
+    def test_flag(self, command, flag, value, data_dir, tmp_path, caplog):
+        args = [command, f"{flag}={value}", "--out-dir", str(tmp_path)]
+        if command in ("train", "compare"):
+            args += ["--data-dir", str(data_dir), "--arch", "16,12,4"]
+        assert main(args) == EXIT_CONFIG
+        assert f"{flag[2:].replace('-', '_')} must be" in caplog.text
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("ode-bench", '{"eps": NaN}', "eps"),
+        ("ode-bench", '{"h_list": [0.1, Infinity]}', "h_list"),
+        ("descent-audit", '{"lr": 1' + "0" * 400 + "}", "lr"),  # an int past float range
+    ], ids=["eps-nan", "h_list-infinity", "lr-huge-int"])
+    def test_config_file(self, command, text, key, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert f"{key} must be" in caplog.text
+        assert not list(out.iterdir())
+
+    def test_infinite_step_count(self, tmp_path, caplog):
+        args = ["ode-bench", "--t-end", "1e300", "--ref-h", "1e-300", "--h-list", "1e-300"]
+        assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert "t_end" in caplog.text
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def empty_split_dirs(tmp_path_factory):
+    """Data directories whose train or test split holds no samples."""
+    dirs = {}
+    for empty in ("train", "test"):
+        root = tmp_path_factory.mktemp(f"no-{empty}")
+        for split, prefix in (("train", "train"), ("test", "t10k")):
+            n = 0 if split == empty else 40
+            write_idx_images(root / f"{prefix}-images-idx3-ubyte", np.zeros((n, 16)), 4, 4)
+            write_idx_labels(root / f"{prefix}-labels-idx1-ubyte", np.arange(n) % 4)
+        dirs[empty] = root
+    return dirs
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_empty_split_exits_io(command, empty, empty_split_dirs, tmp_path, caplog):
+    args = train_args(empty_split_dirs[empty], tmp_path, "--epochs", "1")
+    assert main([command, *args[1:]]) == EXIT_IO
+    assert f"{empty} split" in caplog.text
+    assert not list(tmp_path.iterdir())
+
+
+class TestDivergenceReason:
+    """The "diverged" log line says why."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_descent_audit_overflow(self, tmp_path, caplog):
+        args = ["descent-audit", "--lr", "1e300", "--steps", "5", "--out-dir", str(tmp_path)]
+        assert main(args) == EXIT_DIVERGED
+        assert "factor diverged" in caplog.text
+        assert "eigendecomposition failed" not in caplog.text
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_error_in_training(self, data_dir, tmp_path, caplog):
+        args = train_args(data_dir, tmp_path, "--epochs", "1", "--integrator", "psi")
+        args[args.index("--lr") + 1] = "1e300"
+        assert main(args) == EXIT_DIVERGED
+        assert "diverged in epoch 1: non-finite activation in forward pass" in caplog.text
+
+    def test_exploding_layer(self, data_dir, tmp_path, caplog):
+        args = train_args(data_dir, tmp_path, "--epochs", "3", "--integrator", "full")
+        args[args.index("--lr") + 1] = "1e8"
+        assert main(args) == EXIT_DIVERGED
+        assert "diverged in epoch 1: layer 0 weight norm" in caplog.text
+
+
 class TestNumericFailures:
     """A non-finite value outside training exits 4 and writes nothing."""
 

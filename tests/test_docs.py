@@ -1,6 +1,7 @@
 """The README's CLI reference checked against the code: config keys, flags,
 example commands and exit codes; the one call site of each dense
-factorization in the source; and the names the benchmark's tracer wraps."""
+factorization in the source, and the one caller of ``svd_thin``; and the
+names the benchmark's tracer wraps."""
 
 import argparse
 import ast
@@ -93,6 +94,32 @@ def test_one_svd_and_one_eigh_call_site():
     uses = numpy_linalg_uses({"svd", "eigh"})
     assert {where for where, name in uses if name == "svd"} == {"linalg.svd_thin"}
     assert {where for where, name in uses if name == "eigh"} == {"lowrank._gram_svd"}
+
+
+def call_sites(name):
+    """Enclosing qualified name of every call of ``name`` in src/dlrt, as a
+    bare name or as an attribute."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            elif isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append(where)
+            visit(child, inner)
+
+    for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_svd_thin_called_only_by_the_gram_route():
+    # gesdd is the Gram route's fallback, so shape and caller never pick it
+    assert call_sites("svd_thin") == ["lowrank._gram_svd"]
 
 
 def test_traced_names_exist():

@@ -313,6 +313,33 @@ class TestOrthonormalityInvariant:
                 states[0].validate()
         assert not fallbacks and states[0].rank == 4
 
+    def test_abc_psi_wide_gram_truncation_stays_orthonormal(self, monkeypatch):
+        # n = 6 columns of v against an augmented width q up to 8: the
+        # truncated factor l1 (6 x q) turns wide and takes the Gram route of
+        # l1 @ l1.T
+        shapes, fallbacks = [], []
+        gram_svd, svd = dlrt.lowrank._gram_svd, dlrt.lowrank.svd_thin
+
+        def recording(l, *args):
+            shapes.append(l.shape)
+            return gram_svd(l, *args)
+
+        def counting(l):
+            fallbacks.append(l.shape)
+            return svd(l)
+
+        monkeypatch.setattr(dlrt.lowrank, "_gram_svd", recording)
+        monkeypatch.setattr(dlrt.lowrank, "svd_thin", counting)
+        problem = synthetic_quadratic_problem(60, 6, 4, eps=1e-2, seed=3)
+        cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=8, r_min=2))
+        states = [problem.y0]
+        for step in range(1, 3001):
+            states = abc_psi_step(states, problem.oracle, cfg)
+            if step % 100 == 0:
+                states[0].validate()
+        assert (6, 8) in shapes
+        assert not fallbacks and states[0].rank == 4
+
 
 class TestStateLists:
     def test_separable_oracle_steps_states_independently(self):
@@ -388,6 +415,11 @@ class TestOdeErrorStudy:
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
         with pytest.raises(ValueError):
             ode_error_study(problem, "full", [0.3], t_end=1.0, ref_h=0.01)
+
+    def test_rejects_infinite_step_count(self):
+        problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
+        with pytest.raises(ValueError, match="step count inf"):
+            ode_error_study(problem, "full", [0.1], t_end=1e300, ref_h=1e-300)
 
 
 class TestNonFiniteValues:

@@ -6,6 +6,7 @@ import dlrt.lowrank
 from dlrt.linalg import DimensionError, NumericError, svd_thin
 from dlrt.lowrank import (
     GRAM_MIN_RATIO,
+    GRAM_TAIL_MARGIN,
     LowRankState,
     TruncationPolicy,
     compression_rate,
@@ -15,6 +16,9 @@ from dlrt.lowrank import (
     truncate_state,
     truncation_rank,
 )
+
+
+EPS = np.finfo(np.float64).eps
 
 
 def brute_force_rank(sigma, policy):
@@ -203,10 +207,10 @@ def gesdd_truncation(u_hat, l1, policy):
 
 
 def conditioned(n, q, sigma, seed):
-    """u_hat (n + 5, q) with orthonormal columns and l1 (n, q) with singular
-    values ``sigma`` (length <= q, the rest exactly zero)."""
+    """u_hat (max(n, q) + 5, q) with orthonormal columns and l1 (n, q) with
+    singular values ``sigma`` (length <= min(n, q), the rest exactly zero)."""
     rng = np.random.default_rng(seed)
-    u_hat = np.linalg.qr(rng.standard_normal((n + 5, q)))[0]
+    u_hat = np.linalg.qr(rng.standard_normal((max(n, q) + 5, q)))[0]
     k = len(sigma)
     p = np.linalg.qr(rng.standard_normal((n, k)))[0]
     qmat = np.linalg.qr(rng.standard_normal((q, k)))[0]
@@ -246,6 +250,27 @@ class TestTruncateStateRoutes:
         assert np.linalg.norm(u @ s @ v.T - u_ref @ s_ref @ v_ref.T) <= 1e-13 * s_ref[0, 0]
         LowRankState(u, s, v).validate()
 
+    @pytest.mark.parametrize("cond", [1e-1, 1e-2, 1e-4, 1e-8])
+    @pytest.mark.parametrize("tau", [0.0, 1e-6, 1e-3, 0.05, 0.3])
+    def test_wide_matches_gesdd(self, cond, tau, gesdd_calls):
+        # a wide l1 (n < q) takes the Gram route of l1 @ l1.T, n x n, under
+        # the same two guards as a tall one
+        n = 24
+        u_hat, l1 = conditioned(n, 30, np.logspace(0, np.log10(cond), n), seed=13)
+        policy = TruncationPolicy(tau=tau, r_max=30, r_min=1)
+        u_ref, s_ref, v_ref = gesdd_truncation(u_hat, l1, policy)
+        sigma = svd_thin(l1).sigma
+        u, s, v = truncate_state(u_hat, l1, policy)
+        gram = (s_ref[-1, -1] >= GRAM_MIN_RATIO * s_ref[0, 0]
+                and tau**2 * np.sum(sigma**2) > GRAM_TAIL_MARGIN * n * EPS * sigma[0] ** 2)
+        assert gesdd_calls == ([] if gram else [(n, 30)])
+        assert s.shape == s_ref.shape
+        np.testing.assert_allclose(np.diagonal(s), np.diagonal(s_ref), rtol=1e-12, atol=0)
+        assert np.linalg.norm(u @ s @ v.T - u_ref @ s_ref @ v_ref.T) <= 1e-13 * s_ref[0, 0]
+        LowRankState(u, s, v).validate()
+        if not gram:
+            assert_same_bytes((u, s, v), (u_ref, s_ref, v_ref))
+
     def test_tiny_tau_takes_gesdd(self, gesdd_calls):
         for tau in (0.0, 1e-6):
             u_hat, l1 = conditioned(60, 12, np.linspace(1.0, 0.5, 12), seed=14)
@@ -280,10 +305,12 @@ class TestTruncateStateRoutes:
         assert out[1].shape[0] >= 4 and gesdd_calls
         assert_same_bytes(out, gesdd_truncation(u_hat, l1, policy))
 
-    def test_wide_takes_gesdd(self, gesdd_calls):
-        u_hat, l1 = conditioned(5, 9, np.linspace(2.0, 1.0, 5), seed=17)
-        policy = TruncationPolicy(tau=0.3, r_max=9, r_min=1)
+    def test_ill_conditioned_wide_takes_gesdd(self, gesdd_calls):
+        # all 5 values kept, sigma_5 / sigma_1 = 1e-3 < GRAM_MIN_RATIO
+        u_hat, l1 = conditioned(5, 9, np.logspace(0, -3, 5), seed=17)
+        policy = TruncationPolicy(tau=1e-4, r_max=9, r_min=1)
         out = truncate_state(u_hat, l1, policy)
+        assert out[1].shape == (5, 5)
         assert_same_bytes(out, gesdd_truncation(u_hat, l1, policy))
         assert gesdd_calls == [(5, 9)]
 
@@ -301,6 +328,21 @@ class TestTruncateStateRoutes:
         u_hat, l1 = conditioned(30, 6, np.linspace(1.0, 0.5, 6), seed=19)
         with pytest.raises(NumericError, match="eigendecomposition"):
             truncate_state(u_hat, l1, TruncationPolicy(tau=0.1, r_max=6, r_min=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eigh_failure_names_a_diverged_factor(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        u_hat, l1 = conditioned(30, 6, np.linspace(1.0, 0.5, 6), seed=19)
+        l1[3, 2] = np.inf
+        policy = TruncationPolicy(tau=0.1, r_max=6, r_min=1)
+        with pytest.raises(NumericError, match="factor diverged: entries up to inf"):
+            truncate_state(u_hat, l1, policy)
+        l1[3, 2] = 1e200  # finite, but its Gram matrix overflows
+        with pytest.raises(NumericError, match="factor diverged: entries up to 1.000e"):
+            truncate_state(u_hat, l1, policy)
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -351,6 +393,10 @@ class TestPolicy:
             TruncationPolicy(tau=-0.1, r_max=4)
         with pytest.raises(ValueError):
             TruncationPolicy(tau=0.1, r_max=2, r_min=3)
+
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="tau"):
+            TruncationPolicy(tau=float("nan"), r_max=4)
 
 
 @settings(max_examples=40, deadline=None)

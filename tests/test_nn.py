@@ -361,6 +361,15 @@ class TestTrainStep:
             new_net, loss0 = train_step(net, (x, labels), integrator, cfg)
             assert loss_of(new_net, x, labels) < loss0, integrator
 
+    @pytest.mark.parametrize("integrator, rank", [("full", None), ("abc-psi", 3)])
+    def test_batch_width_mismatch_rejected(self, integrator, rank):
+        # a 7-wide batch for an 8-input net, dense and low-rank
+        net = build_network(mlp_specs([8, 6, 3], initial_rank=rank), seed=4)
+        x, labels = random_batch(net, 5, seed=4)
+        cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=6))
+        with pytest.raises(DimensionError, match="input width 7"):
+            train_step(net, (x[:, :7], labels), integrator, cfg)
+
     def test_full_integrator_is_plain_sgd(self):
         net = build_network(mlp_specs([5, 4, 3]), seed=13)
         x, labels = random_batch(net, 8, seed=13)
