@@ -37,8 +37,8 @@ from .integrators import (
 )
 from .linalg import NumericError
 from .lowrank import TruncationPolicy, compression_rate, param_count
-from .nn import LowRankLayer, build_network, forward, mlp_specs, softmax_cross_entropy, train_step
-from .nn import evaluate as net_accuracy
+from .nn import LowRankLayer, build_network, mlp_specs, softmax_cross_entropy, train_step
+from .nn import _chunk_logits, evaluate as net_accuracy
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -52,10 +52,36 @@ EXIT_VIOLATION = 5
 
 DATA_DIR_ENV = "DLRT_DATA_DIR"
 DIVERGENCE_NORM = 1e12
+MAX_STEPS = 10**6  # the most steps any one count a run's settings imply may reach
 
 
 class ConfigError(Exception):
     """Invalid or unknown run settings."""
+
+
+def _fits(value, kind) -> bool:
+    """Whether a value fits a ``RunConfig`` annotation: a list or a tuple
+    for a tuple, a bool for no number, an int or a finite float for a float."""
+    if get_origin(kind) is Union:
+        return any(_fits(value, arg) for arg in get_args(kind))
+    if get_origin(kind) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _fits(item, get_args(kind)[0]) for item in value
+        )
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:  # NaN, the infinities and ints past float range fail
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _type_name(kind) -> str:
+    """A ``RunConfig`` annotation in JSON words, e.g. "a list of int"."""
+    if get_origin(kind) is tuple:
+        return f"a list of {_type_name(get_args(kind)[0])}"
+    if get_origin(kind) is Union:  # Optional[X]
+        return f"{_type_name(get_args(kind)[0])} or null"
+    return "finite float" if kind is float else kind.__name__
 
 
 @dataclass(frozen=True)
@@ -87,7 +113,14 @@ class RunConfig:
     ref_h: float = 1e-4
     steps: int = 200
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, f.type):
+                raise ConfigError(f"{f.name} must be {_type_name(f.type)}, got {value!r}")
+
     def validate(self) -> "RunConfig":
+        """Check ranges and relations; the types were checked at construction."""
         for name in (self.integrator, *self.integrators):
             if name not in INTEGRATOR_NAMES:
                 raise ConfigError(f"unknown integrator {name!r}")
@@ -117,13 +150,19 @@ class RunConfig:
             raise ConfigError("h_list must hold positive step sizes")
         if self.t_end <= 0 or self.ref_h <= 0:
             raise ConfigError("t_end and ref_h must be positive")
-        for h in (*self.h_list, self.ref_h):
-            try:
-                _steps_for(h, self.t_end)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        try:
+            counts = [(f"t_end/h * substeps (h {h}, substeps {self.substeps})",
+                       _steps_for(h, self.t_end) * self.substeps) for h in self.h_list]
+            counts.append(("t_end/ref_h", _steps_for(self.ref_h, self.t_end)))
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        counts += [(f"{name} * substeps ({n} * {self.substeps})", n * self.substeps)
+                   for name, n in (("steps", self.steps), ("epochs", self.epochs))]
+        for what, count in counts:
+            if count > MAX_STEPS:
+                raise ConfigError(f"{what} asks for {count} steps, above MAX_STEPS {MAX_STEPS}")
         return self
 
     def hash(self) -> str:
@@ -139,7 +178,6 @@ class RunConfig:
         return TruncationPolicy(tau=self.tau, r_max=r_max, r_min=self.r_min)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _DEFAULTS = RunConfig()
 # settings only some integrators read: the truncation policy (abc-psi) and
 # the factored layers' initial rank and substeps (every low-rank integrator)
@@ -171,38 +209,13 @@ def _unread_at_defaults(config: RunConfig, keys) -> RunConfig:
     return replace(config, **{key: getattr(_DEFAULTS, key) for key in unread})
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value fits a ``RunConfig`` annotation: a list for a
-    tuple, a bool for no number, an int or a finite float for a float."""
-    if get_origin(kind) is Union:
-        return any(_fits(value, arg) for arg in get_args(kind))
-    if get_origin(kind) is tuple:
-        return isinstance(value, (list, tuple)) and all(
-            _fits(item, get_args(kind)[0]) for item in value
-        )
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:  # NaN, the infinities and ints past float range fail
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, kind)
-
-
-def _type_name(kind) -> str:
-    """A ``RunConfig`` annotation in JSON words, e.g. "a list of int"."""
-    if get_origin(kind) is tuple:
-        return f"a list of {_type_name(get_args(kind)[0])}"
-    if get_origin(kind) is Union:  # Optional[X]
-        return f"{_type_name(get_args(kind)[0])} or null"
-    return "finite float" if kind is float else kind.__name__
-
-
 def load_config(path=None, overrides=None, keys=None) -> RunConfig:
     """Defaults, then ``$DLRT_DATA_DIR``, then JSON file settings, then flag
     overrides. File settings outside ``keys``, the settings a command reads
     (default: all), keep their defaults, and so do the settings that none of
     the run's integrators reads; keys that are no field fail, and so do
     values that do not fit their field's annotation."""
-    valid = set(_FIELD_TYPES)
+    valid = {f.name for f in fields(RunConfig)}
     keys = valid if keys is None else set(keys)
     merged = {}
     if "data_dir" in keys and os.environ.get(DATA_DIR_ENV):
@@ -224,13 +237,9 @@ def load_config(path=None, overrides=None, keys=None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    for key, value in merged.items():
-        kind = _FIELD_TYPES[key]
-        if not _fits(value, kind):
-            raise ConfigError(f"{key} must be {_type_name(kind)}, got {value!r}")
-        if get_origin(kind) is tuple:
-            merged[key] = tuple(value)
-    return _unread_at_defaults(RunConfig(**merged), keys).validate()
+    config = RunConfig(**merged)  # a list fits only a tuple field
+    tuples = {key: tuple(value) for key, value in merged.items() if isinstance(value, list)}
+    return _unread_at_defaults(replace(config, **tuples), keys).validate()
 
 
 def write_csv(path, config_hash, columns, rows) -> None:
@@ -281,8 +290,7 @@ def _layer_triples(net) -> list:
 
 def _dataset_loss(net, dataset, chunk=1024) -> float:
     total = 0.0
-    for start in range(0, len(dataset), chunk):
-        logits, _ = forward(net, dataset.images[start : start + chunk])
+    for start, logits in _chunk_logits(net, dataset.images, chunk):
         loss, _ = softmax_cross_entropy(logits, dataset.labels[start : start + chunk])
         total += loss * logits.shape[0]
     return total / len(dataset)

@@ -246,8 +246,11 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
 
     def tail_clear_of_rounding(lam):
         total = lam.sum()
-        # the bound truncation_rank compares the squared tail against
-        tail_limit = policy.tau * math.sqrt(total) if policy.squared else policy.tau**2 * total
+        # the bound truncation_rank compares the squared tail against; every
+        # tau >= 1 passes the guard for a nonzero l1, so tau is clamped at 1,
+        # where tau**2 cannot overflow
+        tau = min(policy.tau, 1.0)
+        tail_limit = tau * math.sqrt(total) if policy.squared else tau**2 * total
         return tail_limit > GRAM_TAIL_MARGIN * lam.size * _EPS * lam[0]
 
     p_r, sigma_r, q_r = _gram_svd(

@@ -433,9 +433,15 @@ def evaluate(net: Network, dataset, chunk: int = 512) -> float:
     n = images.shape[0]
     if n == 0:
         raise ValueError("empty dataset")
-    reprs = [_base_repr(layer) for layer in net.layers]
     hits = 0
-    for start in range(0, n, chunk):
-        logits = _run_forward(reprs, _net_input(net, images[start : start + chunk]))
+    for start, logits in _chunk_logits(net, images, chunk):
         hits += int((np.argmax(logits, axis=1) == labels[start : start + chunk]).sum())
     return hits / n
+
+
+def _chunk_logits(net: Network, images, chunk: int):
+    """(start, logits) for each ``chunk``-row slice of ``images``, by the
+    cache-free pass."""
+    reprs = [_base_repr(layer) for layer in net.layers]
+    for start in range(0, images.shape[0], chunk):
+        yield start, _run_forward(reprs, _net_input(net, images[start : start + chunk]))

@@ -1,8 +1,10 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlrt.checkpoint import load_network
 from dlrt.cli import (
@@ -10,8 +12,11 @@ from dlrt.cli import (
     EXIT_DIVERGED,
     EXIT_IO,
     EXIT_OK,
+    EXIT_VIOLATION,
+    MAX_STEPS,
     ConfigError,
     RunConfig,
+    build_parser,
     load_config,
     main,
     write_csv,
@@ -88,6 +93,31 @@ class TestRunConfig:
         cfg = load_config(p)
         assert cfg.arch == (16, 8, 4)
         assert cfg.h_list == (0.1, 0.05)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", float("nan")), ("eps", float("inf")), ("seed", True), ("rank", 2.5),
+    ])
+    def test_construction_checks_types(self, key, value):
+        # one rule for library callers, config files and flags alike
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            RunConfig(**{key: value})
+
+    def test_list_fits_a_tuple_field(self):
+        assert RunConfig(arch=[3, 4]).validate().arch == [3, 4]
+
+    @pytest.mark.parametrize("at_ceiling, above, count", [
+        ({"ref_h": 1.0 / MAX_STEPS}, {"ref_h": 1.0 / (MAX_STEPS + 1)}, "t_end/ref_h"),
+        ({"h_list": (1.0 / MAX_STEPS,)}, {"h_list": (1.0 / (MAX_STEPS + 1),)}, "t_end/h"),
+        ({"substeps": MAX_STEPS // 2}, {"substeps": MAX_STEPS // 2 + 1}, "t_end/h"),
+        ({"steps": MAX_STEPS}, {"steps": MAX_STEPS + 1}, "steps * substeps"),
+        ({"epochs": MAX_STEPS}, {"epochs": MAX_STEPS + 1}, "epochs * substeps"),
+    ])
+    def test_step_ceiling(self, at_ceiling, above, count):
+        # t_end 1 and h 0.5: two steps each for t_end/h and t_end/ref_h
+        base = {"h_list": (0.5,), "ref_h": 0.5, "steps": 1, "epochs": 1}
+        RunConfig(**{**base, **at_ceiling}).validate()
+        with pytest.raises(ConfigError, match=rf"^{re.escape(count)}.*above MAX_STEPS"):
+            RunConfig(**{**base, **above}).validate()
 
 
 class TestWriters:
@@ -549,6 +579,30 @@ class TestNonFiniteSettings:
         assert not list(tmp_path.iterdir())
 
 
+class TestStepCeiling:
+    """A step count above MAX_STEPS exits 2 before any step runs and writes
+    nothing; a huge tau, which only keeps r_min, runs."""
+
+    @pytest.mark.parametrize("args", [
+        ["ode-bench", "--integrator", "full", "--t-end", "1e6", "--ref-h", "1e-6",
+         "--h-list", "1e6"],
+        ["descent-audit", "--dims", "8,6", "--target-rank", "2", "--lr", "0.5", "--steps", "5",
+         "--substeps", "1000000000"],
+    ])
+    def test_exits_config(self, args, tmp_path, caplog):
+        assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert "above MAX_STEPS" in caplog.text
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["descent-audit", "--lr", "0.5", "--steps", "5"],
+        ["ode-bench", "--h-list", "0.1", "--ref-h", "0.01"],
+    ])
+    def test_huge_tau_runs(self, args, tmp_path):
+        args += ["--dims", "8,6", "--target-rank", "2", "--tau", "1e300"]
+        assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_OK
+
+
 @pytest.fixture(scope="module")
 def empty_split_dirs(tmp_path_factory):
     """Data directories whose train or test split holds no samples."""
@@ -611,3 +665,85 @@ class TestNumericFailures:
     def test_exit_diverged(self, args, tmp_path):
         assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_DIVERGED
         assert not list(tmp_path.iterdir())
+
+
+class TestHostileSettings:
+    """Generative: a tiny valid run of each command with one or two settings
+    swapped for hostile values, by flag or by config file, exits with a
+    documented code, never 1 (an uncaught exception), and exits 2 and 3
+    write nothing."""
+
+    NAN, INF = float("nan"), float("inf")
+    BAD_INT = [0, -1, True, 2.5, "x"]
+    BAD_FLOAT = [0, -1, True, "x", NAN, INF, -INF, 1e300]
+    # size settings stay at or below 64, so no draw allocates much memory
+    BAD_WIDTHS = [[], 5, [2.5, 4], [True, 4], ["x"], [16, 0, 4], [16, -1, 4], [16, 64, 4], [64, 64]]
+    HOSTILE = {
+        "integrator": ["euler", "", 3, True, None],
+        "integrators": [[], "psi", ["euler"], [3], ["psi", "full"]],
+        "arch": BAD_WIDTHS,
+        "dims": BAD_WIDTHS,
+        "lr": BAD_FLOAT,
+        "tau": BAD_FLOAT,
+        "eps": BAD_FLOAT,
+        "t_end": BAD_FLOAT,
+        "ref_h": BAD_FLOAT,
+        "h_list": [[], 0.1, [NAN], [0.1, INF], [0], [-0.1], [1e300], ["x"], [True], [0.3]],
+        "rank": BAD_INT + [64],
+        "target_rank": BAD_INT + [64],
+        "batch_size": BAD_INT + [64],
+        "r_min": BAD_INT + [64, 10**12],
+        "r_max": BAD_INT + [1, 64, 10**12],
+        "seed": BAD_INT + [10**12],
+        "seeds": [[], 5, [-1], [True], [2.5], [0, 10**12]],
+        "epochs": BAD_INT + [10**12],
+        "substeps": BAD_INT + [10**12],
+        "steps": BAD_INT + [10**12],
+        "data_dir": [3, True, "", "no-such-dir"],
+        "bogus": [1],
+    }
+    TRAINING = {"arch": [16, 8, 4], "rank": 2, "epochs": 1, "batch_size": 64, "lr": 0.05}
+    PROBLEM = {"dims": [8, 6], "target_rank": 2}
+    BASE = {
+        "train": TRAINING,
+        "compare": {**TRAINING, "integrators": ["abc-psi", "full"], "seeds": [0]},
+        "ode-bench": {**PROBLEM, "h_list": [0.1], "t_end": 1.0, "ref_h": 0.01},
+        "descent-audit": {**PROBLEM, "lr": 0.5, "steps": 5},
+    }
+    # the settings each command reads: its parser's destinations
+    READ = {command: set(vars(build_parser().parse_args([command])))
+            - {"command", "func", "config"} for command in BASE}
+
+    @staticmethod
+    def flag(key, value):
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        return f"--{key.replace('_', '-')}={text}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", sorted(BASE))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_exit_code(self, command, data, data_dir, tmp_path_factory):
+        read = self.READ[command]
+        keys = sorted((read - {"out_dir"}) | {"bogus"})
+        swapped = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True))
+        config = dict(self.BASE[command])
+        if "data_dir" in read:
+            config["data_dir"] = str(data_dir)
+        for key in swapped:
+            config[key] = data.draw(st.sampled_from(self.HOSTILE[key]), label=key)
+        out = tmp_path_factory.mktemp("out")
+        args = [command, "--out-dir", str(out)]
+        if data.draw(st.booleans(), label="by flag"):
+            args += [self.flag(key, value) for key, value in config.items()]
+        else:
+            cfg = out.parent / f"{out.name}.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DIVERGED, EXIT_VIOLATION)
+        if code in (EXIT_CONFIG, EXIT_IO):
+            assert not list(out.iterdir())

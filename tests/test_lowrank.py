@@ -198,6 +198,16 @@ class TestTruncateState:
         assert np.linalg.norm(u.T @ u - np.eye(r1)) <= 1e-12
         assert np.array_equal(s, np.diag(np.diagonal(s)))
 
+    @pytest.mark.parametrize("tau", [1e150, 1e300])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_huge_tau_keeps_r_min(self, tau, squared):
+        # tau**2 overflows a float from about 1.3e154 on; every value is tail
+        u_hat, l1 = conditioned(30, 8, np.linspace(1.0, 0.5, 8), seed=19)
+        policy = TruncationPolicy(tau=tau, r_max=8, r_min=3, squared=squared)
+        u, s, v = truncate_state(u_hat, l1, policy)
+        assert s.shape == (3, 3)
+        LowRankState(u, s, v).validate()
+
 
 def gesdd_truncation(u_hat, l1, policy):
     """truncate_state's gesdd route: the reference for its Gram route."""
