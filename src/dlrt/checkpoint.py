@@ -68,6 +68,21 @@ def _read_matrix(fh: BinaryIO, rows: int, cols: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
 
 
+def _read_dims(fh: BinaryIO, count: int) -> tuple:
+    dims = tuple(_read_u32(fh) for _ in range(count))
+    if 0 in dims:
+        raise CheckpointError(f"zero dim or rank in layer header {dims}")
+    return dims
+
+
+def _check_payload(fh: BinaryIO, floats: int) -> None:
+    """Refuse a layer whose payload of ``floats`` f64 values is larger than
+    the rest of the file, before any of it is read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if 8 * floats > left:
+        raise CheckpointError(f"layer payload of {8 * floats} bytes, only {left} left in the file")
+
+
 def _read_header(fh: BinaryIO) -> int:
     """Check magic and version; returns the layer count."""
     magic = fh.read(4)
@@ -143,17 +158,16 @@ def load_network(path):
                 raise CheckpointError(f"unknown activation code {act_code}")
             act = _ACT_NAMES[act_code]
             if kind == _KIND_DENSE:
-                m = _read_u32(fh)
-                n = _read_u32(fh)
+                m, n = _read_dims(fh, 2)
+                _check_payload(fh, m * n + m)
                 w = _read_matrix(fh, m, n)
                 bias = _read_matrix(fh, 1, m).ravel()
                 layers.append(DenseLayer(w, bias, act))
             elif kind == _KIND_LOWRANK:
-                m = _read_u32(fh)
-                n = _read_u32(fh)
-                r = _read_u32(fh)
+                m, n, r = _read_dims(fh, 3)
                 if r > min(m, n):
                     raise DimensionError(f"checkpoint rank {r} exceeds min({m},{n})")
+                _check_payload(fh, (m + n + r) * r + m)
                 u = _read_matrix(fh, m, r)
                 s = _read_matrix(fh, r, r)
                 v = _read_matrix(fh, n, r)

@@ -8,9 +8,12 @@ decompressed transparently. Pixels are scaled to [0, 1] as float64.
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checkpoint import atomic_write
 
 __all__ = [
     "DataError",
@@ -50,7 +53,10 @@ def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise DataError(f"corrupt gzip file {path}: {exc}") from exc
     return raw
 
 
@@ -93,21 +99,39 @@ def load_idx_labels(path) -> np.ndarray:
     return np.frombuffer(body, dtype=np.uint8).astype(np.int64)
 
 
+def _check_bytes(values: np.ndarray, what: str) -> None:
+    # NaN fails every comparison, so it is refused with the values that
+    # would wrap around a byte or lose a fraction
+    if not np.all((values >= 0) & (values <= 255) & (values == np.rint(values))):
+        raise DataError(f"{what} must be integers in [0, 255], not NaN, to fit a byte")
+
+
 def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
-    """Inverse of load_idx_images; [0,1] floats round back to bytes."""
+    """Inverse of load_idx_images; [0,1] floats round back to bytes.
+
+    Raises ``DataError`` for a pixel that is NaN or rounds outside
+    [0, 255] after scaling by 255. The file is written through
+    ``atomic_write``.
+    """
     count = images.shape[0]
     if images.shape[1] != rows * cols:
         raise DataError(f"images have {images.shape[1]} pixels, expected {rows * cols}")
-    body = np.rint(np.asarray(images) * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
+    body = np.rint(np.asarray(images) * 255.0)
+    _check_bytes(body, "pixels scaled by 255 and rounded")
+    with atomic_write(path, "wb") as fh:
         fh.write(struct.pack(">4I", IMAGE_MAGIC, count, rows, cols))
-        fh.write(body.tobytes())
+        fh.write(body.astype(np.uint8).tobytes())
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    with open(path, "wb") as fh:
+    """Inverse of load_idx_labels. Raises ``DataError`` for a label that is
+    NaN, fractional or outside [0, 255]; the file is written through
+    ``atomic_write``."""
+    labels = np.asarray(labels)
+    _check_bytes(labels, "labels")
+    with atomic_write(path, "wb") as fh:
         fh.write(struct.pack(">2I", LABEL_MAGIC, len(labels)))
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+        fh.write(labels.astype(np.uint8).tobytes())
 
 
 # canonical MNIST filenames, tried with and without .gz

@@ -36,7 +36,7 @@ non-finite entries inside a step. A non-finite value reaches a QR
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -87,8 +87,9 @@ class GradientOracle:
         y (m, n) -> gradient (m, n).
     eval_grads : callable, optional
         list of factor pairs [(a_i (m_i, c_i), b_i (n_i, c_i)), ...] ->
-        list of ``Gradient`` handles, one per pair, of the loss at the
-        points a_i @ b_i.T taken together. One call is one evaluation of
+        list of gradient handles, one per pair, of the loss at the points
+        a_i @ b_i.T taken together: objects with ``right`` and ``left``
+        contractions as a ``Gradient`` has. One call is one evaluation of
         the loss (for a network, one forward/backward pass).
     loss : callable, optional
         y (m, n) -> scalar loss, needed only by audits and loss probes.
@@ -198,29 +199,23 @@ def _l_sweep(
     return l
 
 
-def _refactor(u: Matrix, l: Matrix) -> LowRankState:
-    """State u @ l.T with the right factor orthonormalized by QR."""
-    v, r = householder_qr(l)
-    return LowRankState(u, np.ascontiguousarray(r.T), v)
+def _core_step(u, s, v, oracle: GradientOracle, h: float) -> list:
+    """Explicit-Euler core step s - h * u.T @ G(u @ s @ v.T) @ v of every
+    state (u, s, v), from one evaluation at the states taken together."""
+    grads = oracle.grads([(u_i @ s_i, v_i) for u_i, s_i, v_i in zip(u, s, v)])
+    return [s_i - h * (u_i.T @ g.right(v_i)) for u_i, s_i, v_i, g in zip(u, s, v, grads)]
 
 
-def _psi_ks(
-    states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig, audit=None
-) -> tuple:
-    """The K sweep and the single-step S sweep of a projector-splitting step.
-
-    Returns (u1, s_tilde, s1): the QR factors u1 @ s_tilde of the swept K
-    factors, and the cores after the S sweep, which moves along the
-    positive gradient direction.
-    """
-    _, _, k1 = _k_sweep(states, oracle, cfg, audit)
-    u1, s_tilde = zip(*map(householder_qr, k1))
-    grads = oracle.grads([(u @ s, st.v) for u, s, st in zip(u1, s_tilde, states)])
-    s1 = [
-        s + cfg.h * (u.T @ g.right(st.v))
-        for u, s, st, g in zip(u1, s_tilde, states, grads)
-    ]
-    return u1, s_tilde, s1
+def _split_finish(
+    states: Sequence[LowRankState], u1, s_mid, oracle: GradientOracle, cfg: StepConfig, audit
+) -> list:
+    """The last phase of psi and bc-psi: the L sweep from v0 @ s_mid.T in the
+    fresh left bases u1, then the right factor orthonormalized by QR."""
+    if audit is not None:
+        audit.s_mid = s_mid[0]
+    l1 = _l_sweep([st.v @ s.T for st, s in zip(states, s_mid)], u1, oracle, cfg)
+    qrs = [householder_qr(l) for l in l1]
+    return [LowRankState(u, np.ascontiguousarray(r.T), v) for u, (v, r) in zip(u1, qrs)]
 
 
 def psi_step(
@@ -231,14 +226,14 @@ def psi_step(
 ) -> list:
     """One fixed-rank projector-splitting step (K, S, L sweeps).
 
-    The S sweep moves along the positive gradient direction; that is the
-    splitting's backward-in-time substep, not a bug.
+    The S sweep is the core step with step size -h: it moves along the
+    positive gradient direction; that is the splitting's backward-in-time
+    substep, not a bug.
     """
-    u1, _, s1 = _psi_ks(states, oracle, cfg, audit)
-    l1 = _l_sweep([st.v @ s.T for st, s in zip(states, s1)], u1, oracle, cfg)
-    if audit is not None:
-        audit.s_mid = s1[0]
-    return [_refactor(u, l) for u, l in zip(u1, l1)]
+    _, _, k1 = _k_sweep(states, oracle, cfg, audit)
+    u1, s_tilde = zip(*map(householder_qr, k1))
+    s1 = _core_step(u1, s_tilde, [st.v for st in states], oracle, -cfg.h)
+    return _split_finish(states, u1, s1, oracle, cfg, audit)
 
 
 def bc_psi_step(
@@ -256,10 +251,7 @@ def bc_psi_step(
     k0, _, k1 = _k_sweep(states, oracle, cfg, audit)
     u1 = [householder_qr(k).q for k in k1]
     s_bar = [u.T @ k for u, k in zip(u1, k0)]
-    l1 = _l_sweep([st.v @ s.T for st, s in zip(states, s_bar)], u1, oracle, cfg)
-    if audit is not None:
-        audit.s_mid = s_bar[0]
-    return [_refactor(u, l) for u, l in zip(u1, l1)]
+    return _split_finish(states, u1, s_bar, oracle, cfg, audit)
 
 
 def bug_fixed_step(
@@ -283,8 +275,7 @@ def bug_fixed_step(
         (u1_i.T @ st.u) @ st.s @ (st.v.T @ v1_i)
         for u1_i, v1_i, st in zip(u1, v1, states)
     ]
-    grads = oracle.grads([(u @ s, v) for u, s, v in zip(u1, s_init, v1)])
-    s1 = [s - cfg.h * (u.T @ g.right(v)) for u, s, v, g in zip(u1, s_init, v1, grads)]
+    s1 = _core_step(u1, s_init, v1, oracle, cfg.h)
     return [LowRankState(u, s, v) for u, s, v in zip(u1, s1, v1)]
 
 
@@ -356,7 +347,9 @@ def s_step_loss_delta_psi(
     """
     if oracle.loss is None:
         raise ValueError("s_step_loss_delta_psi requires the oracle's loss form")
-    (u1,), (s_tilde,), (s1,) = _psi_ks([state], oracle, cfg)
+    _, _, (k1,) = _k_sweep([state], oracle, cfg)
+    u1, s_tilde = householder_qr(k1)
+    (s1,) = _core_step([u1], [s_tilde], [state.v], oracle, -cfg.h)
     loss_before = oracle.loss_at(u1 @ (s_tilde @ state.v.T))
     loss_after = oracle.loss_at(u1 @ (s1 @ state.v.T))
     return loss_before, loss_after
@@ -457,6 +450,8 @@ def _integrate_dense(problem: OdeProblem, h: float, steps: int) -> Matrix:
 
 
 def _steps_for(h: float, t_end: float) -> int:
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
     ratio = t_end / h
     if not math.isfinite(ratio):
         raise ValueError(f"step size {h} gives a step count {ratio} for t_end {t_end}")
@@ -499,18 +494,13 @@ def ode_error_study(
         steps = _steps_for(h, t_end)
         if integrator == "full":
             w = _integrate_dense(problem, h, steps)
-            err = float(np.linalg.norm(w - w_ref))
         else:
-            stepper = STEPPERS[integrator]
-            cfg = StepConfig(
-                h=h,
-                substeps=cfg_template.substeps if cfg_template else 1,
-                policy=cfg_template.policy if cfg_template else None,
-            )
+            cfg = replace(cfg_template, h=h) if cfg_template else StepConfig(h=h)
             states = [problem.y0]
             for _ in range(steps):
-                states = stepper(states, problem.oracle, cfg)
-            err = float(np.linalg.norm(states[0].densify() - w_ref))
+                states = STEPPERS[integrator](states, problem.oracle, cfg)
+            w = states[0].densify()
+        err = float(np.linalg.norm(w - w_ref))
         if not np.isfinite(err):
             raise NumericError(f"non-finite error at h={h}: a flow diverged")
         rows.append((float(h), err))

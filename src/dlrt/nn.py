@@ -16,12 +16,11 @@ from the first pass.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .integrators import INTEGRATOR_NAMES, STEPPERS, Gradient, GradientOracle, StepConfig
+from .integrators import INTEGRATOR_NAMES, STEPPERS, GradientOracle, StepConfig
 from .linalg import DimensionError, Matrix, NumericError, as_matrix
 from .lowrank import LowRankState, _gram_svd
 
@@ -124,10 +123,6 @@ class Network:
     def in_dim(self) -> int:
         return self.layers[0].in_dim
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
     def ranks(self) -> list:
         return [l.rank for l in self.layers if isinstance(l, LowRankLayer)]
 
@@ -202,10 +197,10 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
 #
 # Internally every layer is viewed as w = a @ b.T; a dense layer is a = w
 # with no right factor (b = None), so its pass skips the x @ b product. The
-# tape keeps each layer's input, the forward pass's x @ b and the
-# pre-activation gradient, so that backward can contract gradients against
-# whatever factor the active integrator phase needs, without ever forming
-# delta.T @ x in full.
+# tape keeps each layer's input, the forward pass's x @ b, the
+# pre-activation and its gradient, so that backward can contract gradients
+# against whatever factor the active integrator phase needs, without ever
+# forming delta.T @ x in full.
 
 
 class _Repr(NamedTuple):
@@ -215,11 +210,28 @@ class _Repr(NamedTuple):
     activation: str
 
 
-class _Tape(NamedTuple):
+@dataclass
+class _Tape:
+    """One layer's record of one pass; its ``right`` and ``left`` make it
+    the gradient handle of the layer's weight."""
+
     x: Matrix  # layer input, batch x in_dim
-    delta: Optional[Matrix]  # grad wrt pre-activation, batch x out_dim
     b: Optional[Matrix]  # the pass's right factor (None for dense)
     xb: Matrix  # x @ b, formed by the forward pass (x itself for dense)
+    z: Matrix  # pre-activation, batch x out_dim
+    delta: Optional[Matrix] = None  # grad wrt pre-activation, batch x out_dim
+
+    def right(self, basis: Matrix) -> Matrix:
+        # (delta.T @ x) @ basis without forming the full gradient; at the
+        # pass's own right factor, x @ basis is the forward pass's product
+        xb = self.xb if basis is self.b else self.x @ basis
+        return self.delta.T @ xb
+
+    def left(self, basis: Matrix) -> Matrix:
+        return self.x.T @ (self.delta @ basis)
+
+    def bias_grad(self) -> np.ndarray:
+        return self.delta.sum(axis=0)
 
 
 def _base_repr(layer) -> _Repr:
@@ -229,58 +241,40 @@ def _base_repr(layer) -> _Repr:
     return _Repr(st.u @ st.s, st.v, layer.bias, layer.activation)
 
 
-def _run_forward(reprs, x, caches=None):
-    # returns the logits; with a list given as caches, appends each layer's
-    # (input, x @ b, pre-activation) for backward. Evaluation passes none,
-    # so no layer's arrays outlive the next layer: holding them made the
-    # allocator fault fresh pages for every 512-row chunk, about 30% of a
-    # paper-net evaluation's time
+def _run_forward(reprs, x, tapes=None):
+    # returns the logits; with a list given as tapes, appends each layer's
+    # tape for backward. Evaluation passes none, so no layer's arrays
+    # outlive the next layer: holding them made the allocator fault fresh
+    # pages for every 512-row chunk, about 30% of a paper-net evaluation's
+    # time
     cur = x
     for rep in reprs:
         xb = cur if rep.b is None else cur @ rep.b
         z = xb @ rep.a.T + rep.bias
-        if caches is not None:
-            caches.append((cur, xb, z))
+        if tapes is not None:
+            tapes.append(_Tape(cur, rep.b, xb, z))
         cur = np.maximum(z, 0.0) if rep.activation == "relu" else z
     if not np.isfinite(cur).all():
         raise NumericError("non-finite activation in forward pass")
     return cur
 
 
-def _run_backward(reprs, caches, dlogits):
-    tapes = [None] * len(reprs)
+def _run_backward(reprs, tapes, dlogits) -> None:
+    # fills in each tape's pre-activation gradient
     d = dlogits
     for idx in range(len(reprs) - 1, -1, -1):
-        rep = reprs[idx]
-        x_in, xb, z = caches[idx]
-        dz = d * (z > 0.0) if rep.activation == "relu" else d
-        tapes[idx] = _Tape(x_in, dz, rep.b, xb)
+        rep, tape = reprs[idx], tapes[idx]
+        tape.delta = d * (tape.z > 0.0) if rep.activation == "relu" else d
         if idx > 0:
-            d = dz @ rep.a
+            d = tape.delta @ rep.a
             if rep.b is not None:
                 d = d @ rep.b.T
-    return tapes
-
-
-def _g_right(tape: _Tape, basis: Matrix) -> Matrix:
-    # (delta.T @ x) @ basis without forming the full gradient; at the pass's
-    # own right factor, x @ basis is the forward pass's product
-    xb = tape.xb if basis is tape.b else tape.x @ basis
-    return tape.delta.T @ xb
-
-
-def _g_left(tape: _Tape, basis: Matrix) -> Matrix:
-    return tape.x.T @ (tape.delta @ basis)
-
-
-def _g_bias(tape: _Tape) -> np.ndarray:
-    return tape.delta.sum(axis=0)
 
 
 class _Cache(NamedTuple):
     net: "Network"
     reprs: list
-    layer_caches: list
+    tapes: list
 
 
 def _net_input(net: Network, x) -> Matrix:
@@ -296,9 +290,9 @@ def forward(net: Network, x_batch) -> tuple:
     """Batch forward pass. Returns (logits, cache) with cache for backward."""
     x = _net_input(net, x_batch)
     reprs = [_base_repr(layer) for layer in net.layers]
-    caches = []
-    logits = _run_forward(reprs, x, caches)
-    return logits, _Cache(net, reprs, caches)
+    tapes = []
+    logits = _run_forward(reprs, x, tapes)
+    return logits, _Cache(net, reprs, tapes)
 
 
 def softmax_cross_entropy(logits, labels) -> tuple:
@@ -333,21 +327,21 @@ def backward(net: Network, cache: _Cache, dlogits) -> BatchGrad:
     if cache.net is not net:
         raise ValueError("stale cache: forward ran on a different network")
     dlogits = as_matrix(dlogits, "dlogits")
-    tapes = _run_backward(cache.reprs, cache.layer_caches, dlogits)
+    _run_backward(cache.reprs, cache.tapes, dlogits)
     weights = []
     biases = []
-    for layer, tape in zip(net.layers, tapes):
+    for layer, tape in zip(net.layers, cache.tapes):
         if isinstance(layer, DenseLayer):
             entry = DenseGrad(tape.delta.T @ tape.x)
             finite = np.isfinite(entry.g).all()
         else:
             st = layer.state
-            entry = LowRankGrad(_g_right(tape, st.v), _g_left(tape, st.u))
+            entry = LowRankGrad(tape.right(st.v), tape.left(st.u))
             finite = np.isfinite(entry.g_v).all() and np.isfinite(entry.g_u).all()
         if not finite:
             raise NumericError("non-finite gradient")
         weights.append(entry)
-        biases.append(_g_bias(tape))
+        biases.append(tape.bias_grad())
     return BatchGrad(weights, biases)
 
 
@@ -359,8 +353,8 @@ def _network_oracle(net: Network, x: Matrix, labels, first: list) -> GradientOra
 
     One evaluation sets every low-rank layer to its factor pair (a, b),
     holds dense layers at their weights, and runs one forward/backward
-    pass; it returns one gradient handle per low-rank layer. The first
-    evaluation's (loss, tapes) is appended to ``first``.
+    pass; it returns the low-rank layers' tapes as their gradient handles.
+    The first evaluation's (loss, tapes) is appended to ``first``.
     """
 
     def eval_grads(pairs):
@@ -371,17 +365,13 @@ def _network_oracle(net: Network, x: Matrix, labels, first: list) -> GradientOra
             else _base_repr(layer)
             for layer in net.layers
         ]
-        caches = []
-        logits = _run_forward(reprs, x, caches)
+        tapes = []
+        logits = _run_forward(reprs, x, tapes)
         loss, dlogits = softmax_cross_entropy(logits, labels)
-        tapes = _run_backward(reprs, caches, dlogits)
+        _run_backward(reprs, tapes, dlogits)
         if not first:
             first.append((loss, tapes))
-        return [
-            Gradient(partial(_g_right, tape), partial(_g_left, tape))
-            for layer, tape in zip(net.layers, tapes)
-            if isinstance(layer, LowRankLayer)
-        ]
+        return [tape for layer, tape in zip(net.layers, tapes) if isinstance(layer, LowRankLayer)]
 
     return GradientOracle(eval_grads=eval_grads)
 
@@ -414,7 +404,7 @@ def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
     states = iter(states)
     new_layers = []
     for layer, tape in zip(net.layers, tapes):
-        bias = layer.bias - h * _g_bias(tape)
+        bias = layer.bias - h * tape.bias_grad()
         if isinstance(layer, DenseLayer):
             w = layer.w - h * (tape.delta.T @ tape.x)
             new_layers.append(DenseLayer(w, bias, layer.activation))
@@ -431,6 +421,8 @@ def evaluate(net: Network, dataset, chunk: int = 512) -> float:
         images, labels = dataset
     labels = np.asarray(labels)
     n = images.shape[0]
+    if labels.shape != (n,):
+        raise DimensionError("labels must be one integer per image")
     if n == 0:
         raise ValueError("empty dataset")
     hits = 0

@@ -90,3 +90,29 @@ def test_failed_save_keeps_previous_file(tmp_path):
         save_network(path, net)
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["net.dlrt"]
+
+
+def layer_file(path, kind, dims, payload=b""):
+    """A one-layer checkpoint with the given header dims (identity activation)."""
+    words = [2, 1, kind, 1, *dims]
+    path.write_bytes(MAGIC + b"".join(w.to_bytes(4, "little") for w in words) + payload)
+    return path
+
+
+@pytest.mark.parametrize("kind, dims", [
+    (0, (0, 0)), (0, (3, 0)), (1, (0, 4, 1)), (1, (4, 3, 0)),
+])
+def test_zero_dim_or_rank_rejected(tmp_path, kind, dims):
+    # a dense 0 x 0 layer loaded as an empty layer
+    with pytest.raises(CheckpointError, match="zero dim"):
+        load_network(layer_file(tmp_path / "zero.dlrt", kind, dims))
+
+
+@pytest.mark.parametrize("kind, dims", [
+    (0, (0xFFFFFFFF, 0xFFFFFFFF)), (1, (0xFFFFFFFF,) * 3),
+])
+def test_payload_larger_than_file_rejected(tmp_path, kind, dims):
+    # 0xFFFFFFFF dims raised OverflowError; the check reads no payload
+    path = layer_file(tmp_path / "big.dlrt", kind, dims, payload=b"\x00" * 64)
+    with pytest.raises(CheckpointError, match="payload"):
+        load_network(path)

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import re
 
@@ -623,6 +624,22 @@ def test_empty_split_exits_io(command, empty, empty_split_dirs, tmp_path, caplog
     args = train_args(empty_split_dirs[empty], tmp_path, "--epochs", "1")
     assert main([command, *args[1:]]) == EXIT_IO
     assert f"{empty} split" in caplog.text
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda gz: gz[:-12],  # truncated: EOFError
+    lambda gz: gz[:10] + b"\xff" + gz[11:],  # reserved deflate block type: zlib.error
+])
+def test_corrupt_gzip_exits_io(corrupt, data_dir, tmp_path_factory, tmp_path, caplog):
+    root = tmp_path_factory.mktemp("corrupt-gz")
+    for f in data_dir.iterdir():
+        (root / f.name).write_bytes(f.read_bytes())
+    images = root / "train-images-idx3-ubyte"
+    (root / "train-images-idx3-ubyte.gz").write_bytes(corrupt(gzip.compress(images.read_bytes())))
+    images.unlink()
+    assert main(train_args(root, tmp_path, "--epochs", "1")) == EXIT_IO
+    assert "corrupt gzip" in caplog.text
     assert not list(tmp_path.iterdir())
 
 

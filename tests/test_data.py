@@ -62,6 +62,18 @@ class TestLoadImages:
         with pytest.raises(DataError):
             load_idx_images(p)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda gz: gz[:-12],  # truncated: EOFError
+        lambda gz: gz[:10] + b"\xff" + gz[11:],  # reserved deflate block type: zlib.error
+        lambda gz: gz[:2] + b"\x09" + gz[3:],  # unknown compression method: BadGzipFile
+    ])
+    def test_corrupt_gzip(self, tmp_path, corrupt):
+        raw = struct.pack(">4I", 0x00000803, 2, 2, 2) + bytes(range(8))
+        p = tmp_path / "img.gz"
+        p.write_bytes(corrupt(gzip.compress(raw)))
+        with pytest.raises(DataError, match="corrupt gzip"):
+            load_idx_images(p)
+
 
 class TestLoadLabels:
     def test_fixture(self, tmp_path):
@@ -104,6 +116,42 @@ class TestRoundTrip:
         write_idx_labels(lp, ds.labels)
         assert ip.read_bytes() == first_i
         assert lp.read_bytes() == first_l
+
+
+class TestWriters:
+    """The writers refuse what a byte cannot hold, and write atomically."""
+
+    @pytest.mark.parametrize("bad", [1.2, -0.1, np.nan, np.inf])
+    def test_pixel_not_a_byte(self, tmp_path, bad):
+        images = np.full((1, 4), 0.5)
+        images[0, 2] = bad
+        with pytest.raises(DataError, match="fit a byte"):
+            write_idx_images(tmp_path / "i", images, rows=2, cols=2)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("bad", [300, -1, 256, np.nan, 2.5])
+    def test_label_not_a_byte(self, tmp_path, bad):
+        with pytest.raises(DataError, match="fit a byte"):
+            write_idx_labels(tmp_path / "l", np.array([3, bad]))
+        assert not list(tmp_path.iterdir())
+
+    def test_byte_edges_round_trip(self, tmp_path):
+        # 255.49 / 255 still rounds to 255, and -0.49 / 255 to 0
+        images = np.array([[0.0, 1.0, -0.49 / 255, 255.49 / 255]])
+        write_idx_images(tmp_path / "i", images, rows=2, cols=2)
+        write_idx_labels(tmp_path / "l", np.array([0, 255]))
+        assert load_idx_images(tmp_path / "i").tolist() == [[0.0, 1.0, 0.0, 1.0]]
+        assert load_idx_labels(tmp_path / "l").tolist() == [0, 255]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        p = tmp_path / "i"
+        images = np.zeros((1, 4))
+        write_idx_images(p, images, rows=2, cols=2)
+        good = p.read_bytes()
+        with pytest.raises(struct.error):  # a negative dim fails the header's pack
+            write_idx_images(p, images, rows=-2, cols=-2)
+        assert p.read_bytes() == good
+        assert [q.name for q in tmp_path.iterdir()] == ["i"]
 
 
 class TestLoadDataset:

@@ -1,7 +1,7 @@
 """The README's CLI reference checked against the code: config keys, flags,
-example commands and exit codes; the one call site of each dense
-factorization in the source, and the one caller of ``svd_thin``; and the
-names the benchmark's tracer wraps."""
+example commands and exit codes; the dlrt names the README cites; the one
+call site of each dense factorization in the source, and the one caller of
+``svd_thin``; and the names the benchmark's tracer wraps."""
 
 import argparse
 import ast
@@ -136,3 +136,17 @@ def test_traced_names_exist():
         module = importlib.import_module(module_name)
         missing = [name for name in names if not callable(getattr(module, name, None))]
         assert not missing, f"{module_name} lacks {missing}"
+
+
+def test_readme_dotted_names_exist():
+    # a backticked `dlrt.<module>.<name>` or `<module>.<name>` in the README
+    # names code that exists, so a refactor cannot leave a stale reference
+    modules = "|".join(p.stem for p in (ROOT / "src" / "dlrt").glob("*.py") if p.stem != "__init__")
+    names = set(re.findall(rf"`(?:dlrt\.)?((?:{modules})(?:\.\w+)+)", README))
+    assert names
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"dlrt.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), f"README names {name}, which does not exist"
+            obj = getattr(obj, attr)

@@ -421,6 +421,15 @@ class TestOdeErrorStudy:
         with pytest.raises(ValueError, match="step count inf"):
             ode_error_study(problem, "full", [0.1], t_end=1e300, ref_h=1e-300)
 
+    @pytest.mark.parametrize("h_list, ref_h", [
+        ([0.0], 0.1), ([-0.1], 0.1), ([float("nan")], 0.1), ([0.1], 0.0),
+    ])
+    def test_rejects_non_positive_step(self, h_list, ref_h):
+        # a zero step divided t_end by zero
+        problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            ode_error_study(problem, "psi", h_list, t_end=1.0, ref_h=ref_h)
+
 
 class TestNonFiniteValues:
     """Steppers do not scan their arrays; a non-finite value still raises

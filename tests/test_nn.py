@@ -41,7 +41,7 @@ def tiny_mixed_net(seed=0):
 def random_batch(net, b, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((b, net.in_dim))
-    labels = rng.integers(0, net.out_dim, size=b)
+    labels = rng.integers(0, net.layers[-1].out_dim, size=b)
     return x, labels
 
 
@@ -317,7 +317,7 @@ class TestBackward:
         pairs = [(l.state.u @ l.state.s, l.state.v) for l in net.layers]
         grads = nn_module._network_oracle(net, x, labels, []).grads(pairs)
         for g, (_, b) in zip(grads, pairs):
-            tape = g.right.args[0]
+            tape = g
             assert tape.b is b and np.array_equal(tape.xb, tape.x @ b)
             assert np.array_equal(g.right(b), tape.delta.T @ (tape.x @ b))
             assert np.array_equal(g.right(b.copy()), g.right(b))
@@ -580,6 +580,14 @@ class TestEvaluate:
         assert evaluate(net, (x, labels), chunk=4) == expected
         with pytest.raises(DimensionError):
             evaluate(net, (np.zeros((2, 5)), np.zeros(2, dtype=int)))
+
+    @pytest.mark.parametrize("labels", [np.zeros((4, 1), dtype=int), np.array([0])])
+    def test_rejects_labels_not_one_per_image(self, labels):
+        # broadcast against the predictions, a column counted 4 hits per
+        # row and a single label was compared with every row
+        net = Network([DenseLayer(np.zeros((3, 2)), np.zeros(3), "identity")])
+        with pytest.raises(DimensionError, match="one integer per image"):
+            evaluate(net, (np.ones((4, 2)), labels))
 
 
 class TestNetworkCheckpoint:
