@@ -26,7 +26,6 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .linalg import DimensionError
 from .lowrank import LowRankState
 
 __all__ = [
@@ -166,7 +165,7 @@ def load_network(path):
             elif kind == _KIND_LOWRANK:
                 m, n, r = _read_dims(fh, 3)
                 if r > min(m, n):
-                    raise DimensionError(f"checkpoint rank {r} exceeds min({m},{n})")
+                    raise CheckpointError(f"checkpoint rank {r} exceeds min({m},{n})")
                 _check_payload(fh, (m + n + r) * r + m)
                 u = _read_matrix(fh, m, r)
                 s = _read_matrix(fh, r, r)

@@ -128,12 +128,12 @@ class RunConfig:
             raise ConfigError("arch needs >= 2 positive layer widths")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.tau < 0:
-            raise ConfigError("tau must be >= 0")
-        if self.rank < 1 or self.r_min < 1:
-            raise ConfigError("rank and r_min must be >= 1")
-        if self.r_max is not None and self.r_max < self.r_min:
-            raise ConfigError("r_max must be >= r_min")
+        if self.rank < 1:
+            raise ConfigError("rank must be >= 1")
+        try:  # tau, r_min and r_max follow the policy's own rules
+            self.policy(self.rank)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -181,7 +181,7 @@ class RunConfig:
 _DEFAULTS = RunConfig()
 # settings only some integrators read: the truncation policy (abc-psi) and
 # the factored layers' initial rank and substeps (every low-rank integrator)
-_POLICY_FIELDS = ("tau", "r_min", "r_max")
+_POLICY_FIELDS = tuple(f.name for f in fields(TruncationPolicy))
 _LOWRANK_FIELDS = ("rank", "substeps")
 
 

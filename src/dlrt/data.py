@@ -109,11 +109,13 @@ def _check_bytes(values: np.ndarray, what: str) -> None:
 def write_idx_images(path, images: np.ndarray, rows: int, cols: int) -> None:
     """Inverse of load_idx_images; [0,1] floats round back to bytes.
 
-    Raises ``DataError`` for a pixel that is NaN or rounds outside
-    [0, 255] after scaling by 255. The file is written through
-    ``atomic_write``.
+    Raises ``DataError`` for ``rows`` or ``cols`` below 1 and for a pixel
+    that is NaN or rounds outside [0, 255] after scaling by 255. The file
+    is written through ``atomic_write``.
     """
     count = images.shape[0]
+    if rows < 1 or cols < 1:
+        raise DataError(f"image dims must be >= 1, got {rows} x {cols}")
     if images.shape[1] != rows * cols:
         raise DataError(f"images have {images.shape[1]} pixels, expected {rows * cols}")
     body = np.rint(np.asarray(images) * 255.0)

@@ -342,8 +342,8 @@ def s_step_loss_delta_psi(
     Runs only the K sweep and the single-step S sweep of ``psi_step``,
     evaluating the loss at u1 @ s @ v0.T on both sides.  The S sweep
     integrates against the descent direction, so the returned delta is
-    non-negative to leading order (about h times the squared norm of the
-    projected gradient).
+    non-negative to leading order (about h times the square of the
+    projected gradient's norm).
     """
     if oracle.loss is None:
         raise ValueError("s_step_loss_delta_psi requires the oracle's loss form")

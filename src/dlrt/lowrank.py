@@ -84,22 +84,22 @@ class LowRankState:
 class TruncationPolicy:
     """Controls how many singular values survive a truncation.
 
-    ``tau`` is the relative tail tolerance; the retained rank is clamped
-    into [r_min, r_max].  ``squared`` switches the tail criterion from the
-    tail norm to the sum of squared singular values (kept available for
-    comparison; the norm-ratio criterion is the default).
+    ``tau`` is the relative tail tolerance, finite and >= 0: the smallest
+    rank r with ||sigma[r:]|| <= tau * ||sigma|| is kept, clamped into
+    [r_min, r_max].
     """
 
     tau: float
     r_max: int
     r_min: int = 2
-    squared: bool = False
 
     def __post_init__(self):
-        if not self.tau >= 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if not (1 <= self.r_min <= self.r_max):
-            raise ValueError(f"need 1 <= r_min <= r_max, got [{self.r_min}, {self.r_max}]")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        if self.r_min < 1:
+            raise ValueError(f"r_min must be >= 1, got {self.r_min}")
+        if self.r_max < self.r_min:
+            raise ValueError(f"r_max must be >= r_min, got {self.r_max} < {self.r_min}")
 
 
 def init_lowrank(m: int, n: int, r: int, seed: int) -> LowRankState:
@@ -133,29 +133,20 @@ def tangent_project(state: LowRankState, g) -> Matrix:
 
 
 def truncation_rank(sigma, policy: TruncationPolicy) -> int:
-    """Smallest rank whose discarded tail passes the policy's criterion.
-
-    Default criterion: ||sigma[r:]|| <= tau * ||sigma||.  With
-    ``policy.squared`` the tail is compared as a sum of squares instead.
-    The result is clamped into [r_min, min(r_max, len(sigma))].
-    """
+    """Smallest rank r with ||sigma[r:]|| <= tau * ||sigma||, clamped into
+    [r_min, min(r_max, len(sigma))]."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1 or sigma.size == 0:
         raise DimensionError("sigma must be a non-empty 1-D vector")
-    if not np.isfinite(sigma).all():
-        raise NumericError("sigma contains non-finite entries")
     q = sigma.size
     sq = sigma * sigma
     # tail_sq[r] = sum of squares of sigma[r:], computed back to front
     tail_sq = np.zeros(q + 1)
     tail_sq[:q] = np.cumsum(sq[::-1])[::-1]
-    threshold = policy.tau * math.sqrt(tail_sq[0])
-    if policy.squared:
-        admissible = tail_sq[1:] < threshold
-    else:
-        admissible = np.sqrt(tail_sq[1:]) <= threshold
-    # smallest r in [1, q]; the all-kept choice r = q always qualifies
-    r = 1 + int(np.argmax(admissible)) if admissible.any() else q
+    if not math.isfinite(tail_sq[0]):  # a NaN or inf entry, or squares past float range
+        raise NumericError(f"sigma's sum of squares is {tail_sq[0]}")
+    # smallest r in [1, q]; the empty tail at r = q passes a finite threshold
+    r = 1 + int(np.argmax(np.sqrt(tail_sq[1:]) <= policy.tau * math.sqrt(tail_sq[0])))
     hi = min(policy.r_max, q)
     lo = min(policy.r_min, hi)
     return min(max(r, lo), hi)
@@ -246,12 +237,11 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
 
     def tail_clear_of_rounding(lam):
         total = lam.sum()
-        # the bound truncation_rank compares the squared tail against; every
-        # tau >= 1 passes the guard for a nonzero l1, so tau is clamped at 1,
-        # where tau**2 cannot overflow
+        # tau**2 * total bounds the tail's sum of squares in truncation_rank;
+        # every tau >= 1 passes the guard for a nonzero l1, so tau is clamped
+        # at 1, where tau**2 cannot overflow
         tau = min(policy.tau, 1.0)
-        tail_limit = tau * math.sqrt(total) if policy.squared else tau**2 * total
-        return tail_limit > GRAM_TAIL_MARGIN * lam.size * _EPS * lam[0]
+        return tau**2 * total > GRAM_TAIL_MARGIN * lam.size * _EPS * lam[0]
 
     p_r, sigma_r, q_r = _gram_svd(
         l1, partial(truncation_rank, policy=policy), tail_clear_of_rounding

@@ -57,8 +57,7 @@ class LayerSpec:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("layer dims must be positive")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        _check_activation(self.activation)
         if self.kind == "lowrank":
             if self.initial_rank is None:
                 raise ValueError("lowrank layer needs initial_rank")
@@ -68,11 +67,19 @@ class LayerSpec:
             raise ValueError("dense layer takes no initial_rank")
 
 
+def _check_activation(name: str) -> None:
+    if name not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+
+
 @dataclass
 class DenseLayer:
     w: Matrix  # out_dim x in_dim
     bias: np.ndarray
     activation: str = "relu"
+
+    def __post_init__(self):
+        _check_activation(self.activation)
 
     @property
     def in_dim(self) -> int:
@@ -91,6 +98,9 @@ class LowRankLayer:
     state: LowRankState  # u: out_dim x r, v: in_dim x r
     bias: np.ndarray
     activation: str = "relu"
+
+    def __post_init__(self):
+        _check_activation(self.activation)
 
     @property
     def in_dim(self) -> int:
@@ -414,7 +424,10 @@ def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
 
 
 def evaluate(net: Network, dataset, chunk: int = 512) -> float:
-    """Argmax accuracy over a dataset; ties resolve to the lowest class."""
+    """Argmax accuracy over a dataset, ``chunk`` rows (>= 1) per pass; ties
+    resolve to the lowest class."""
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if hasattr(dataset, "images"):
         images, labels = dataset.images, dataset.labels
     else:

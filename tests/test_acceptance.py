@@ -168,11 +168,7 @@ def brute_force_rank(sigma, policy):
     total = float(np.linalg.norm(sigma))
     chosen = q
     for r in range(1, q + 1):
-        if policy.squared:
-            ok = float(np.sum(sigma[r:] ** 2)) < policy.tau * total
-        else:
-            ok = float(np.linalg.norm(sigma[r:])) <= policy.tau * total
-        if ok:
+        if float(np.linalg.norm(sigma[r:])) <= policy.tau * total:
             chosen = r
             break
     hi = min(policy.r_max, q)
@@ -192,7 +188,6 @@ def test_criterion_06_truncation_rank_oracle():
             tau=float(rng.choice([0.0, 1e-6, 1e-3, 0.05, 0.3])),
             r_max=r_max,
             r_min=int(rng.integers(1, min(5, r_max + 1))),
-            squared=bool(rng.integers(0, 2)),
         )
         if truncation_rank(sigma, policy) != brute_force_rank(sigma, policy):
             mismatches += 1

@@ -92,11 +92,15 @@ def test_failed_save_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["net.dlrt"]
 
 
-def layer_file(path, kind, dims, payload=b""):
-    """A one-layer checkpoint with the given header dims (identity activation)."""
-    words = [2, 1, kind, 1, *dims]
+def header_file(path, words, payload=b""):
+    """MAGIC, then the given u32 words, then ``payload``."""
     path.write_bytes(MAGIC + b"".join(w.to_bytes(4, "little") for w in words) + payload)
     return path
+
+
+def layer_file(path, kind, dims, payload=b""):
+    """A one-layer checkpoint with the given header dims (identity activation)."""
+    return header_file(path, [2, 1, kind, 1, *dims], payload)
 
 
 @pytest.mark.parametrize("kind, dims", [
@@ -116,3 +120,16 @@ def test_payload_larger_than_file_rejected(tmp_path, kind, dims):
     path = layer_file(tmp_path / "big.dlrt", kind, dims, payload=b"\x00" * 64)
     with pytest.raises(CheckpointError, match="payload"):
         load_network(path)
+
+
+@pytest.mark.parametrize("words, match", [
+    ([1, 1], "unsupported version 1"),
+    ([3, 1], "unsupported version 3"),
+    ([2, 1, 0, 2, 1, 1], "unknown activation code 2"),
+    ([2, 1, 2, 1, 1, 1], "unknown layer kind 2"),
+    ([2, 1, 1, 1, 4, 3, 4], r"rank 4 exceeds min\(4,3\)"),
+], ids=["version-1", "version-3", "activation", "kind", "rank"])
+def test_bad_header_is_checkpoint_error(tmp_path, words, match):
+    # a rank above min(m, n) raised DimensionError
+    with pytest.raises(CheckpointError, match=match):
+        load_network(header_file(tmp_path / "bad.dlrt", words))

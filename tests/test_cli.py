@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dlrt.cli
 from dlrt.checkpoint import load_network
 from dlrt.cli import (
     EXIT_CONFIG,
@@ -24,6 +25,7 @@ from dlrt.cli import (
     write_json,
 )
 from dlrt.data import Dataset, load_dataset, write_idx_images, write_idx_labels
+from dlrt.integrators import abc_psi_step
 from dlrt.lowrank import compression_rate
 from dlrt.nn import evaluate
 
@@ -102,6 +104,34 @@ class TestRunConfig:
         # one rule for library callers, config files and flags alike
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"tau": -0.5}, "tau must be finite and >= 0"),
+        ({"r_min": 0}, "r_min must be >= 1"),
+        ({"r_min": 4, "r_max": 3}, "r_max must be >= r_min"),
+        ({"rank": 0}, "rank must be >= 1"),
+    ])
+    def test_policy_settings_follow_the_policy(self, settings, message):
+        # tau, r_min and r_max are checked by TruncationPolicy itself
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            RunConfig(**settings).validate()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config file"),
+        ("{\"lr\": 0.5", "config file is not valid JSON"),
+        ("[1, 2]", "config file must hold a JSON object"),
+    ], ids=["unreadable", "invalid-json", "list"])
+    def test_bad_config_file_exits_config(self, content, message, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        out = tmp_path / "out"
+        out.mkdir()
+        args = ["descent-audit", "--config", str(cfg), "--out-dir", str(out),
+                "--dims", "8,6", "--target-rank", "2", "--steps", "5"]
+        assert main(args) == EXIT_CONFIG
+        assert message in caplog.text
+        assert not list(out.iterdir())
 
     def test_list_fits_a_tuple_field(self):
         assert RunConfig(arch=[3, 4]).validate().arch == [3, 4]
@@ -439,6 +469,27 @@ class TestDescentAudit:
             list(tmp_path.glob("descent-audit-*.json"))[0].read_text()
         )
         assert summary["h_within_guarantee"] is False
+
+    @pytest.mark.parametrize("lr, code", [("0.5", EXIT_VIOLATION), ("2.5", EXIT_OK)])
+    def test_violations_exit_only_within_guarantee(self, lr, code, tmp_path, monkeypatch):
+        # a step that reports its flow loss raised by 1 violates the
+        # descent inequality; only a step size within 2/c_l makes that fatal
+        def raised_flow_loss(states, oracle, cfg, audit=None):
+            states = abc_psi_step(states, oracle, cfg, audit=audit)
+            audit.loss_flow += 1.0
+            return states
+
+        monkeypatch.setattr(dlrt.cli, "abc_psi_step", raised_flow_loss)
+        steps = 12
+        assert main([
+            "descent-audit", "--out-dir", str(tmp_path), "--dims", "14,11",
+            "--target-rank", "4", "--lr", lr, "--steps", str(steps),
+        ]) == code
+        (summary,) = tmp_path.glob("descent-audit-*.json")
+        assert json.loads(summary.read_text())["violations"] == steps
+        (table,) = tmp_path.glob("descent-audit-*.csv")
+        rows = list(csv.DictReader(table.read_text().splitlines()[1:]))
+        assert [row["violated"] for row in rows] == ["1"] * steps
 
     def test_negative_seed_rejected(self, tmp_path):
         code = main([

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+import dlrt.data
 from dlrt.data import (
     DataError,
     Dataset,
@@ -143,15 +144,28 @@ class TestWriters:
         assert load_idx_images(tmp_path / "i").tolist() == [[0.0, 1.0, 0.0, 1.0]]
         assert load_idx_labels(tmp_path / "l").tolist() == [0, 255]
 
-    def test_failed_write_keeps_previous_file(self, tmp_path):
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         p = tmp_path / "i"
         images = np.zeros((1, 4))
         write_idx_images(p, images, rows=2, cols=2)
         good = p.read_bytes()
-        with pytest.raises(struct.error):  # a negative dim fails the header's pack
-            write_idx_images(p, images, rows=-2, cols=-2)
+
+        def failing_pack(*args):
+            raise struct.error("pack failed")
+
+        monkeypatch.setattr(dlrt.data.struct, "pack", failing_pack)  # fails inside the write
+        with pytest.raises(struct.error, match="pack failed"):
+            write_idx_images(p, images, rows=2, cols=2)
         assert p.read_bytes() == good
         assert [q.name for q in tmp_path.iterdir()] == ["i"]
+
+    @pytest.mark.parametrize("rows, cols", [(-2, -2), (-1, -4), (0, 4), (4, 0)])
+    def test_dims_below_one_rejected(self, tmp_path, rows, cols):
+        # rows = cols = -2 passed the width check and failed in struct.pack
+        p = tmp_path / "i"
+        with pytest.raises(DataError, match="image dims must be >= 1"):
+            write_idx_images(p, np.zeros((1, abs(rows * cols))), rows=rows, cols=cols)
+        assert not p.exists()
 
 
 class TestLoadDataset:

@@ -30,11 +30,7 @@ def brute_force_rank(sigma, policy):
     chosen = q
     for r in range(1, q + 1):
         tail = sigma[r:]
-        if policy.squared:
-            ok = float(np.sum(tail**2)) < policy.tau * total
-        else:
-            ok = float(np.sqrt(np.sum(tail**2))) <= policy.tau * total
-        if ok:
+        if float(np.sqrt(np.sum(tail**2))) <= policy.tau * total:
             chosen = r
             break
     hi = min(policy.r_max, q)
@@ -150,8 +146,7 @@ class TestTruncationRank:
             tau = float(rng.choice([0.0, 1e-6, 0.01, 0.1, 0.3, 0.9, 1.0]))
             r_min = int(rng.integers(1, q + 2))
             r_max = int(rng.integers(r_min, q + 3))
-            squared = bool(rng.integers(0, 2))
-            policy = TruncationPolicy(tau=tau, r_max=r_max, r_min=r_min, squared=squared)
+            policy = TruncationPolicy(tau=tau, r_max=r_max, r_min=r_min)
             assert truncation_rank(sigma, policy) == brute_force_rank(sigma, policy)
 
 
@@ -199,11 +194,10 @@ class TestTruncateState:
         assert np.array_equal(s, np.diag(np.diagonal(s)))
 
     @pytest.mark.parametrize("tau", [1e150, 1e300])
-    @pytest.mark.parametrize("squared", [False, True])
-    def test_huge_tau_keeps_r_min(self, tau, squared):
+    def test_huge_tau_keeps_r_min(self, tau):
         # tau**2 overflows a float from about 1.3e154 on; every value is tail
         u_hat, l1 = conditioned(30, 8, np.linspace(1.0, 0.5, 8), seed=19)
-        policy = TruncationPolicy(tau=tau, r_max=8, r_min=3, squared=squared)
+        policy = TruncationPolicy(tau=tau, r_max=8, r_min=3)
         u, s, v = truncate_state(u_hat, l1, policy)
         assert s.shape == (3, 3)
         LowRankState(u, s, v).validate()
@@ -407,6 +401,63 @@ class TestPolicy:
     def test_nan_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
             TruncationPolicy(tau=float("nan"), r_max=4)
+
+    def test_infinite_tau_rejected(self):
+        # inf * 0 is NaN: an infinite tau kept all of a zero spectrum but
+        # one value of a nonzero one
+        with pytest.raises(ValueError, match="tau must be finite"):
+            TruncationPolicy(tau=float("inf"), r_max=4, r_min=1)
+
+    @pytest.mark.parametrize("r_min, r_max, match", [
+        (0, 4, "r_min must be >= 1"), (-1, 4, "r_min must be >= 1"), (3, 2, "r_max must be >= r_min"),
+    ])
+    def test_rank_bounds_named(self, r_min, r_max, match):
+        with pytest.raises(ValueError, match=match):
+            TruncationPolicy(tau=0.1, r_max=r_max, r_min=r_min)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [[1.0, np.nan], [np.inf, 1.0], [1e200, 1e200]])
+    def test_non_finite_sum_of_squares_rejected(self, sigma):
+        # squares past float range made every tail pass: (1e200, 1e200) kept rank 1
+        with pytest.raises(NumericError, match="sum of squares"):
+            truncation_rank(sigma, TruncationPolicy(tau=0.1, r_max=2, r_min=1))
+
+
+class TestValidate:
+    """Each contract ``LowRankState.validate`` checks, broken one at a time."""
+
+    @staticmethod
+    def factors():
+        return np.eye(5)[:, :2], np.diag([2.0, 1.0]), np.eye(4)[:, :2]
+
+    def test_inconsistent_shapes(self):
+        u, _, v = self.factors()
+        with pytest.raises(DimensionError, match="factor shapes inconsistent"):
+            LowRankState(u, np.eye(3), v).validate()
+
+    def test_rank_zero(self):
+        with pytest.raises(DimensionError, match=r"rank 0 outside \[1, min\(5,4\)\]"):
+            LowRankState(np.zeros((5, 0)), np.zeros((0, 0)), np.zeros((4, 0))).validate()
+
+    @pytest.mark.parametrize("name", ["u", "v"])
+    def test_non_finite_basis(self, name):
+        u, s, v = self.factors()
+        (u if name == "u" else v)[1, 1] = np.nan
+        with pytest.raises(NumericError, match=f"{name} contains non-finite entries"):
+            LowRankState(u, s, v).validate()
+
+    @pytest.mark.parametrize("name", ["u", "v"])
+    def test_basis_not_orthonormal(self, name):
+        u, s, v = self.factors()
+        (u if name == "u" else v)[0, 0] = 1.0 + 1e-8
+        with pytest.raises(NumericError, match=f"{name} columns not orthonormal"):
+            LowRankState(u, s, v).validate()
+
+    def test_non_finite_core(self):
+        u, s, v = self.factors()
+        s[0, 1] = np.inf
+        with pytest.raises(NumericError, match="s contains non-finite entries"):
+            LowRankState(u, s, v).validate()
 
 
 @settings(max_examples=40, deadline=None)

@@ -70,6 +70,22 @@ class TestLayerSpec:
         assert all(s.kind == "dense" for s in specs)
 
 
+class TestLayerActivation:
+    """A layer refuses an activation it cannot apply; an unknown name ran as
+    the identity."""
+
+    @pytest.mark.parametrize("name", ["tanh", "Relu", ""])
+    def test_dense_rejects_unknown(self, name):
+        with pytest.raises(ValueError, match="unknown activation"):
+            DenseLayer(np.eye(2), np.zeros(2), name)
+
+    @pytest.mark.parametrize("name", ["tanh", "Relu", ""])
+    def test_lowrank_rejects_unknown(self, name):
+        state = LowRankState(np.eye(3)[:, :1], np.eye(1), np.eye(2)[:, :1])
+        with pytest.raises(ValueError, match="unknown activation"):
+            LowRankLayer(state, np.zeros(3), name)
+
+
 class TestBuildNetwork:
     def test_deterministic(self):
         a = build_network(mlp_specs([6, 5, 3], initial_rank=2), seed=1)
@@ -588,6 +604,13 @@ class TestEvaluate:
         net = Network([DenseLayer(np.zeros((3, 2)), np.zeros(3), "identity")])
         with pytest.raises(DimensionError, match="one integer per image"):
             evaluate(net, (np.ones((4, 2)), labels))
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_rejects_chunk_below_one(self, chunk):
+        # chunk -1 returned accuracy 0.0 and chunk 0 failed inside range
+        net = Network([DenseLayer(np.eye(2), np.zeros(2), "identity")])
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            evaluate(net, (np.eye(2), np.array([0, 1])), chunk=chunk)
 
 
 class TestNetworkCheckpoint:
