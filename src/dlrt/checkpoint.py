@@ -27,6 +27,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .lowrank import LowRankState
+from .nn import DenseLayer, LowRankLayer, Network
 
 __all__ = [
     "CheckpointError",
@@ -83,14 +84,17 @@ def _check_payload(fh: BinaryIO, floats: int) -> None:
 
 
 def _read_header(fh: BinaryIO) -> int:
-    """Check magic and version; returns the layer count."""
+    """Check magic and version; returns the layer count, at least 1."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
     version = _read_u32(fh)
     if version != VERSION:
         raise CheckpointError(f"unsupported version {version}, expected {VERSION}")
-    return _read_u32(fh)
+    count = _read_u32(fh)
+    if count == 0:
+        raise CheckpointError("checkpoint holds no layers")
+    return count
 
 
 @contextmanager
@@ -117,8 +121,6 @@ _ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
 
 def save_network(path, net) -> None:
     """Write a whole network, weights plus biases, through ``atomic_write``."""
-    from .nn import DenseLayer
-
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         _write_u32(fh, VERSION)
@@ -145,8 +147,6 @@ def save_network(path, net) -> None:
 
 def load_network(path):
     """Read a checkpoint back into a Network."""
-    from .nn import DenseLayer, LowRankLayer, Network
-
     with open(path, "rb") as fh:
         count = _read_header(fh)
         layers = []

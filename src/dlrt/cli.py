@@ -37,7 +37,7 @@ from .integrators import (
 )
 from .linalg import NumericError
 from .lowrank import TruncationPolicy, compression_rate, param_count
-from .nn import LowRankLayer, build_network, mlp_specs, softmax_cross_entropy, train_step
+from .nn import build_network, mlp_specs, softmax_cross_entropy, train_step
 from .nn import _chunk_logits, evaluate as net_accuracy
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -281,11 +281,7 @@ class _Outputs:
 def _layer_triples(net) -> list:
     """(in_dim, out_dim, rank) per layer, rank None for a dense layer: the
     input of ``param_count`` and ``compression_rate``."""
-    return [
-        (layer.in_dim, layer.out_dim,
-         layer.rank if isinstance(layer, LowRankLayer) else None)
-        for layer in net.layers
-    ]
+    return [(l.in_dim, l.out_dim, l.rank) for l in net.layers]
 
 
 def _dataset_loss(net, dataset, chunk=1024) -> float:
@@ -301,7 +297,7 @@ def _divergence(loss, net) -> Optional[str]:
     if not np.isfinite(loss):
         return f"loss {loss}"
     for idx, layer in enumerate(net.layers):
-        weight = layer.state.s if isinstance(layer, LowRankLayer) else layer.w
+        weight = layer.w if layer.rank is None else layer.state.s
         norm = np.linalg.norm(weight)
         if norm > DIVERGENCE_NORM:
             return f"layer {idx} weight norm {norm:.3e} exceeds {DIVERGENCE_NORM:g}"
@@ -342,13 +338,10 @@ def _load_splits(config: RunConfig) -> tuple:
 
 def _run_training(config: RunConfig, integrator: str, seed: int, train, test) -> dict:
     """One training run; returns rows, final net, and status."""
-    if integrator == "full":
-        specs = mlp_specs(list(config.arch))
-    else:
-        specs = mlp_specs(list(config.arch), initial_rank=config.rank)
-    net = build_network(specs, seed=seed)
-    policy = config.policy(config.rank) if integrator != "full" else None
-    cfg = StepConfig(h=config.lr, substeps=config.substeps, policy=policy)
+    rank = None if integrator == "full" else config.rank
+    net = build_network(mlp_specs(config.arch, rank), seed=seed)
+    # only abc-psi reads the policy
+    cfg = StepConfig(h=config.lr, substeps=config.substeps, policy=config.policy(config.rank))
 
     n_lowrank = len(net.ranks())
     columns = (

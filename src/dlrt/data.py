@@ -10,6 +10,7 @@ import gzip
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -145,8 +146,6 @@ _SPLIT_FILES = {
 
 def load_dataset(data_dir, split: str) -> Dataset:
     """Load one split ("train" or "test") from a directory of IDX files."""
-    from pathlib import Path
-
     if split not in _SPLIT_FILES:
         raise ValueError(f"unknown split {split!r}")
     base = Path(data_dir)

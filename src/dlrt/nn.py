@@ -72,14 +72,23 @@ def _check_activation(name: str) -> None:
         raise ValueError(f"unknown activation {name!r}")
 
 
-@dataclass
+def _check_bias(layer) -> None:
+    # a bias of another shape would broadcast in forward, and its
+    # checkpoint could not be read back
+    if np.shape(layer.bias) != (layer.out_dim,):
+        raise DimensionError(f"bias shape {np.shape(layer.bias)}, expected ({layer.out_dim},)")
+
+
+@dataclass(frozen=True, eq=False)
 class DenseLayer:
     w: Matrix  # out_dim x in_dim
     bias: np.ndarray
     activation: str = "relu"
+    rank = None  # not a field: a dense layer is not factored
 
     def __post_init__(self):
         _check_activation(self.activation)
+        _check_bias(self)
 
     @property
     def in_dim(self) -> int:
@@ -93,7 +102,7 @@ class DenseLayer:
         return self.w.copy()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LowRankLayer:
     state: LowRankState  # u: out_dim x r, v: in_dim x r
     bias: np.ndarray
@@ -101,6 +110,7 @@ class LowRankLayer:
 
     def __post_init__(self):
         _check_activation(self.activation)
+        _check_bias(self)
 
     @property
     def in_dim(self) -> int:
@@ -118,11 +128,14 @@ class LowRankLayer:
         return self.state.densify()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Network:
-    layers: list
+    layers: tuple  # any sequence of layers is stored as a tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
+        if not self.layers:
+            raise ValueError("a network needs at least one layer")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise DimensionError(
@@ -134,7 +147,7 @@ class Network:
         return self.layers[0].in_dim
 
     def ranks(self) -> list:
-        return [l.rank for l in self.layers if isinstance(l, LowRankLayer)]
+        return [l.rank for l in self.layers if l.rank is not None]
 
 
 class DenseGrad(NamedTuple):
@@ -146,7 +159,7 @@ class LowRankGrad(NamedTuple):
     g_u: Matrix  # gradient contracted on the left basis, in_dim x r
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BatchGrad:
     """Per-layer loss gradients for one mini-batch, contracted where low-rank."""
 
@@ -315,7 +328,9 @@ def softmax_cross_entropy(logits, labels) -> tuple:
     b, classes = logits.shape
     if labels.shape != (b,):
         raise DimensionError("labels must be one integer per row of logits")
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+    if b == 0:
+        raise ValueError("empty batch")
+    if labels.min() < 0 or labels.max() >= classes:
         raise ValueError(f"labels must lie in [0, {classes})")
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dlrt import checkpoint
 from dlrt.checkpoint import MAGIC, CheckpointError, load_network, save_network
 from dlrt.lowrank import init_lowrank
 from dlrt.nn import DenseLayer, LowRankLayer, Network
@@ -17,7 +18,7 @@ def lowrank_net(*shapes, seed):
 
 def test_round_trip_bit_exact(tmp_path):
     dense = DenseLayer(np.arange(10.0).reshape(2, 5), np.ones(2), "relu")
-    net = Network(lowrank_net((9, 7, 3), (5, 9, 2), seed=0).layers + [dense])
+    net = Network([*lowrank_net((9, 7, 3), (5, 9, 2), seed=0).layers, dense])
     path = tmp_path / "net.dlrt"
     save_network(path, net)
     loaded = load_network(path)
@@ -80,12 +81,13 @@ def test_trailing_bytes_rejected(tmp_path):
         load_network(path)
 
 
-def test_failed_save_keeps_previous_file(tmp_path):
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "net.dlrt"
     net = lowrank_net((6, 5, 2), (4, 6, 2), seed=5)
     save_network(path, net)
     good = path.read_bytes()
-    net.layers[1].activation = "tanh"  # no activation code: fails after layer 0
+    # layer 0's activation has no code: the save fails after the file header
+    monkeypatch.delitem(checkpoint._ACT_CODES, "identity")
     with pytest.raises(KeyError):
         save_network(path, net)
     assert path.read_bytes() == good
@@ -128,8 +130,10 @@ def test_payload_larger_than_file_rejected(tmp_path, kind, dims):
     ([2, 1, 0, 2, 1, 1], "unknown activation code 2"),
     ([2, 1, 2, 1, 1, 1], "unknown layer kind 2"),
     ([2, 1, 1, 1, 4, 3, 4], r"rank 4 exceeds min\(4,3\)"),
-], ids=["version-1", "version-3", "activation", "kind", "rank"])
+    ([2, 0], "no layers"),
+], ids=["version-1", "version-3", "activation", "kind", "rank", "count"])
 def test_bad_header_is_checkpoint_error(tmp_path, words, match):
-    # a rank above min(m, n) raised DimensionError
+    # a rank above min(m, n) raised DimensionError; a file of no layers
+    # loaded as an empty network, which no layer check could catch
     with pytest.raises(CheckpointError, match=match):
         load_network(header_file(tmp_path / "bad.dlrt", words))

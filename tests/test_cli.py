@@ -27,7 +27,7 @@ from dlrt.cli import (
 from dlrt.data import Dataset, load_dataset, write_idx_images, write_idx_labels
 from dlrt.integrators import abc_psi_step
 from dlrt.lowrank import compression_rate
-from dlrt.nn import evaluate
+from dlrt.nn import LayerSpec, build_network, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +305,11 @@ class TestTrain:
         assert lines[1].split(",") == ["epoch", "train_loss", "test_accuracy",
                                        "param_count", "compression_rate"]
         assert float(lines[2].split(",")[-1]) == 0.0
+
+    def test_layer_triples_give_dense_rank_none(self):
+        net = build_network([LayerSpec("lowrank", 4, 3, initial_rank=2),
+                             LayerSpec("dense", 3, 2, "identity")], seed=0)
+        assert dlrt.cli._layer_triples(net) == [(4, 3, 2), (3, 2, None)]
 
 
 class TestCompare:

@@ -1,10 +1,12 @@
 """The README's CLI reference checked against the code: config keys, flags,
 example commands and exit codes; the dlrt names the README cites; the one
 call site of each dense factorization in the source, and the one caller of
-``svd_thin``; and the names the benchmark's tracer wraps."""
+``svd_thin``; module-level imports and frozen dataclasses in the source;
+and the names the benchmark's tracer wraps."""
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import re
 import shlex
@@ -120,6 +122,33 @@ def call_sites(name):
 def test_svd_thin_called_only_by_the_gram_route():
     # gesdd is the Gram route's fallback, so shape and caller never pick it
     assert call_sites("svd_thin") == ["lowrank._gram_svd"]
+
+
+def test_no_import_inside_a_function():
+    # a module's dependencies all show at its top, so an import cycle cannot
+    # hide behind a function-level import
+    found = []
+    for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.stem}.{node.name}" for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not found
+
+
+def test_dataclasses_frozen_but_the_filled_records():
+    # layers, networks, states and settings are values that a step or a
+    # merge replaces; only these two records are filled in place
+    mutable = set()
+    for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"dlrt.{path.stem}")
+        for obj in vars(module).values():
+            if (dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+                    and not obj.__dataclass_params__.frozen):
+                mutable.add(f"{path.stem}.{obj.__name__}")
+    assert mutable == {"integrators.StepAudit", "nn._Tape"}
 
 
 def test_traced_names_exist():

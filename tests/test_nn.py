@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,49 @@ class TestLayerActivation:
         state = LowRankState(np.eye(3)[:, :1], np.eye(1), np.eye(2)[:, :1])
         with pytest.raises(ValueError, match="unknown activation"):
             LowRankLayer(state, np.zeros(3), name)
+
+
+class TestLayerBias:
+    """A layer refuses a bias that is not one value per output; a dense
+    layer broadcast a single value and saved a file it could not load."""
+
+    def test_dense_rejects_short_bias(self):
+        with pytest.raises(DimensionError, match="bias shape"):
+            DenseLayer(np.ones((2, 5)), np.ones(1))
+
+    def test_lowrank_rejects_short_bias(self):
+        state = LowRankState(np.eye(5)[:, :2], np.eye(2), np.eye(4)[:, :2])
+        with pytest.raises(DimensionError, match="bias shape"):
+            LowRankLayer(state, np.zeros(3))
+
+
+class TestImmutableValues:
+    """Layers and networks are values: a step builds new ones, and an
+    assignment cannot skip their construction checks."""
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_layer_fields_frozen(self, index):
+        layer = tiny_mixed_net().layers[index]
+        for f in fields(layer):
+            with pytest.raises(FrozenInstanceError):
+                setattr(layer, f.name, getattr(layer, f.name))
+
+    def test_network_frozen_with_tuple_layers(self):
+        layers = list(tiny_mixed_net().layers)
+        net = Network(layers)
+        assert isinstance(net.layers, tuple)
+        assert net.layers == tuple(layers)
+        with pytest.raises(FrozenInstanceError):
+            net.layers = layers
+
+    def test_dense_rank_is_none(self):
+        net = tiny_mixed_net()
+        assert net.layers[1].rank is None
+        assert net.ranks() == [2]
+
+    def test_empty_network_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            Network([])
 
 
 class TestBuildNetwork:
@@ -240,6 +285,15 @@ class TestSoftmaxCrossEntropy:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+    def test_rejects_empty_batch(self):
+        # the mean over no rows was NaN, so train_step returned a NaN loss
+        # and an unchanged net
+        with pytest.raises(ValueError, match="empty batch"):
+            softmax_cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        net = tiny_mixed_net()
+        with pytest.raises(ValueError, match="empty batch"):
+            train_step(net, (np.zeros((0, 4)), np.zeros(0, dtype=int)), "psi", StepConfig(h=0.1))
 
 
 def fd_dense_gradient(net, layer_idx, x, labels, eps=1e-6):
@@ -491,7 +545,8 @@ class TestTrainStep:
         st = net.layers[1].state
         u = st.u.copy()
         u[2, 0] = np.nan
-        net.layers[1] = LowRankLayer(LowRankState(u, st.s, st.v), net.layers[1].bias)
+        bad = LowRankLayer(LowRankState(u, st.s, st.v), net.layers[1].bias)
+        net = Network([net.layers[0], bad, *net.layers[2:]])
         x, labels = random_batch(net, 8, seed=24)
         policy = TruncationPolicy(tau=0.1, r_max=4, r_min=1)
         with pytest.raises(NumericError):
