@@ -26,6 +26,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from .linalg import DimensionError
 from .lowrank import LowRankState
 from .nn import DenseLayer, LowRankLayer, Network
 
@@ -65,7 +66,7 @@ def _read_matrix(fh: BinaryIO, rows: int, cols: int) -> np.ndarray:
     raw = fh.read(nbytes)
     if len(raw) != nbytes:
         raise CheckpointError(f"truncated checkpoint: expected {nbytes} matrix bytes")
-    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
 
 
 def _read_dims(fh: BinaryIO, count: int) -> tuple:
@@ -176,4 +177,7 @@ def load_network(path):
                 raise CheckpointError(f"unknown layer kind {kind}")
         if fh.read(1):
             raise CheckpointError("trailing bytes after last layer")
+    try:
         return Network(layers)
+    except DimensionError as exc:  # widths that do not chain
+        raise CheckpointError(str(exc)) from exc

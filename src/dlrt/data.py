@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_write
+from .linalg import read_only
 
 __all__ = [
     "DataError",
@@ -37,6 +38,9 @@ class DataError(Exception):
 
 @dataclass(frozen=True)
 class Dataset:
+    """Images with their labels. A dataset takes ownership of both arrays
+    and marks them read-only."""
+
     images: np.ndarray  # N x pixels, float64 in [0, 1]
     labels: np.ndarray  # N non-negative ints, one class index per image
 
@@ -45,6 +49,7 @@ class Dataset:
             raise DataError(
                 f"{self.images.shape[0]} images but {self.labels.shape[0]} labels"
             )
+        read_only(self.images, self.labels)
 
     def __len__(self):
         return self.images.shape[0]

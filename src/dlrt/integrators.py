@@ -74,47 +74,35 @@ class Gradient(NamedTuple):
     left: Callable[[Matrix], Matrix]  # basis (m, c) -> G.T @ basis, (n, c)
 
 
-def _dense_gradient(g: Matrix) -> Gradient:
-    return Gradient(lambda basis: g @ basis, lambda basis: g.T @ basis)
-
-
+@dataclass(frozen=True)
 class GradientOracle:
     """Supplies loss gradients at factored points.
 
     Parameters
     ----------
-    eval_full : callable, optional
-        y (m, n) -> gradient (m, n).
-    eval_grads : callable, optional
-        list of factor pairs [(a_i (m_i, c_i), b_i (n_i, c_i)), ...] ->
-        list of gradient handles, one per pair, of the loss at the points
+    grads : callable
+        The one required form, and the one the steppers call: a list of
+        factor pairs [(a_i (m_i, c_i), b_i (n_i, c_i)), ...] -> list of
+        gradient handles, one per pair, of the loss at the points
         a_i @ b_i.T taken together: objects with ``right`` and ``left``
         contractions as a ``Gradient`` has. One call is one evaluation of
         the loss (for a network, one forward/backward pass).
+    eval_full : callable, optional
+        y (m, n) -> gradient (m, n), needed only by the dense Euler step
+        and audits; ``full`` raises ``ValueError`` without it.
     loss : callable, optional
-        y (m, n) -> scalar loss, needed only by audits and loss probes.
-
-    At least one gradient form must be given; without eval_grads each
-    pair is evaluated by materializing its full gradient.
+        y (m, n) -> scalar loss, needed only by audits and loss probes;
+        ``loss_at`` raises ``ValueError`` without it.
     """
 
-    def __init__(self, eval_full=None, eval_grads=None, loss=None):
-        if eval_full is None and eval_grads is None:
-            raise ValueError("need eval_full or eval_grads")
-        self.eval_full = eval_full
-        self.eval_grads = eval_grads
-        self.loss = loss
+    grads: Callable[[list], list]
+    eval_full: Optional[Callable[[Matrix], Matrix]] = None
+    loss: Optional[Callable[[Matrix], float]] = None
 
     def full(self, y: Matrix) -> Matrix:
         if self.eval_full is None:
             raise ValueError("oracle has no full-gradient form")
         return self.eval_full(y)
-
-    def grads(self, pairs) -> list:
-        """Gradient handles at the points a_i @ b_i.T, in pair order."""
-        if self.eval_grads is not None:
-            return self.eval_grads(pairs)
-        return [_dense_gradient(self.full(a @ b.T)) for a, b in pairs]
 
     def loss_at(self, y: Matrix) -> float:
         if self.loss is None:
@@ -143,10 +131,11 @@ class StepAudit:
     """Optional sink for intermediate step quantities.
 
     Pass an instance to a stepper advancing a single state to have it
-    filled in place. Which fields are populated depends on the stepper;
-    audits that need losses or the basis-projected gradient require the
-    oracle's loss and full forms (the oracle raises ``ValueError`` without
-    them) and densify the iterate, so use them at small scale only.
+    filled in place: it is the one record in dlrt that is not built whole.
+    Which fields are populated depends on the stepper; audits that need
+    losses or the basis-projected gradient require the oracle's loss and
+    full forms (the oracle raises ``ValueError`` without them) and densify
+    the iterate, so use them at small scale only.
     """
 
     k1: Optional[Matrix] = None
@@ -374,7 +363,7 @@ def quadratic_oracle(a: Matrix) -> GradientOracle:
         d = y - a
         return 0.5 * float(np.sum(d * d))
 
-    return GradientOracle(eval_full=eval_full, eval_grads=eval_grads, loss=loss)
+    return GradientOracle(eval_grads, eval_full=eval_full, loss=loss)
 
 
 def _quadratic_gradient(target: Matrix, a: Matrix, b: Matrix) -> Gradient:

@@ -21,6 +21,7 @@ __all__ = [
     "QrResult",
     "SvdResult",
     "as_matrix",
+    "read_only",
     "householder_qr",
     "ortho_augment",
     "svd_thin",
@@ -61,6 +62,13 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     if not np.isfinite(out).all():
         raise NumericError(f"{name} contains non-finite entries")
     return out
+
+
+def read_only(*arrays: np.ndarray) -> None:
+    """Mark each array read-only: the values that hold arrays call this on
+    the arrays they are given, and so take ownership of them."""
+    for a in arrays:
+        a.setflags(write=False)
 
 
 class QrResult(NamedTuple):

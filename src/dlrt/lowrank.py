@@ -16,6 +16,7 @@ from .linalg import (
     NumericError,
     as_matrix,
     householder_qr,
+    read_only,
     svd_thin,
 )
 
@@ -41,11 +42,18 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True, eq=False)
 class LowRankState:
-    """Factored representation y = u @ s @ v.T with orthonormal u, v."""
+    """Factored representation y = u @ s @ v.T with orthonormal u, v.
+
+    A state takes ownership of the three arrays it is given and marks them
+    read-only, so no write can change it after construction.
+    """
 
     u: Matrix  # (m, r), orthonormal columns
     s: Matrix  # (r, r)
     v: Matrix  # (n, r), orthonormal columns
+
+    def __post_init__(self):
+        read_only(self.u, self.s, self.v)
 
     @property
     def rank(self) -> int:

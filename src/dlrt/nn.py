@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .integrators import INTEGRATOR_NAMES, STEPPERS, GradientOracle, StepConfig
-from .linalg import DimensionError, Matrix, NumericError, as_matrix
+from .linalg import DimensionError, Matrix, NumericError, as_matrix, read_only
 from .lowrank import LowRankState, _gram_svd
 
 __all__ = [
@@ -81,6 +81,9 @@ def _check_bias(layer) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DenseLayer:
+    """A layer with a full weight matrix. It takes ownership of ``w`` and
+    ``bias`` and marks them read-only."""
+
     w: Matrix  # out_dim x in_dim
     bias: np.ndarray
     activation: str = "relu"
@@ -89,6 +92,7 @@ class DenseLayer:
     def __post_init__(self):
         _check_activation(self.activation)
         _check_bias(self)
+        read_only(self.w, self.bias)
 
     @property
     def in_dim(self) -> int:
@@ -99,11 +103,15 @@ class DenseLayer:
         return self.w.shape[0]
 
     def densify(self) -> Matrix:
-        return self.w.copy()
+        return self.w
 
 
 @dataclass(frozen=True, eq=False)
 class LowRankLayer:
+    """A layer whose weight stays factored as a ``LowRankState``. It takes
+    ownership of ``bias`` and marks it read-only, as the state does its
+    factors."""
+
     state: LowRankState  # u: out_dim x r, v: in_dim x r
     bias: np.ndarray
     activation: str = "relu"
@@ -111,6 +119,7 @@ class LowRankLayer:
     def __post_init__(self):
         _check_activation(self.activation)
         _check_bias(self)
+        read_only(self.bias)
 
     @property
     def in_dim(self) -> int:
@@ -163,8 +172,8 @@ class LowRankGrad(NamedTuple):
 class BatchGrad:
     """Per-layer loss gradients for one mini-batch, contracted where low-rank."""
 
-    weights: list  # DenseGrad | LowRankGrad per layer
-    biases: list
+    weights: tuple  # DenseGrad | LowRankGrad per layer
+    biases: tuple
 
 
 def mlp_specs(widths: Sequence[int], initial_rank: Optional[int] = None) -> list:
@@ -220,10 +229,12 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
 #
 # Internally every layer is viewed as w = a @ b.T; a dense layer is a = w
 # with no right factor (b = None), so its pass skips the x @ b product. The
-# tape keeps each layer's input, the forward pass's x @ b, the
-# pre-activation and its gradient, so that backward can contract gradients
-# against whatever factor the active integrator phase needs, without ever
-# forming delta.T @ x in full.
+# forward pass records each layer's input, x @ b and pre-activation as a
+# plain (x, b, xb, z) tuple. Backward reads the records and returns one
+# tape per layer: the input, the right factor, x @ b and the
+# pre-activation's gradient, so that gradients can be contracted against
+# whatever factor the active integrator phase needs, without ever forming
+# delta.T @ x in full. The pre-activation does not outlive the pass.
 
 
 class _Repr(NamedTuple):
@@ -233,16 +244,14 @@ class _Repr(NamedTuple):
     activation: str
 
 
-@dataclass
-class _Tape:
-    """One layer's record of one pass; its ``right`` and ``left`` make it
-    the gradient handle of the layer's weight."""
+class _Tape(NamedTuple):
+    """One layer's record of one forward/backward pass; its ``right`` and
+    ``left`` make it the gradient handle of the layer's weight."""
 
     x: Matrix  # layer input, batch x in_dim
     b: Optional[Matrix]  # the pass's right factor (None for dense)
     xb: Matrix  # x @ b, formed by the forward pass (x itself for dense)
-    z: Matrix  # pre-activation, batch x out_dim
-    delta: Optional[Matrix] = None  # grad wrt pre-activation, batch x out_dim
+    delta: Matrix  # grad wrt pre-activation, batch x out_dim
 
     def right(self, basis: Matrix) -> Matrix:
         # (delta.T @ x) @ basis without forming the full gradient; at the
@@ -264,40 +273,43 @@ def _base_repr(layer) -> _Repr:
     return _Repr(st.u @ st.s, st.v, layer.bias, layer.activation)
 
 
-def _run_forward(reprs, x, tapes=None):
-    # returns the logits; with a list given as tapes, appends each layer's
-    # tape for backward. Evaluation passes none, so no layer's arrays
-    # outlive the next layer: holding them made the allocator fault fresh
-    # pages for every 512-row chunk, about 30% of a paper-net evaluation's
-    # time
+def _run_forward(reprs, x, records=None):
+    # returns the logits; with a list given as records, appends each
+    # layer's (x, b, xb, z) for backward. Evaluation passes none, so no
+    # layer's arrays outlive the next layer: holding them made the
+    # allocator fault fresh pages for every 512-row chunk, about 30% of a
+    # paper-net evaluation's time
     cur = x
     for rep in reprs:
         xb = cur if rep.b is None else cur @ rep.b
         z = xb @ rep.a.T + rep.bias
-        if tapes is not None:
-            tapes.append(_Tape(cur, rep.b, xb, z))
+        if records is not None:
+            records.append((cur, rep.b, xb, z))
         cur = np.maximum(z, 0.0) if rep.activation == "relu" else z
     if not np.isfinite(cur).all():
         raise NumericError("non-finite activation in forward pass")
     return cur
 
 
-def _run_backward(reprs, tapes, dlogits) -> None:
-    # fills in each tape's pre-activation gradient
+def _run_backward(reprs, records, dlogits) -> list:
+    # the pass's tapes in layer order, from its forward records
+    tapes = []
     d = dlogits
     for idx in range(len(reprs) - 1, -1, -1):
-        rep, tape = reprs[idx], tapes[idx]
-        tape.delta = d * (tape.z > 0.0) if rep.activation == "relu" else d
+        rep, (x, b, xb, z) = reprs[idx], records[idx]
+        delta = d * (z > 0.0) if rep.activation == "relu" else d
+        tapes.append(_Tape(x, b, xb, delta))
         if idx > 0:
-            d = tape.delta @ rep.a
+            d = delta @ rep.a
             if rep.b is not None:
                 d = d @ rep.b.T
+    return tapes[::-1]
 
 
 class _Cache(NamedTuple):
     net: "Network"
     reprs: list
-    tapes: list
+    records: list
 
 
 def _net_input(net: Network, x) -> Matrix:
@@ -313,9 +325,9 @@ def forward(net: Network, x_batch) -> tuple:
     """Batch forward pass. Returns (logits, cache) with cache for backward."""
     x = _net_input(net, x_batch)
     reprs = [_base_repr(layer) for layer in net.layers]
-    tapes = []
-    logits = _run_forward(reprs, x, tapes)
-    return logits, _Cache(net, reprs, tapes)
+    records = []
+    logits = _run_forward(reprs, x, records)
+    return logits, _Cache(net, reprs, records)
 
 
 def softmax_cross_entropy(logits, labels) -> tuple:
@@ -352,10 +364,9 @@ def backward(net: Network, cache: _Cache, dlogits) -> BatchGrad:
     if cache.net is not net:
         raise ValueError("stale cache: forward ran on a different network")
     dlogits = as_matrix(dlogits, "dlogits")
-    _run_backward(cache.reprs, cache.tapes, dlogits)
+    tapes = _run_backward(cache.reprs, cache.records, dlogits)
     weights = []
-    biases = []
-    for layer, tape in zip(net.layers, cache.tapes):
+    for layer, tape in zip(net.layers, tapes):
         if isinstance(layer, DenseLayer):
             entry = DenseGrad(tape.delta.T @ tape.x)
             finite = np.isfinite(entry.g).all()
@@ -366,8 +377,7 @@ def backward(net: Network, cache: _Cache, dlogits) -> BatchGrad:
         if not finite:
             raise NumericError("non-finite gradient")
         weights.append(entry)
-        biases.append(tape.bias_grad())
-    return BatchGrad(weights, biases)
+    return BatchGrad(tuple(weights), tuple(tape.bias_grad() for tape in tapes))
 
 
 # -- training ----------------------------------------------------------------
@@ -390,15 +400,15 @@ def _network_oracle(net: Network, x: Matrix, labels, first: list) -> GradientOra
             else _base_repr(layer)
             for layer in net.layers
         ]
-        tapes = []
-        logits = _run_forward(reprs, x, tapes)
+        records = []
+        logits = _run_forward(reprs, x, records)
         loss, dlogits = softmax_cross_entropy(logits, labels)
-        _run_backward(reprs, tapes, dlogits)
+        tapes = _run_backward(reprs, records, dlogits)
         if not first:
             first.append((loss, tapes))
         return [tape for layer, tape in zip(net.layers, tapes) if isinstance(layer, LowRankLayer)]
 
-    return GradientOracle(eval_grads=eval_grads)
+    return GradientOracle(eval_grads)
 
 
 def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:

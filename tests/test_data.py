@@ -182,6 +182,14 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path, "train")
 
+    def test_arrays_read_only(self, tmp_path):
+        make_image_file(tmp_path / "train-images-idx3-ubyte", 2, 1, 2, [1, 2, 3, 4])
+        make_label_file(tmp_path / "train-labels-idx1-ubyte", [0, 1])
+        train = load_dataset(tmp_path, "train")
+        for a in (train.images, train.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
     def test_count_mismatch_rejected(self, tmp_path):
         make_image_file(tmp_path / "i", 2, 1, 1, [1, 2])
         make_label_file(tmp_path / "l", [0])

@@ -137,8 +137,8 @@ def test_no_import_inside_a_function():
 
 
 def test_dataclasses_frozen_but_the_filled_records():
-    # layers, networks, states and settings are values that a step or a
-    # merge replaces; only these two records are filled in place
+    # layers, networks, states, oracles and settings are values that a step
+    # or a merge replaces; only the step audit is filled in place
     mutable = set()
     for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
         if path.stem == "__init__":
@@ -148,7 +148,7 @@ def test_dataclasses_frozen_but_the_filled_records():
             if (dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
                     and not obj.__dataclass_params__.frozen):
                 mutable.add(f"{path.stem}.{obj.__name__}")
-    assert mutable == {"integrators.StepAudit", "nn._Tape"}
+    assert mutable == {"integrators.StepAudit"}
 
 
 def test_traced_names_exist():

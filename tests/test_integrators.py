@@ -23,9 +23,14 @@ from dlrt.lowrank import LowRankState, TruncationPolicy, init_lowrank
 
 
 def zero_oracle():
-    return GradientOracle(
-        eval_full=lambda y: np.zeros_like(y), loss=lambda y: 0.0
-    )
+    def grads(pairs):
+        return [
+            Gradient(lambda basis, m=a.shape[0]: np.zeros((m, basis.shape[1])),
+                     lambda basis, n=b.shape[0]: np.zeros((n, basis.shape[1])))
+            for a, b in pairs
+        ]
+
+    return GradientOracle(grads, eval_full=lambda y: np.zeros_like(y), loss=lambda y: 0.0)
 
 
 def signed_qr(a):
@@ -53,21 +58,9 @@ class TestGradientOracle:
         assert np.linalg.norm(g_l.left(u) - full_l.T @ u) <= 1e-10
         assert np.linalg.norm(g_l.right(v) - full_l @ v) <= 1e-10
 
-    def test_fallback_to_full_gradient(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((6, 5))
-        full_only = GradientOracle(eval_full=lambda y: y - a)
-        rich = quadratic_oracle(a)
-        k = rng.standard_normal((6, 2))
-        v = np.linalg.qr(rng.standard_normal((5, 2)))[0]
-        u = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-        (g_full,) = full_only.grads([(k, v)])
-        (g_rich,) = rich.grads([(k, v)])
-        assert np.linalg.norm(g_full.right(v) - g_rich.right(v)) <= 1e-12
-        assert np.linalg.norm(g_full.left(u) - g_rich.left(u)) <= 1e-12
-
     def test_requires_some_gradient_form(self):
-        with pytest.raises(ValueError):
+        # the gradient-handle form is a required field
+        with pytest.raises(TypeError):
             GradientOracle(loss=lambda y: 0.0)
 
 
@@ -246,7 +239,7 @@ class TestAbcPsiStep:
     def test_audit_needs_loss_and_full_forms(self, loss, missing):
         # the audit raises instead of leaving its loss fields None
         rich = quadratic_oracle(np.random.default_rng(20).standard_normal((7, 6)))
-        oracle = GradientOracle(eval_grads=rich.eval_grads, loss=rich.loss if loss else None)
+        oracle = GradientOracle(rich.grads, loss=rich.loss if loss else None)
         cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
         with pytest.raises(ValueError, match=f"no {missing} form"):
             abc_psi_step([init_lowrank(7, 6, 2, seed=20)], oracle, cfg, audit=StepAudit())
@@ -364,6 +357,15 @@ class TestStateLists:
         with pytest.raises(ValueError):
             psi_step(states, zero_oracle(), StepConfig(h=0.1), audit=StepAudit())
 
+    @pytest.mark.parametrize("stepper", [psi_step, bc_psi_step, bug_fixed_step, abc_psi_step])
+    def test_stepped_factors_read_only(self, stepper):
+        oracle = quadratic_oracle(np.random.default_rng(32).standard_normal((6, 5)))
+        cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.05, r_max=4, r_min=1))
+        [state] = stepper([init_lowrank(6, 5, 2, seed=32)], oracle, cfg)
+        for a in (state.u, state.s, state.v):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
 
 class TestSStepLossDelta:
     def test_zero_gradient_zero_delta(self):
@@ -452,10 +454,10 @@ class TestNonFiniteValues:
         def eval_grads(pairs):
             return [
                 Gradient(bad(g.right), g.left) if side == "right" else Gradient(g.right, bad(g.left))
-                for g in rich.eval_grads(pairs)
+                for g in rich.grads(pairs)
             ]
 
-        return GradientOracle(eval_grads=eval_grads)
+        return GradientOracle(eval_grads)
 
     @pytest.mark.parametrize("side, value", [("right", np.nan), ("left", np.inf)])
     def test_abc_psi_bad_contraction(self, side, value):

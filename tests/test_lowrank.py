@@ -62,6 +62,12 @@ class TestInitLowrank:
         with pytest.raises(DimensionError):
             init_lowrank(4, 3, 5, seed=0)
 
+    def test_factors_read_only(self):
+        state = init_lowrank(5, 4, 2, seed=3)
+        for a in (state.u, state.s, state.v):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
 
 class TestTangentProject:
     def test_tangent_vector_unchanged(self):

@@ -7,7 +7,7 @@ from dlrt.checkpoint import load_network, save_network
 import dlrt.integrators as integrators_module
 import dlrt.lowrank as lowrank_module
 import dlrt.nn as nn_module
-from dlrt.integrators import STEPPERS, GradientOracle, StepConfig
+from dlrt.integrators import STEPPERS, Gradient, GradientOracle, StepConfig
 from dlrt.linalg import DimensionError, NumericError
 from dlrt.lowrank import LowRankState, TruncationPolicy
 from dlrt.nn import (
@@ -45,6 +45,19 @@ def random_batch(net, b, seed):
     x = rng.standard_normal((b, net.in_dim))
     labels = rng.integers(0, net.layers[-1].out_dim, size=b)
     return x, labels
+
+
+def assert_arrays_read_only(net):
+    # every array a network's layers hold refuses a write
+    for layer in net.layers:
+        if isinstance(layer, DenseLayer):
+            arrays = {"w": layer.w}
+        else:
+            arrays = {"u": layer.state.u, "s": layer.state.s, "v": layer.state.v}
+        arrays["bias"] = layer.bias
+        for name, a in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
 
 
 class TestLayerSpec:
@@ -129,6 +142,51 @@ class TestImmutableValues:
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError, match="at least one layer"):
             Network([])
+
+    def test_built_arrays_read_only(self):
+        # a write into a layer's bias changed what forward returned
+        assert_arrays_read_only(tiny_mixed_net())
+        assert_arrays_read_only(build_network(mlp_specs([4, 3, 2]), seed=0))
+
+    @pytest.mark.parametrize("integrator", ["psi", "bc-psi", "bug", "abc-psi", "full"])
+    def test_stepped_arrays_read_only(self, integrator):
+        dense = integrator == "full"
+        net = build_network(mlp_specs([4, 3, 2]), seed=1) if dense else tiny_mixed_net(seed=1)
+        x, labels = random_batch(net, 4, seed=1)
+        cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=3, r_min=1))
+        new_net, _ = train_step(net, (x, labels), integrator, cfg)
+        assert_arrays_read_only(new_net)
+
+    def test_loaded_arrays_read_only(self, tmp_path):
+        save_network(tmp_path / "net.ckpt", tiny_mixed_net(seed=2))
+        assert_arrays_read_only(load_network(tmp_path / "net.ckpt"))
+
+    def test_layer_owns_its_arrays(self):
+        # the caller's own reference to a given array is read-only too
+        w, bias = np.eye(2), np.zeros(2)
+        net = Network([DenseLayer(w, bias, "identity")])
+        with pytest.raises(ValueError, match="read-only"):
+            bias[:] = 5.0
+        assert np.array_equal(forward(net, np.ones((1, 2)))[0], [[1.0, 1.0]])
+
+    def test_batch_grad_holds_tuples(self):
+        net = tiny_mixed_net(seed=3)
+        x, labels = random_batch(net, 4, seed=3)
+        logits, cache = forward(net, x)
+        grads = backward(net, cache, softmax_cross_entropy(logits, labels)[1])
+        assert isinstance(grads.weights, tuple) and isinstance(grads.biases, tuple)
+
+    def test_tape_is_a_frozen_record_without_z(self):
+        # backward returns the tapes; the pre-activation does not outlive
+        # the pass
+        net = tiny_mixed_net(seed=4)
+        x, labels = random_batch(net, 4, seed=4)
+        st = net.layers[0].state
+        (tape,) = nn_module._network_oracle(net, x, labels, []).grads([(st.u @ st.s, st.v)])
+        assert tape._fields == ("x", "b", "xb", "delta")
+        assert not hasattr(tape, "z")
+        with pytest.raises(AttributeError):
+            tape.delta = None
 
 
 class TestBuildNetwork:
@@ -481,10 +539,13 @@ class TestTrainStep:
             _, dz = softmax_cross_entropy(x @ y.T, labels)
             return dz.T @ x
 
-        oracle = GradientOracle(
-            eval_full=eval_full,
-            loss=lambda y: softmax_cross_entropy(x @ y.T, labels)[0],
-        )
+        def grads(pairs):
+            return [
+                Gradient(lambda basis, g=g: g @ basis, lambda basis, g=g: g.T @ basis)
+                for g in (eval_full(a @ b.T) for a, b in pairs)
+            ]
+
+        oracle = GradientOracle(grads, loss=lambda y: softmax_cross_entropy(x @ y.T, labels)[0])
         for integrator, stepper in STEPPERS.items():
             for substeps in (1, 3):
                 cfg = StepConfig(h=0.1, substeps=substeps, policy=policy)
