@@ -27,10 +27,9 @@ from .checkpoint import atomic_write, save_network
 from .data import DataError, batches, load_dataset
 from .integrators import (
     INTEGRATOR_NAMES,
-    StepAudit,
     StepConfig,
     _steps_for,
-    abc_psi_step,
+    abc_psi_flow,
     ode_error_study,
     s_step_loss_delta_psi,
     synthetic_quadratic_problem,
@@ -509,28 +508,34 @@ def cmd_descent_audit(config: RunConfig, out: _Outputs) -> int:
             "guaranteed; violations below are reported, not fatal", h, 2.0 / curvature,
         )
     cfg = StepConfig(h=h, substeps=config.substeps, policy=policy)
-    states = [problem.y0]
+    oracle = problem.oracle
+    state = problem.y0
     rows = []
     violations = 0
     worst = 0.0
     for step in range(1, config.steps + 1):
-        audit = StepAudit()
-        states = abc_psi_step(states, problem.oracle, cfg, audit=audit)
-        bound = audit.loss_before - (1.0 - h * curvature / 2.0) * h * audit.proj_grad_sq
-        margin = bound - audit.loss_flow
+        # one abc-psi step, audited between its flow and its truncation
+        (flow,) = abc_psi_flow([state], oracle, cfg)
+        y0 = state.u @ (state.s @ state.v.T)
+        loss_before = oracle.loss_at(y0)
+        proj_grad_sq = float(np.sum((flow.u_hat.T @ oracle.full(y0)) ** 2))
+        loss_flow = oracle.loss_at(flow.u_hat @ flow.l1.T)
+        state = flow.truncate(policy)
+        bound = loss_before - (1.0 - h * curvature / 2.0) * h * proj_grad_sq
+        margin = bound - loss_flow
         violated = margin < -1e-9
         if violated:
             violations += 1
             worst = min(worst, margin)
             log.error(
                 "step %d: descent inequality violated (lhs %.12e > bound %.12e)",
-                step, audit.loss_flow, bound,
+                step, loss_flow, bound,
             )
         rows.append(
-            [step, repr(audit.loss_before), repr(audit.loss_flow), repr(bound),
+            [step, repr(loss_before), repr(loss_flow), repr(bound),
              repr(margin), int(violated)]
         )
-    s_before, s_after = s_step_loss_delta_psi(problem.y0, problem.oracle, cfg)
+    s_before, s_after = s_step_loss_delta_psi(problem.y0, oracle, cfg)
     out.write_csv(
         ".csv",
         ["step", "loss_before", "loss_after_flow", "descent_bound", "margin",

@@ -21,6 +21,11 @@ share the factored-state conventions of the lowrank module:
   one QR of an m x r residual (the augmentation) and the truncation's, see
   ``lowrank.truncate_state``.
 
+A splitting stepper is a first phase that returns values, one per state,
+and a finish: ``psi_mid`` and ``bc_psi_mid`` return ``SplitMid`` records
+for the shared L sweep, ``abc_psi_flow`` returns ``AbcFlow`` records for
+the truncation. The descent audit and the S-step probe read these values.
+
 All subflows are discretized by explicit Euler; ``StepConfig.substeps``
 repeats the gradient step inside the K and L subflows. A step reuses the
 gradient at the current point wherever a substep starts there, so with s
@@ -41,22 +46,26 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .linalg import Matrix, NumericError, as_matrix, householder_qr, ortho_augment
+from .linalg import Matrix, NumericError, as_matrix, householder_qr, ortho_augment, read_only
 from .lowrank import LowRankState, TruncationPolicy, truncate_state
 
 __all__ = [
     "Gradient",
     "GradientOracle",
     "StepConfig",
-    "StepAudit",
+    "SplitMid",
+    "AbcFlow",
     "OdeProblem",
     "quadratic_oracle",
     "synthetic_quadratic_problem",
     "robbins_monro_step",
     "euler_full_step",
+    "psi_mid",
     "psi_step",
+    "bc_psi_mid",
     "bc_psi_step",
     "bug_fixed_step",
+    "abc_psi_flow",
     "abc_psi_step",
     "s_step_loss_delta_psi",
     "ode_error_study",
@@ -88,11 +97,11 @@ class GradientOracle:
         contractions as a ``Gradient`` has. One call is one evaluation of
         the loss (for a network, one forward/backward pass).
     eval_full : callable, optional
-        y (m, n) -> gradient (m, n), needed only by the dense Euler step
-        and audits; ``full`` raises ``ValueError`` without it.
+        y (m, n) -> gradient (m, n), read only by the dense Euler step and
+        the descent audit; ``full`` raises ``ValueError`` without it.
     loss : callable, optional
-        y (m, n) -> scalar loss, needed only by audits and loss probes;
-        ``loss_at`` raises ``ValueError`` without it.
+        y (m, n) -> scalar loss, read only by the descent audit and the
+        S-step probe; ``loss_at`` raises ``ValueError`` without it.
     """
 
     grads: Callable[[list], list]
@@ -120,30 +129,36 @@ class StepConfig:
     policy: Optional[TruncationPolicy] = None
 
     def __post_init__(self):
-        if not (self.h > 0):
-            raise ValueError(f"step size must be positive, got {self.h}")
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"step size h must be finite and positive, got {self.h}")
+        substeps = self.substeps
+        if isinstance(substeps, bool) or not isinstance(substeps, int) or substeps < 1:
+            raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
 
 
-@dataclass
-class StepAudit:
-    """Optional sink for intermediate step quantities.
+class SplitMid(NamedTuple):
+    """One state of a psi or bc-psi step after its first phase: the fresh
+    left basis u1 and its core s_start from the K sweep (k1 = u1 @ s_start),
+    and the core s_mid that the L sweep starts from."""
 
-    Pass an instance to a stepper advancing a single state to have it
-    filled in place: it is the one record in dlrt that is not built whole.
-    Which fields are populated depends on the stepper; audits that need
-    losses or the basis-projected gradient require the oracle's loss and
-    full forms (the oracle raises ``ValueError`` without them) and densify
-    the iterate, so use them at small scale only.
-    """
+    u1: Matrix
+    s_start: Matrix
+    s_mid: Matrix
 
-    k1: Optional[Matrix] = None
-    u_hat: Optional[Matrix] = None
-    s_mid: Optional[Matrix] = None
-    loss_before: Optional[float] = None
-    loss_flow: Optional[float] = None
-    proj_grad_sq: Optional[float] = None
+
+class AbcFlow(NamedTuple):
+    """One state of an abc-psi step before truncation: the swept K factor
+    k1, the augmented left basis u_hat (which contains u0 and k1), and the
+    swept right factor l1, so the flow ends at u_hat @ l1.T."""
+
+    k1: Matrix
+    u_hat: Matrix
+    l1: Matrix
+
+    def truncate(self, policy: TruncationPolicy) -> LowRankState:
+        """The new state: u_hat @ l1.T truncated by ``policy``, see
+        ``lowrank.truncate_state``."""
+        return LowRankState(*truncate_state(self.u_hat, self.l1, policy))
 
 
 def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
@@ -156,16 +171,12 @@ def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
     return w - h * oracle.full(w)
 
 
-def _k_sweep(
-    states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig, audit=None
-) -> tuple:
+def _k_sweep(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> tuple:
     """K subflow of every state from k0 = u0 @ s0 with the right bases frozen.
 
     Returns (k0, grads0, k1): the start, the gradient handles at the
     current point (the first substep's evaluation), and the swept factors.
     """
-    if audit is not None and len(states) != 1:
-        raise ValueError("a StepAudit records single-state steps only")
     k = k0 = [st.u @ st.s for st in states]
     v = [st.v for st in states]
     grads = grads0 = oracle.grads(list(zip(k0, v)))
@@ -196,58 +207,51 @@ def _core_step(u, s, v, oracle: GradientOracle, h: float) -> list:
 
 
 def _split_finish(
-    states: Sequence[LowRankState], u1, s_mid, oracle: GradientOracle, cfg: StepConfig, audit
+    states: Sequence[LowRankState], mids: list, oracle: GradientOracle, cfg: StepConfig
 ) -> list:
     """The last phase of psi and bc-psi: the L sweep from v0 @ s_mid.T in the
     fresh left bases u1, then the right factor orthonormalized by QR."""
-    if audit is not None:
-        audit.s_mid = s_mid[0]
-    l1 = _l_sweep([st.v @ s.T for st, s in zip(states, s_mid)], u1, oracle, cfg)
+    u1 = [mid.u1 for mid in mids]
+    l1 = _l_sweep([st.v @ mid.s_mid.T for st, mid in zip(states, mids)], u1, oracle, cfg)
     qrs = [householder_qr(l) for l in l1]
     return [LowRankState(u, np.ascontiguousarray(r.T), v) for u, (v, r) in zip(u1, qrs)]
 
 
-def psi_step(
-    states: Sequence[LowRankState],
-    oracle: GradientOracle,
-    cfg: StepConfig,
-    audit: Optional[StepAudit] = None,
-) -> list:
-    """One fixed-rank projector-splitting step (K, S, L sweeps).
+def psi_mid(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+    """The K sweep, its QR and the S sweep of ``psi_step``, one ``SplitMid``
+    per state.
 
     The S sweep is the core step with step size -h: it moves along the
     positive gradient direction; that is the splitting's backward-in-time
     substep, not a bug.
     """
-    _, _, k1 = _k_sweep(states, oracle, cfg, audit)
-    u1, s_tilde = zip(*map(householder_qr, k1))
-    s1 = _core_step(u1, s_tilde, [st.v for st in states], oracle, -cfg.h)
-    return _split_finish(states, u1, s1, oracle, cfg, audit)
+    _, _, k1 = _k_sweep(states, oracle, cfg)
+    u1, s_start = zip(*map(householder_qr, k1))
+    s_mid = _core_step(u1, s_start, [st.v for st in states], oracle, -cfg.h)
+    return [SplitMid(*mid) for mid in zip(u1, s_start, s_mid)]
 
 
-def bc_psi_step(
-    states: Sequence[LowRankState],
-    oracle: GradientOracle,
-    cfg: StepConfig,
-    audit: Optional[StepAudit] = None,
-) -> list:
-    """Fixed-rank splitting step with the S sweep replaced by a projection.
-
-    After the K sweep, the new core is taken as u1.T @ k0 (the previous
-    iterate expressed in the fresh left basis) instead of integrating the
-    core backward.
-    """
-    k0, _, k1 = _k_sweep(states, oracle, cfg, audit)
-    u1 = [householder_qr(k).q for k in k1]
-    s_bar = [u.T @ k for u, k in zip(u1, k0)]
-    return _split_finish(states, u1, s_bar, oracle, cfg, audit)
+def psi_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+    """One fixed-rank projector-splitting step (K, S, L sweeps)."""
+    return _split_finish(states, psi_mid(states, oracle, cfg), oracle, cfg)
 
 
-def bug_fixed_step(
-    states: Sequence[LowRankState],
-    oracle: GradientOracle,
-    cfg: StepConfig,
-) -> list:
+def bc_psi_mid(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+    """The K sweep and its QR of ``bc_psi_step``, one ``SplitMid`` per
+    state, with s_mid = u1.T @ k0: the previous iterate expressed in the
+    fresh left basis, in place of psi's backward core sweep."""
+    k0, _, k1 = _k_sweep(states, oracle, cfg)
+    qrs = [householder_qr(k) for k in k1]
+    return [SplitMid(u1, r, u1.T @ k) for (u1, r), k in zip(qrs, k0)]
+
+
+def bc_psi_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+    """Fixed-rank splitting step with the S sweep replaced by a projection,
+    so no substep moves against the descent direction."""
+    return _split_finish(states, bc_psi_mid(states, oracle, cfg), oracle, cfg)
+
+
+def bug_fixed_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
     """Fixed-rank basis-update and Galerkin step.
 
     K and L sweeps both start from the current state (they are
@@ -268,15 +272,22 @@ def bug_fixed_step(
     return [LowRankState(u, s, v) for u, s, v in zip(u1, s1, v1)]
 
 
-def abc_psi_step(
-    states: Sequence[LowRankState],
-    oracle: GradientOracle,
-    cfg: StepConfig,
-    audit: Optional[StepAudit] = None,
-) -> list:
+def abc_psi_flow(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+    """Steps 1-4 of ``abc_psi_step``, one ``AbcFlow`` per state."""
+    _, grads, k1 = _k_sweep(states, oracle, cfg)
+    u_hat = [ortho_augment(st.u, k) for st, k in zip(states, k1)]
+    l0 = [
+        np.hstack([st.v @ st.s.T, np.zeros((st.v.shape[0], u.shape[1] - st.rank))])
+        for st, u in zip(states, u_hat)
+    ]
+    l1 = _l_sweep(l0, u_hat, oracle, cfg, grads)
+    return [AbcFlow(*flow) for flow in zip(k1, u_hat, l1)]
+
+
+def abc_psi_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
     """Rank-adaptive step: augment the left basis, correct, evolve, truncate.
 
-    Order of operations:
+    Order of operations (1-4 are ``abc_psi_flow``, 5 is ``AbcFlow.truncate``):
 
     1. K sweep from k0 = u0 @ s0.
     2. Enlarged left basis u_hat = [u0 | b], with b an orthonormal basis of
@@ -302,25 +313,7 @@ def abc_psi_step(
     """
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
-    _, grads, k1 = _k_sweep(states, oracle, cfg, audit)
-    u_hat = [ortho_augment(st.u, k) for st, k in zip(states, k1)]
-    l0 = [
-        np.hstack([st.v @ st.s.T, np.zeros((st.v.shape[0], u.shape[1] - st.rank))])
-        for st, u in zip(states, u_hat)
-    ]
-    if audit is not None:
-        # audit quantities at the pre-step point; the oracle's loss_at and
-        # full raise when it lacks those forms
-        (state,) = states
-        audit.k1, audit.u_hat = k1[0], u_hat[0]
-        y0 = state.u @ (state.s @ state.v.T)
-        audit.loss_before = oracle.loss_at(y0)
-        g0 = oracle.full(y0)
-        audit.proj_grad_sq = float(np.sum((u_hat[0].T @ g0) ** 2))
-    l1 = _l_sweep(l0, u_hat, oracle, cfg, grads)
-    if audit is not None:
-        audit.loss_flow = oracle.loss_at(u_hat[0] @ l1[0].T)
-    return [LowRankState(*truncate_state(u, l, cfg.policy)) for u, l in zip(u_hat, l1)]
+    return [flow.truncate(cfg.policy) for flow in abc_psi_flow(states, oracle, cfg)]
 
 
 def s_step_loss_delta_psi(
@@ -328,20 +321,15 @@ def s_step_loss_delta_psi(
 ) -> tuple[float, float]:
     """Loss before and after the core sweep of a projector-splitting step.
 
-    Runs only the K sweep and the single-step S sweep of ``psi_step``,
-    evaluating the loss at u1 @ s @ v0.T on both sides.  The S sweep
-    integrates against the descent direction, so the returned delta is
-    non-negative to leading order (about h times the square of the
-    projected gradient's norm).
+    Runs ``psi_mid`` and evaluates the loss at u1 @ s @ v0.T for s_start
+    and s_mid.  The S sweep integrates against the descent direction, so
+    the returned delta is non-negative to leading order (about h times the
+    square of the projected gradient's norm).
     """
     if oracle.loss is None:
         raise ValueError("s_step_loss_delta_psi requires the oracle's loss form")
-    _, _, (k1,) = _k_sweep([state], oracle, cfg)
-    u1, s_tilde = householder_qr(k1)
-    (s1,) = _core_step([u1], [s_tilde], [state.v], oracle, -cfg.h)
-    loss_before = oracle.loss_at(u1 @ (s_tilde @ state.v.T))
-    loss_after = oracle.loss_at(u1 @ (s1 @ state.v.T))
-    return loss_before, loss_after
+    ((u1, s_start, s_mid),) = psi_mid([state], oracle, cfg)
+    return oracle.loss_at(u1 @ (s_start @ state.v.T)), oracle.loss_at(u1 @ (s_mid @ state.v.T))
 
 
 def quadratic_oracle(a: Matrix) -> GradientOracle:
@@ -349,9 +337,11 @@ def quadratic_oracle(a: Matrix) -> GradientOracle:
 
     The gradient is y - a; the factored evaluation contracts it without
     materializing it, treating a list of points as independent copies of
-    the loss.
+    the loss. The oracle takes ownership of the target it keeps (``a``
+    itself if already C-contiguous float64) and marks it read-only.
     """
     a = as_matrix(a, "a")
+    read_only(a)
 
     def eval_full(y):
         return y - a

@@ -15,12 +15,12 @@ import pytest
 
 from dlrt.data import Dataset, batches, load_dataset
 from dlrt.integrators import (
-    StepAudit,
     StepConfig,
+    abc_psi_flow,
     abc_psi_step,
-    bc_psi_step,
+    bc_psi_mid,
     ode_error_study,
-    psi_step,
+    psi_mid,
     quadratic_oracle,
     robbins_monro_step,
     s_step_loss_delta_psi,
@@ -60,13 +60,15 @@ def test_criterion_01_loss_descent_inequality():
     worst = -np.inf
     for seed in range(5):
         problem = synthetic_quadratic_problem(50, 40, 4, eps=1e-2, seed=seed)
-        state = problem.y0
+        oracle, state = problem.oracle, problem.y0
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.1, r_max=8, r_min=2))
         for _ in range(200):
-            audit = StepAudit()
-            [state] = abc_psi_step([state], problem.oracle, cfg, audit=audit)
-            bound = audit.loss_before - (1 - h / 2) * h * audit.proj_grad_sq
-            worst = max(worst, audit.loss_flow - bound)
+            [flow] = abc_psi_flow([state], oracle, cfg)
+            y0 = state.u @ (state.s @ state.v.T)
+            proj_grad_sq = float(np.sum((flow.u_hat.T @ oracle.full(y0)) ** 2))
+            bound = oracle.loss_at(y0) - (1 - h / 2) * h * proj_grad_sq
+            worst = max(worst, oracle.loss_at(flow.u_hat @ flow.l1.T) - bound)
+            state = flow.truncate(cfg.policy)
     report(1, worst <= 1e-9, f"worst slack {worst:.3e} over 1000 steps (limit 1e-9)")
 
 
@@ -118,10 +120,9 @@ def test_criterion_04_backward_correction_gap():
     problem = synthetic_quadratic_problem(14, 11, 3, eps=1e-2, seed=13)
 
     def gap(h):
-        audit_psi, audit_bc = StepAudit(), StepAudit()
-        psi_step([problem.y0], problem.oracle, StepConfig(h=h), audit=audit_psi)
-        bc_psi_step([problem.y0], problem.oracle, StepConfig(h=h), audit=audit_bc)
-        return np.linalg.norm(audit_psi.s_mid - audit_bc.s_mid)
+        [psi] = psi_mid([problem.y0], problem.oracle, StepConfig(h=h))
+        [bc] = bc_psi_mid([problem.y0], problem.oracle, StepConfig(h=h))
+        return np.linalg.norm(psi.s_mid - bc.s_mid)
 
     ratio = gap(0.01) / gap(0.005)
     report(4, 3.2 <= ratio <= 4.8, f"halving ratio {ratio:.3f} in [3.2, 4.8]")
@@ -142,11 +143,11 @@ def test_criterion_05_augmentation_and_orthonormality():
         a = rng.standard_normal((m, n))
         h = float(rng.uniform(1e-3, 0.5))
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.05, r_max=2 * r, r_min=1))
-        audit = StepAudit()
-        [out] = abc_psi_step([state], quadratic_oracle(a), cfg, audit=audit)
-        u_hat = audit.u_hat
+        [flow] = abc_psi_flow([state], quadratic_oracle(a), cfg)
+        out = flow.truncate(cfg.policy)
+        u_hat = flow.u_hat
         res_u0 = np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u))
-        res_k1 = np.linalg.norm(audit.k1 - u_hat @ (u_hat.T @ audit.k1))
+        res_k1 = np.linalg.norm(flow.k1 - u_hat @ (u_hat.T @ flow.k1))
         worst_contain = max(worst_contain, res_u0, res_k1)
         r_out = out.rank
         scale = 1e-10 * np.sqrt(r_out)

@@ -25,7 +25,7 @@ from dlrt.cli import (
     write_json,
 )
 from dlrt.data import Dataset, load_dataset, write_idx_images, write_idx_labels
-from dlrt.integrators import abc_psi_step
+from dlrt.integrators import abc_psi_flow
 from dlrt.lowrank import compression_rate
 from dlrt.nn import LayerSpec, build_network, evaluate
 
@@ -477,14 +477,12 @@ class TestDescentAudit:
 
     @pytest.mark.parametrize("lr, code", [("0.5", EXIT_VIOLATION), ("2.5", EXIT_OK)])
     def test_violations_exit_only_within_guarantee(self, lr, code, tmp_path, monkeypatch):
-        # a step that reports its flow loss raised by 1 violates the
-        # descent inequality; only a step size within 2/c_l makes that fatal
-        def raised_flow_loss(states, oracle, cfg, audit=None):
-            states = abc_psi_step(states, oracle, cfg, audit=audit)
-            audit.loss_flow += 1.0
-            return states
+        # a flow that overshoots to twice its endpoint raises the loss past
+        # the descent bound; only a step size within 2/c_l makes that fatal
+        def raised_flow_loss(states, oracle, cfg):
+            return [flow._replace(l1=2.0 * flow.l1) for flow in abc_psi_flow(states, oracle, cfg)]
 
-        monkeypatch.setattr(dlrt.cli, "abc_psi_step", raised_flow_loss)
+        monkeypatch.setattr(dlrt.cli, "abc_psi_flow", raised_flow_loss)
         steps = 12
         assert main([
             "descent-audit", "--out-dir", str(tmp_path), "--dims", "14,11",

@@ -1,19 +1,21 @@
 """The README's CLI reference checked against the code: config keys, flags,
 example commands and exit codes; the dlrt names the README cites; the one
 call site of each dense factorization in the source, and the one caller of
-``svd_thin``; module-level imports and frozen dataclasses in the source;
-and the names the benchmark's tracer wraps."""
+``svd_thin``; module-level imports, frozen dataclasses, exported names and
+stepper signatures in the source; and the names the benchmark's tracer
+wraps."""
 
 import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
 
-from dlrt import cli
+from dlrt import cli, integrators
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -136,19 +138,35 @@ def test_no_import_inside_a_function():
     assert not found
 
 
-def test_dataclasses_frozen_but_the_filled_records():
+def source_modules():
+    return [importlib.import_module(f"dlrt.{path.stem}")
+            for path in sorted((ROOT / "src" / "dlrt").glob("*.py")) if path.stem != "__init__"]
+
+
+def test_dataclasses_frozen():
     # layers, networks, states, oracles and settings are values that a step
-    # or a merge replaces; only the step audit is filled in place
+    # or a merge replaces; no record is filled in place
     mutable = set()
-    for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
-        if path.stem == "__init__":
-            continue
-        module = importlib.import_module(f"dlrt.{path.stem}")
+    for module in source_modules():
         for obj in vars(module).values():
             if (dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
                     and not obj.__dataclass_params__.frozen):
-                mutable.add(f"{path.stem}.{obj.__name__}")
-    assert mutable == {"integrators.StepAudit"}
+                mutable.add(f"{module.__name__}.{obj.__name__}")
+    assert mutable == set()
+
+
+def test_exported_names_exist():
+    # a renamed or removed function cannot leave a stale export behind
+    for module in source_modules():
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing {missing}"
+
+
+def test_steppers_take_states_oracle_cfg():
+    # a stepper reports what it computed through its return value, so none
+    # takes an option beyond its states, its oracle and its settings
+    for name, stepper in integrators.STEPPERS.items():
+        assert list(inspect.signature(stepper).parameters) == ["states", "oracle", "cfg"], name
 
 
 def test_traced_names_exist():

@@ -5,13 +5,15 @@ import dlrt.lowrank
 from dlrt.integrators import (
     Gradient,
     GradientOracle,
-    StepAudit,
     StepConfig,
+    abc_psi_flow,
     abc_psi_step,
+    bc_psi_mid,
     bc_psi_step,
     bug_fixed_step,
     euler_full_step,
     ode_error_study,
+    psi_mid,
     psi_step,
     quadratic_oracle,
     robbins_monro_step,
@@ -62,6 +64,22 @@ class TestGradientOracle:
         # the gradient-handle form is a required field
         with pytest.raises(TypeError):
             GradientOracle(loss=lambda y: 0.0)
+
+    def test_optional_forms_raise_when_absent(self):
+        oracle = GradientOracle(quadratic_oracle(np.eye(3)).grads)
+        with pytest.raises(ValueError, match="no full-gradient form"):
+            oracle.full(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="no loss form"):
+            oracle.loss_at(np.zeros((3, 3)))
+
+    def test_quadratic_oracle_owns_its_target(self):
+        # the oracle marks the array it keeps read-only, so a write by the
+        # caller cannot change its gradients
+        a = np.eye(2)
+        oracle = quadratic_oracle(a)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 7.0
+        assert oracle.full(np.zeros((2, 2)))[0, 0] == -1.0
 
 
 class TestEulerFullStep:
@@ -129,10 +147,9 @@ class TestBcPsiStep:
         oracle = quadratic_oracle(a)
 
         def gap(h):
-            audit_psi, audit_bc = StepAudit(), StepAudit()
-            psi_step([state], oracle, StepConfig(h=h), audit=audit_psi)
-            bc_psi_step([state], oracle, StepConfig(h=h), audit=audit_bc)
-            return np.linalg.norm(audit_psi.s_mid - audit_bc.s_mid)
+            [psi] = psi_mid([state], oracle, StepConfig(h=h))
+            [bc] = bc_psi_mid([state], oracle, StepConfig(h=h))
+            return np.linalg.norm(psi.s_mid - bc.s_mid)
 
         ratio = gap(0.01) / gap(0.005)
         assert 3.2 <= ratio <= 4.8
@@ -217,32 +234,23 @@ class TestAbcPsiStep:
         oracle = quadratic_oracle(a)
         state = init_lowrank(6, 5, 2, seed=17)
         h = 0.3
-        audit = StepAudit()
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
-        abc_psi_step([state], oracle, cfg, audit=audit)
+        [flow] = abc_psi_flow([state], oracle, cfg)
+        y0 = state.densify()
+        proj_grad_sq = float(np.sum((flow.u_hat.T @ oracle.full(y0)) ** 2))
         # quadratic loss has unit curvature bound
-        rhs = audit.loss_before - (1.0 - h / 2.0) * h * audit.proj_grad_sq
-        assert audit.loss_flow <= rhs + 1e-9
+        rhs = oracle.loss_at(y0) - (1.0 - h / 2.0) * h * proj_grad_sq
+        assert oracle.loss_at(flow.u_hat @ flow.l1.T) <= rhs + 1e-9
 
     def test_augmented_basis_contains_start_and_k1(self):
         rng = np.random.default_rng(18)
         a = rng.standard_normal((9, 8))
         state = init_lowrank(9, 8, 3, seed=18)
-        audit = StepAudit()
         cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=6, r_min=1))
-        abc_psi_step([state], quadratic_oracle(a), cfg, audit=audit)
-        u_hat = audit.u_hat
+        [flow] = abc_psi_flow([state], quadratic_oracle(a), cfg)
+        u_hat = flow.u_hat
         assert np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u)) <= 1e-10
-        assert np.linalg.norm(audit.k1 - u_hat @ (u_hat.T @ audit.k1)) <= 1e-10
-
-    @pytest.mark.parametrize("loss, missing", [(False, "loss"), (True, "full-gradient")])
-    def test_audit_needs_loss_and_full_forms(self, loss, missing):
-        # the audit raises instead of leaving its loss fields None
-        rich = quadratic_oracle(np.random.default_rng(20).standard_normal((7, 6)))
-        oracle = GradientOracle(rich.grads, loss=rich.loss if loss else None)
-        cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
-        with pytest.raises(ValueError, match=f"no {missing} form"):
-            abc_psi_step([init_lowrank(7, 6, 2, seed=20)], oracle, cfg, audit=StepAudit())
+        assert np.linalg.norm(flow.k1 - u_hat @ (u_hat.T @ flow.k1)) <= 1e-10
 
     def test_substeps_accepted(self):
         state = init_lowrank(7, 6, 2, seed=19)
@@ -352,10 +360,25 @@ class TestStateLists:
                     for name in ("u", "s", "v"):
                         assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    def test_audit_needs_single_state(self):
-        states = [init_lowrank(6, 5, 2, seed=30), init_lowrank(6, 5, 2, seed=31)]
-        with pytest.raises(ValueError):
-            psi_step(states, zero_oracle(), StepConfig(h=0.1), audit=StepAudit())
+    def test_abc_psi_flows_of_two_states(self):
+        # every state's flow augments its own basis, and the step is the
+        # truncation of those flows, bit for bit
+        rng = np.random.default_rng(30)
+        oracle = quadratic_oracle(rng.standard_normal((9, 7)))
+        states = [init_lowrank(9, 7, 2, seed=30), init_lowrank(9, 7, 3, seed=31)]
+        policy = TruncationPolicy(tau=0.05, r_max=5, r_min=1)
+        cfg = StepConfig(h=0.1, policy=policy)
+        flows = abc_psi_flow(states, oracle, cfg)
+        assert len(flows) == 2
+        for state, flow in zip(states, flows):
+            u_hat = flow.u_hat
+            assert u_hat.shape[1] > state.rank
+            assert np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u)) <= 1e-10
+            assert np.linalg.norm(flow.k1 - u_hat @ (u_hat.T @ flow.k1)) <= 1e-10
+        stepped = abc_psi_step(states, oracle, cfg)
+        for got, want in zip(stepped, [flow.truncate(policy) for flow in flows]):
+            for name in ("u", "s", "v"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("stepper", [psi_step, bc_psi_step, bug_fixed_step, abc_psi_step])
     def test_stepped_factors_read_only(self, stepper):
@@ -499,7 +522,12 @@ def test_robbins_monro_step():
 
 
 def test_step_config_validation():
-    with pytest.raises(ValueError):
-        StepConfig(h=0.0)
-    with pytest.raises(ValueError):
-        StepConfig(h=0.1, substeps=0)
+    # each refusal names the field it refuses
+    cases = [
+        (0.0, 1, "h"), (-0.1, 1, "h"), (float("nan"), 1, "h"), (float("inf"), 1, "h"),
+        (0.1, 0, "substeps"), (0.1, 1.5, "substeps"), (0.1, 2.0, "substeps"),
+        (0.1, True, "substeps"),
+    ]
+    for h, substeps, field in cases:
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            StepConfig(h=h, substeps=substeps)
