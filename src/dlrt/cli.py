@@ -13,9 +13,11 @@ import csv
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin
@@ -336,7 +338,10 @@ def _load_splits(config: RunConfig) -> tuple:
 
 
 def _run_training(config: RunConfig, integrator: str, seed: int, train, test) -> dict:
-    """One training run; returns rows, final net, and status."""
+    """One training run; returns rows, final net, status and divergence.
+
+    It logs nothing: ``_log_run`` logs its epochs and divergence from what
+    it returns, so a caller logs runs in its own order."""
     rank = None if integrator == "full" else config.rank
     net = build_network(mlp_specs(config.arch, rank), seed=seed)
     # only abc-psi reads the policy
@@ -350,7 +355,7 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
     )
     start = time.monotonic()
     rows = [_metric_row(0, _dataset_loss(net, train), net_accuracy(net, test), net)]
-    status = "ok"
+    divergence = None
     for epoch in range(1, config.epochs + 1):
         losses = []
         for batch in batches(train, config.batch_size, seed, epoch):
@@ -361,21 +366,17 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
                 loss, reason = float("nan"), str(exc)
             losses.append(loss)
             if reason is not None:
-                status = "diverged"
+                divergence = f"diverged in epoch {epoch}: {reason}"
                 break
-        if status == "diverged":
-            log.error("diverged in epoch %d: %s", epoch, reason)
+        if divergence is not None:
             break
         rows.append(
             _metric_row(epoch, np.mean(losses), net_accuracy(net, test), net)
         )
-        log.info(
-            "epoch %d: train_loss %.4f test_acc %.4f ranks %s",
-            epoch, float(np.mean(losses)), float(rows[-1][2]), net.ranks(),
-        )
     triples = _layer_triples(net)
     return {
-        "status": status,
+        "status": "ok" if divergence is None else "diverged",
+        "divergence": divergence,
         "rows": rows,
         "columns": columns,
         "net": net,
@@ -388,9 +389,22 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
     }
 
 
+def _log_run(result: dict) -> None:
+    """Log a run's epoch summaries, read back from its rows, and its
+    divergence."""
+    for row in result["rows"][1:]:
+        log.info(
+            "epoch %d: train_loss %.4f test_acc %.4f ranks %s",
+            row[0], float(row[1]), float(row[2]), row[3:-2],
+        )
+    if result["divergence"] is not None:
+        log.error("%s", result["divergence"])
+
+
 def cmd_train(config: RunConfig, out: _Outputs) -> int:
     train, test = _load_splits(config)
     result = _run_training(config, config.integrator, config.seed, train, test)
+    _log_run(result)
     out.write_csv(".csv", result["columns"], result["rows"])
     save_network(out.path(".ckpt"), result["net"])
     out.write_summary(
@@ -410,15 +424,67 @@ def cmd_train(config: RunConfig, out: _Outputs) -> int:
     return EXIT_OK if result["status"] == "ok" else EXIT_DIVERGED
 
 
+# the settings and splits of the compare in progress: its forked workers
+# inherit them, so a run's job pickles only its integrator and seed
+_compare_inputs: tuple = ()
+
+
+def _compare_run(job: tuple) -> dict:
+    """One compare run, ``job`` = (integrator, seed), on ``_compare_inputs``:
+    its result without the final net, which compare does not read."""
+    config, train, test = _compare_inputs
+    result = _run_training(config, *job, train, test)
+    del result["net"]
+    return result
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, or all of the
+    host's where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_compare(config: RunConfig, out: _Outputs) -> int:
+    """Train every integrator x seed run and tabulate their accuracies.
+
+    The runs are independent, so they are spread over min(runs, CPUs in the
+    affinity mask) worker processes, forked after the splits are loaded so
+    that they inherit them. With one worker, or where ``fork`` does not
+    exist, the runs go in process. Either way the CSVs, stdout and the
+    logged lines follow run order, so their bytes do not depend on the
+    worker count. Each run's JSON ``runtime_s`` is measured inside its
+    worker, and the JSON's ``workers`` field records the count. A run that
+    raises, or a worker that is killed, fails the command once the runs in
+    flight end, and no worker outlives it.
+    """
+    global _compare_inputs
     integrators, seeds = config.integrators, config.seeds  # resolved by load_config
     train, test = _load_splits(config)
+    jobs = [(integrator, seed) for integrator in integrators for seed in seeds]
+    workers = min(len(jobs), _cpu_count())
+    if "fork" not in multiprocessing.get_all_start_methods():
+        workers = 1
+    _compare_inputs = (config, train, test)
+    pool = None
     runs = []
-    for integrator in integrators:
-        for seed in seeds:
-            result = _run_training(config, integrator, seed, train, test)
-            runs.append(result)
-            out.write_csv(f"-{integrator}-s{seed}.csv", result["columns"], result["rows"])
+    try:
+        if workers > 1:
+            # an executor, unlike multiprocessing.Pool, raises BrokenProcessPool
+            # when a worker is killed mid-run instead of waiting for it forever
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            results = pool.map(_compare_run, jobs)
+        else:
+            results = map(_compare_run, jobs)
+        for r in results:  # in run order
+            _log_run(r)
+            out.write_csv(f"-{r['integrator']}-s{r['seed']}.csv", r["columns"], r["rows"])
+            runs.append(r)
+    finally:
+        _compare_inputs = ()
+        if pool is not None:  # no worker outlives the command
+            pool.shutdown(wait=True, cancel_futures=True)
     rows = []
     for r in runs:
         rows.append(
@@ -441,6 +507,7 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
         ".csv", ["row", "integrator", "seed", "status", "accuracy", "param_count"], rows
     )
     out.write_summary(
+        workers=workers,
         runs=[
             {k: r[k] for k in
              ("integrator", "seed", "status", "final_accuracy", "param_count",

@@ -126,7 +126,8 @@ def ortho_augment(u0, k1) -> Matrix:
 
     A residual column whose R diagonal is at most ``DROP_TOL`` times the
     norm of ``k1`` depends on the columns before it and is dropped, so
-    ``q`` may have fewer columns than ``k1``, or none (always when m = r).
+    ``q`` may have fewer columns than ``k1``, or none. When m = r, ``u0``
+    already spans R^m and is returned itself, with no projection or QR.
     Dropping a column that is not trailing takes a second QR without it,
     since the Householder column it leaves behind is arbitrary and may
     reach into span(u0). When rounding leaves ``q`` with a component along
@@ -142,6 +143,8 @@ def ortho_augment(u0, k1) -> Matrix:
         raise DimensionError(
             f"row counts differ: {u0.shape[0]} vs {k1.shape[0]}"
         )
+    if u0.shape[0] == u0.shape[1]:  # u0 spans every column of k1 already
+        return u0
     tol = DROP_TOL * np.linalg.norm(k1)
     res = k1 - u0 @ (u0.T @ k1)
     res -= u0 @ (u0.T @ res)

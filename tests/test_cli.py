@@ -1,7 +1,12 @@
 import csv
 import gzip
 import json
+import logging
+import multiprocessing
+import os
 import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -375,6 +380,98 @@ class TestCompare:
         ])
         assert code == EXIT_CONFIG
         assert not list(tmp_path.glob("compare-*"))
+
+
+def pin_cpus(monkeypatch, count):
+    """Make the affinity mask that compare reads hold ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestCompareWorkers:
+    """compare spreads its runs over min(runs, CPUs) forked workers."""
+
+    RUNS = [(integrator, seed) for integrator in ("abc-psi", "bug", "full") for seed in (1, 2)]
+
+    def compare(self, data_dir, out_dir, *extra):
+        return main([
+            "compare", "--data-dir", str(data_dir), "--out-dir", str(out_dir),
+            "--arch", "16,12,4", "--rank", "3", "--epochs", "2", "--batch-size", "32",
+            "--integrators", "abc-psi,bug,full", "--seeds", "1,2", *extra,
+        ])
+
+    def test_outputs_do_not_depend_on_worker_count(self, data_dir, tmp_path, monkeypatch,
+                                                   capsys):
+        outputs = {}
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            out_dir = tmp_path / str(cpus)
+            assert self.compare(data_dir, out_dir) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            (summary,) = out_dir.glob("compare-*.json")
+            assert json.loads(summary.read_text())["workers"] == cpus
+            csvs = {path.name: path.read_bytes() for path in out_dir.glob("*.csv")}
+            outputs[cpus] = csvs, capsys.readouterr().out
+        assert len(outputs[1][0]) == len(self.RUNS) + 1
+        assert outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_run_raises_and_leaves_no_worker(self, cpus, data_dir, tmp_path,
+                                                    monkeypatch):
+        pin_cpus(monkeypatch, cpus)
+        run_training = dlrt.cli._run_training
+
+        def fail_one(config, integrator, seed, train, test):
+            if (integrator, seed) == ("bug", 2):
+                raise RuntimeError("run bug s2 failed")
+            return run_training(config, integrator, seed, train, test)
+
+        monkeypatch.setattr(dlrt.cli, "_run_training", fail_one)
+        with pytest.raises(RuntimeError, match="run bug s2 failed"):
+            self.compare(data_dir, tmp_path)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="without fork the runs, and the kill, are in process")
+    def test_killed_worker_fails_the_command(self, data_dir, tmp_path, monkeypatch):
+        # a worker the system kills mid-run (say for memory) fails compare;
+        # it does not leave it waiting for that run forever
+        pin_cpus(monkeypatch, 2)
+        run_training = dlrt.cli._run_training
+
+        def killed_once(config, integrator, seed, train, test):
+            if (integrator, seed) == ("bug", 2):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_training(config, integrator, seed, train, test)
+
+        monkeypatch.setattr(dlrt.cli, "_run_training", killed_once)
+        with pytest.raises(BrokenProcessPool):
+            self.compare(data_dir, tmp_path)
+        assert multiprocessing.active_children() == []
+
+    def test_logs_in_run_order(self, data_dir, tmp_path, monkeypatch, caplog):
+        pin_cpus(monkeypatch, 2)
+        caplog.set_level(logging.INFO, logger="dlrt")
+        assert self.compare(data_dir, tmp_path) == EXIT_OK
+        expected = []
+        for integrator, seed in self.RUNS:
+            (path,) = tmp_path.glob(f"compare-*-{integrator}-s{seed}.csv")
+            for row in list(csv.reader(path.read_text().splitlines()[2:]))[1:]:
+                expected.append(f"epoch {row[0]}: train_loss {float(row[1]):.4f} "
+                                f"test_acc {float(row[2]):.4f}")
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert [line.split(" ranks ")[0] for line in lines] == expected
+
+    def test_divergence_logged_by_the_parent(self, data_dir, tmp_path, monkeypatch, caplog):
+        pin_cpus(monkeypatch, 2)
+        args = ["--integrators", "full", "--lr", "1e8"]
+        assert self.compare(data_dir, tmp_path, *args) == EXIT_OK
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 2
+        assert all(e.startswith("diverged in epoch 1: layer 0 weight norm") for e in errors)
+        (summary,) = tmp_path.glob("compare-*.json")
+        summary = json.loads(summary.read_text())
+        assert summary["workers"] == 2
+        assert [r["status"] for r in summary["runs"]] == ["diverged", "diverged"]
 
 
 class TestOdeBench:

@@ -1,9 +1,9 @@
 """The README's CLI reference checked against the code: config keys, flags,
 example commands and exit codes; the dlrt names the README cites; the one
-call site of each dense factorization in the source, and the one caller of
-``svd_thin``; module-level imports, frozen dataclasses, exported names and
-stepper signatures in the source; and the names the benchmark's tracer
-wraps."""
+call site of each dense factorization in the source, the one caller of
+``svd_thin`` and the one process pool; module-level imports, frozen
+dataclasses, exported names and stepper signatures in the source; and the
+names the benchmark's tracer wraps."""
 
 import argparse
 import ast
@@ -124,6 +124,25 @@ def call_sites(name):
 def test_svd_thin_called_only_by_the_gram_route():
     # gesdd is the Gram route's fallback, so shape and caller never pick it
     assert call_sites("svd_thin") == ["lowrank._gram_svd"]
+
+
+def test_one_process_pool():
+    # compare's runs are the one parallel site: only cli imports a process
+    # pool module, and only cmd_compare creates a pool
+    importers = set()
+    for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("multiprocessing", "concurrent") for m in modules):
+                importers.add(path.stem)
+    assert importers == {"cli"}
+    assert call_sites("Pool") == []
+    assert call_sites("ProcessPoolExecutor") == ["cli.cmd_compare"]
 
 
 def test_no_import_inside_a_function():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dlrt import linalg
 from dlrt.linalg import (
     DimensionError,
     NumericError,
@@ -135,6 +136,17 @@ def test_ortho_augment_square_u0_returned_alone():
     rng = np.random.default_rng(15)
     u0 = householder_qr(rng.standard_normal((6, 6))).q
     assert assert_augments(u0, rng.standard_normal((6, 6))).shape == (6, 6)
+
+
+def test_ortho_augment_square_u0_skips_the_residual(monkeypatch):
+    # a square u0 spans R^m, so no projection or QR can add a column
+    rng = np.random.default_rng(17)
+    u0 = householder_qr(rng.standard_normal((10, 10))).q
+    calls = []
+    monkeypatch.setattr(linalg, "_signed_qr", lambda a: calls.append(a.shape))
+    basis = ortho_augment(u0, rng.standard_normal((10, 4)))
+    assert basis is u0
+    assert calls == []
 
 
 def test_ortho_augment_complement_narrower_than_k1():
