@@ -120,8 +120,11 @@ class RunConfig:
             if not _fits(value, f.type):
                 raise ConfigError(f"{f.name} must be {_type_name(f.type)}, got {value!r}")
 
-    def validate(self) -> "RunConfig":
-        """Check ranges and relations; the types were checked at construction."""
+    def validate(self, keys=None) -> "RunConfig":
+        """Check ranges and relations; the types were checked at construction.
+        A step count is checked against MAX_STEPS when ``keys``, the settings
+        a command reads (default: all), hold every setting it multiplies."""
+        keys = {f.name for f in fields(self)} if keys is None else set(keys)
         for name in (self.integrator, *self.integrators):
             if name not in INTEGRATOR_NAMES:
                 raise ConfigError(f"unknown integrator {name!r}")
@@ -153,14 +156,18 @@ class RunConfig:
             raise ConfigError("t_end and ref_h must be positive")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        counts = []
         try:
-            counts = [(f"t_end/h * substeps (h {h}, substeps {self.substeps})",
-                       _steps_for(h, self.t_end) * self.substeps) for h in self.h_list]
-            counts.append(("t_end/ref_h", _steps_for(self.ref_h, self.t_end)))
+            if {"h_list", "t_end", "substeps"} <= keys:
+                counts += [(f"t_end/h * substeps (h {h}, substeps {self.substeps})",
+                            _steps_for(h, self.t_end) * self.substeps) for h in self.h_list]
+            if {"ref_h", "t_end"} <= keys:
+                counts.append(("t_end/ref_h", _steps_for(self.ref_h, self.t_end)))
         except ValueError as exc:
             raise ConfigError(str(exc))
         counts += [(f"{name} * substeps ({n} * {self.substeps})", n * self.substeps)
-                   for name, n in (("steps", self.steps), ("epochs", self.epochs))]
+                   for name, n in (("steps", self.steps), ("epochs", self.epochs))
+                   if {name, "substeps"} <= keys]
         for what, count in counts:
             if count > MAX_STEPS:
                 raise ConfigError(f"{what} asks for {count} steps, above MAX_STEPS {MAX_STEPS}")
@@ -240,7 +247,7 @@ def load_config(path=None, overrides=None, keys=None) -> RunConfig:
             merged[key] = value
     config = RunConfig(**merged)  # a list fits only a tuple field
     tuples = {key: tuple(value) for key, value in merged.items() if isinstance(value, list)}
-    return _unread_at_defaults(replace(config, **tuples), keys).validate()
+    return _unread_at_defaults(replace(config, **tuples), keys).validate(keys)
 
 
 def write_csv(path, config_hash, columns, rows) -> None:
@@ -582,11 +589,11 @@ def cmd_descent_audit(config: RunConfig, out: _Outputs) -> int:
     worst = 0.0
     for step in range(1, config.steps + 1):
         # one abc-psi step, audited between its flow and its truncation
-        (flow,) = abc_psi_flow([state], oracle, cfg)
+        (flow,) = abc_psi_flow([state], oracle.grads, cfg)
         y0 = state.u @ (state.s @ state.v.T)
-        loss_before = oracle.loss_at(y0)
+        loss_before = oracle.loss(y0)
         proj_grad_sq = float(np.sum((flow.u_hat.T @ oracle.full(y0)) ** 2))
-        loss_flow = oracle.loss_at(flow.u_hat @ flow.l1.T)
+        loss_flow = oracle.loss(flow.u_hat @ flow.l1.T)
         state = flow.truncate(policy)
         bound = loss_before - (1.0 - h * curvature / 2.0) * h * proj_grad_sq
         margin = bound - loss_flow

@@ -1,12 +1,15 @@
-"""One training step per integrator, driven by a gradient oracle.
+"""One training step per integrator, driven by a gradient function.
 
-Every stepper advances a list of factored states together: between two
-oracle evaluations it loops over the states, and each evaluation sees all
-of them at once (for a network, one forward/backward pass over all its
-low-rank layers). A single matrix is the one-state case. Five steppers
-share the factored-state conventions of the lowrank module:
+Every stepper takes ``grads``, the one function it calls: a list of factor
+pairs in, one gradient handle per pair out. It advances a list of factored
+states together: between two evaluations of ``grads`` it loops over the
+states, and each evaluation sees all of them at once (for a network, one
+forward/backward pass over all its low-rank layers). A single matrix is the
+one-state case. Five steppers share the factored-state conventions of the
+lowrank module:
 
-* ``euler_full_step``: dense explicit-Euler baseline.
+* ``euler_full_step``: dense explicit-Euler baseline, on the synthetic
+  problem's ``GradientOracle``.
 * ``psi_step``: fixed-rank projector splitting over K, S, L subflows; the
   S subflow runs against the descent direction.
 * ``bc_psi_step``: splitting with the S subflow replaced by a projection
@@ -18,8 +21,8 @@ share the factored-state conventions of the lowrank module:
   with the swept K factor, the core is carried into the enlarged basis,
   the right factor is evolved there, and the result is truncated back by a
   relative singular-value criterion. Its only factorizations per state are
-  one QR of an m x r residual (the augmentation) and the truncation's, see
-  ``lowrank.truncate_state``.
+  one QR of an m x r residual (the augmentation, skipped when u0 is
+  square) and the truncation's, see ``lowrank.truncate_state``.
 
 A splitting stepper is a first phase that returns values, one per state,
 and a finish: ``psi_mid`` and ``bc_psi_mid`` return ``SplitMid`` records
@@ -29,10 +32,10 @@ the truncation. The descent audit and the S-step probe read these values.
 All subflows are discretized by explicit Euler; ``StepConfig.substeps``
 repeats the gradient step inside the K and L subflows. A step reuses the
 gradient at the current point wherever a substep starts there, so with s
-substeps it costs 2s+1 (psi), 2s (bc-psi, bug) or 2s-1 (abc-psi) oracle
+substeps it costs 2s+1 (psi), 2s (bc-psi, bug) or 2s-1 (abc-psi)
 evaluations.
 
-Steppers trust their states and their oracle: no array is scanned for
+Steppers trust their states and their gradients: no array is scanned for
 non-finite entries inside a step. A non-finite value reaches a QR
 (``psi``, ``bc-psi``, ``bug``) or the truncation (``abc-psi``), which raise
 ``NumericError``; ``ode_error_study`` checks the endpoints of its flows.
@@ -85,38 +88,26 @@ class Gradient(NamedTuple):
 
 @dataclass(frozen=True)
 class GradientOracle:
-    """Supplies loss gradients at factored points.
+    """The synthetic problem's loss in three forms.
 
     Parameters
     ----------
     grads : callable
-        The one required form, and the one the steppers call: a list of
-        factor pairs [(a_i (m_i, c_i), b_i (n_i, c_i)), ...] -> list of
-        gradient handles, one per pair, of the loss at the points
-        a_i @ b_i.T taken together: objects with ``right`` and ``left``
-        contractions as a ``Gradient`` has. One call is one evaluation of
-        the loss (for a network, one forward/backward pass).
-    eval_full : callable, optional
-        y (m, n) -> gradient (m, n), read only by the dense Euler step and
-        the descent audit; ``full`` raises ``ValueError`` without it.
-    loss : callable, optional
-        y (m, n) -> scalar loss, read only by the descent audit and the
-        S-step probe; ``loss_at`` raises ``ValueError`` without it.
+        The form a stepper takes: a list of factor pairs
+        [(a_i (m_i, c_i), b_i (n_i, c_i)), ...] -> list of gradient handles,
+        one per pair, of the loss at the points a_i @ b_i.T taken together:
+        objects with ``right`` and ``left`` contractions as a ``Gradient``
+        has. One call is one evaluation of the loss.
+    full : callable
+        y (m, n) -> gradient (m, n), for the dense Euler step and the
+        descent audit.
+    loss : callable
+        y (m, n) -> scalar loss, for the descent audit and the S-step probe.
     """
 
     grads: Callable[[list], list]
-    eval_full: Optional[Callable[[Matrix], Matrix]] = None
-    loss: Optional[Callable[[Matrix], float]] = None
-
-    def full(self, y: Matrix) -> Matrix:
-        if self.eval_full is None:
-            raise ValueError("oracle has no full-gradient form")
-        return self.eval_full(y)
-
-    def loss_at(self, y: Matrix) -> float:
-        if self.loss is None:
-            raise ValueError("oracle has no loss form")
-        return float(self.loss(y))
+    full: Callable[[Matrix], Matrix]
+    loss: Callable[[Matrix], float]
 
 
 @dataclass(frozen=True)
@@ -171,53 +162,53 @@ def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
     return w - h * oracle.full(w)
 
 
-def _k_sweep(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> tuple:
+def _k_sweep(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> tuple:
     """K subflow of every state from k0 = u0 @ s0 with the right bases frozen.
 
-    Returns (k0, grads0, k1): the start, the gradient handles at the
+    Returns (k0, handles0, k1): the start, the gradient handles at the
     current point (the first substep's evaluation), and the swept factors.
     """
     k = k0 = [st.u @ st.s for st in states]
     v = [st.v for st in states]
-    grads = grads0 = oracle.grads(list(zip(k0, v)))
+    handles = handles0 = grads(list(zip(k0, v)))
     for step in range(cfg.substeps):
         if step:
-            grads = oracle.grads(list(zip(k, v)))
-        k = [k_i - cfg.h * g.right(v_i) for k_i, v_i, g in zip(k, v, grads)]
-    return k0, grads0, k
+            handles = grads(list(zip(k, v)))
+        k = [k_i - cfg.h * g.right(v_i) for k_i, v_i, g in zip(k, v, handles)]
+    return k0, handles0, k
 
 
 def _l_sweep(
-    l: list, u: list, oracle: GradientOracle, cfg: StepConfig, grads: Optional[list] = None
+    l: list, u: list, grads: Callable, cfg: StepConfig, handles: Optional[list] = None
 ) -> list:
-    """L subflow with the left bases u frozen; grads, when given, are
+    """L subflow with the left bases u frozen; handles, when given, are
     taken at u @ l.T and spare the first evaluation."""
     for step in range(cfg.substeps):
-        if step or grads is None:
-            grads = oracle.grads(list(zip(u, l)))
-        l = [l_i - cfg.h * g.left(u_i) for l_i, u_i, g in zip(l, u, grads)]
+        if step or handles is None:
+            handles = grads(list(zip(u, l)))
+        l = [l_i - cfg.h * g.left(u_i) for l_i, u_i, g in zip(l, u, handles)]
     return l
 
 
-def _core_step(u, s, v, oracle: GradientOracle, h: float) -> list:
+def _core_step(u, s, v, grads: Callable, h: float) -> list:
     """Explicit-Euler core step s - h * u.T @ G(u @ s @ v.T) @ v of every
     state (u, s, v), from one evaluation at the states taken together."""
-    grads = oracle.grads([(u_i @ s_i, v_i) for u_i, s_i, v_i in zip(u, s, v)])
-    return [s_i - h * (u_i.T @ g.right(v_i)) for u_i, s_i, v_i, g in zip(u, s, v, grads)]
+    handles = grads([(u_i @ s_i, v_i) for u_i, s_i, v_i in zip(u, s, v)])
+    return [s_i - h * (u_i.T @ g.right(v_i)) for u_i, s_i, v_i, g in zip(u, s, v, handles)]
 
 
 def _split_finish(
-    states: Sequence[LowRankState], mids: list, oracle: GradientOracle, cfg: StepConfig
+    states: Sequence[LowRankState], mids: list, grads: Callable, cfg: StepConfig
 ) -> list:
     """The last phase of psi and bc-psi: the L sweep from v0 @ s_mid.T in the
     fresh left bases u1, then the right factor orthonormalized by QR."""
     u1 = [mid.u1 for mid in mids]
-    l1 = _l_sweep([st.v @ mid.s_mid.T for st, mid in zip(states, mids)], u1, oracle, cfg)
+    l1 = _l_sweep([st.v @ mid.s_mid.T for st, mid in zip(states, mids)], u1, grads, cfg)
     qrs = [householder_qr(l) for l in l1]
     return [LowRankState(u, np.ascontiguousarray(r.T), v) for u, (v, r) in zip(u1, qrs)]
 
 
-def psi_mid(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+def psi_mid(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """The K sweep, its QR and the S sweep of ``psi_step``, one ``SplitMid``
     per state.
 
@@ -225,33 +216,33 @@ def psi_mid(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepCon
     positive gradient direction; that is the splitting's backward-in-time
     substep, not a bug.
     """
-    _, _, k1 = _k_sweep(states, oracle, cfg)
+    _, _, k1 = _k_sweep(states, grads, cfg)
     u1, s_start = zip(*map(householder_qr, k1))
-    s_mid = _core_step(u1, s_start, [st.v for st in states], oracle, -cfg.h)
+    s_mid = _core_step(u1, s_start, [st.v for st in states], grads, -cfg.h)
     return [SplitMid(*mid) for mid in zip(u1, s_start, s_mid)]
 
 
-def psi_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+def psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """One fixed-rank projector-splitting step (K, S, L sweeps)."""
-    return _split_finish(states, psi_mid(states, oracle, cfg), oracle, cfg)
+    return _split_finish(states, psi_mid(states, grads, cfg), grads, cfg)
 
 
-def bc_psi_mid(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+def bc_psi_mid(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """The K sweep and its QR of ``bc_psi_step``, one ``SplitMid`` per
     state, with s_mid = u1.T @ k0: the previous iterate expressed in the
     fresh left basis, in place of psi's backward core sweep."""
-    k0, _, k1 = _k_sweep(states, oracle, cfg)
+    k0, _, k1 = _k_sweep(states, grads, cfg)
     qrs = [householder_qr(k) for k in k1]
     return [SplitMid(u1, r, u1.T @ k) for (u1, r), k in zip(qrs, k0)]
 
 
-def bc_psi_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+def bc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """Fixed-rank splitting step with the S sweep replaced by a projection,
     so no substep moves against the descent direction."""
-    return _split_finish(states, bc_psi_mid(states, oracle, cfg), oracle, cfg)
+    return _split_finish(states, bc_psi_mid(states, grads, cfg), grads, cfg)
 
 
-def bug_fixed_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+def bug_fixed_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """Fixed-rank basis-update and Galerkin step.
 
     K and L sweeps both start from the current state (they are
@@ -259,46 +250,47 @@ def bug_fixed_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: 
     one evaluation); the core is then rebuilt in the two fresh bases and
     advanced by one explicit-Euler step.
     """
-    _, grads, k1 = _k_sweep(states, oracle, cfg)
+    _, handles, k1 = _k_sweep(states, grads, cfg)
     u0 = [st.u for st in states]
-    l1 = _l_sweep([st.v @ st.s.T for st in states], u0, oracle, cfg, grads)
+    l1 = _l_sweep([st.v @ st.s.T for st in states], u0, grads, cfg, handles)
     u1 = [householder_qr(k).q for k in k1]
     v1 = [householder_qr(l).q for l in l1]
     s_init = [
         (u1_i.T @ st.u) @ st.s @ (st.v.T @ v1_i)
         for u1_i, v1_i, st in zip(u1, v1, states)
     ]
-    s1 = _core_step(u1, s_init, v1, oracle, cfg.h)
+    s1 = _core_step(u1, s_init, v1, grads, cfg.h)
     return [LowRankState(u, s, v) for u, s, v in zip(u1, s1, v1)]
 
 
-def abc_psi_flow(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+def abc_psi_flow(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """Steps 1-4 of ``abc_psi_step``, one ``AbcFlow`` per state."""
-    _, grads, k1 = _k_sweep(states, oracle, cfg)
+    _, handles, k1 = _k_sweep(states, grads, cfg)
     u_hat = [ortho_augment(st.u, k) for st, k in zip(states, k1)]
     l0 = [
         np.hstack([st.v @ st.s.T, np.zeros((st.v.shape[0], u.shape[1] - st.rank))])
         for st, u in zip(states, u_hat)
     ]
-    l1 = _l_sweep(l0, u_hat, oracle, cfg, grads)
+    l1 = _l_sweep(l0, u_hat, grads, cfg, handles)
     return [AbcFlow(*flow) for flow in zip(k1, u_hat, l1)]
 
 
-def abc_psi_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: StepConfig) -> list:
+def abc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """Rank-adaptive step: augment the left basis, correct, evolve, truncate.
 
     Order of operations (1-4 are ``abc_psi_flow``, 5 is ``AbcFlow.truncate``):
 
     1. K sweep from k0 = u0 @ s0.
     2. Enlarged left basis u_hat = [u0 | b], with b an orthonormal basis of
-       k1's part orthogonal to u0 (one QR of an m x r residual). Dependent
-       columns are dropped, so its width q is at most 2r.
+       k1's part orthogonal to u0 (one QR of an m x r residual, none when
+       u0 is square and spans R^m already). Dependent columns are dropped,
+       so its width q is at most 2r.
     3. Core correction folded into the right factor: l0 = v0 @ k0.T @ u_hat
        (the current iterate expressed against u_hat), which is
        [v0 @ s0.T | 0] because k0.T @ u_hat = [s0.T | 0].
     4. L sweep in the enlarged basis. Its first substep starts at the
        current point, u_hat @ l0.T = k0 @ v0.T, so with one substep the
-       whole step costs one oracle evaluation.
+       whole step costs one evaluation of ``grads``.
     5. Truncation of u_hat @ l1.T by the policy's singular-value
        criterion. With l1 = P diag(sigma) Q^T the new state is
        (u_hat Q_r, diag(sigma_r), P_r), already in orthonormal-times-core
@@ -306,14 +298,14 @@ def abc_psi_step(states: Sequence[LowRankState], oracle: GradientOracle, cfg: St
        smaller side (l1.T @ l1, q x q, for the usual tall l1), or takes
        gesdd of l1 where its guard says so.
 
-    The cost profile per step is one QR of the m x r residual and the
-    truncation's eigendecomposition, at most q x q, per state. A non-finite
-    value in a state or an oracle contraction reaches l1, and the truncation
-    raises ``NumericError``.
+    The cost profile per step is one QR of the m x r residual (none for a
+    square u0) and the truncation's eigendecomposition, at most q x q, per
+    state. A non-finite value in a state or a gradient contraction reaches
+    l1, and the truncation raises ``NumericError``.
     """
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
-    return [flow.truncate(cfg.policy) for flow in abc_psi_flow(states, oracle, cfg)]
+    return [flow.truncate(cfg.policy) for flow in abc_psi_flow(states, grads, cfg)]
 
 
 def s_step_loss_delta_psi(
@@ -326,10 +318,8 @@ def s_step_loss_delta_psi(
     the returned delta is non-negative to leading order (about h times the
     square of the projected gradient's norm).
     """
-    if oracle.loss is None:
-        raise ValueError("s_step_loss_delta_psi requires the oracle's loss form")
-    ((u1, s_start, s_mid),) = psi_mid([state], oracle, cfg)
-    return oracle.loss_at(u1 @ (s_start @ state.v.T)), oracle.loss_at(u1 @ (s_mid @ state.v.T))
+    ((u1, s_start, s_mid),) = psi_mid([state], oracle.grads, cfg)
+    return oracle.loss(u1 @ (s_start @ state.v.T)), oracle.loss(u1 @ (s_mid @ state.v.T))
 
 
 def quadratic_oracle(a: Matrix) -> GradientOracle:
@@ -343,17 +333,17 @@ def quadratic_oracle(a: Matrix) -> GradientOracle:
     a = as_matrix(a, "a")
     read_only(a)
 
-    def eval_full(y):
-        return y - a
-
-    def eval_grads(pairs):
+    def grads(pairs):
         return [_quadratic_gradient(a, *pair) for pair in pairs]
+
+    def full(y):
+        return y - a
 
     def loss(y):
         d = y - a
         return 0.5 * float(np.sum(d * d))
 
-    return GradientOracle(eval_grads, eval_full=eval_full, loss=loss)
+    return GradientOracle(grads, full, loss)
 
 
 def _quadratic_gradient(target: Matrix, a: Matrix, b: Matrix) -> Gradient:
@@ -413,8 +403,8 @@ STEPPERS: dict[str, Callable] = {
 class OdeProblem:
     """A deterministic matrix gradient flow for the robustness study.
 
-    ``oracle`` must expose the full gradient; ``y0`` is the initial point
-    of every flow, the dense ones starting from ``y0.densify()``.
+    ``y0`` is the initial point of every flow, the dense ones starting
+    from ``y0.densify()``.
     """
 
     oracle: GradientOracle
@@ -477,7 +467,7 @@ def ode_error_study(
             cfg = replace(cfg_template, h=h) if cfg_template else StepConfig(h=h)
             states = [problem.y0]
             for _ in range(steps):
-                states = STEPPERS[integrator](states, problem.oracle, cfg)
+                states = STEPPERS[integrator](states, problem.oracle.grads, cfg)
             w = states[0].densify()
         err = float(np.linalg.norm(w - w_ref))
         if not np.isfinite(err):

@@ -15,7 +15,6 @@ from .linalg import (
     Matrix,
     NumericError,
     as_matrix,
-    householder_qr,
     read_only,
     svd_thin,
 )
@@ -23,7 +22,6 @@ from .linalg import (
 __all__ = [
     "LowRankState",
     "TruncationPolicy",
-    "init_lowrank",
     "tangent_project",
     "truncation_rank",
     "truncate_state",
@@ -108,21 +106,6 @@ class TruncationPolicy:
             raise ValueError(f"r_min must be >= 1, got {self.r_min}")
         if self.r_max < self.r_min:
             raise ValueError(f"r_max must be >= r_min, got {self.r_max} < {self.r_min}")
-
-
-def init_lowrank(m: int, n: int, r: int, seed: int) -> LowRankState:
-    """Seeded random state: orthonormalized Gaussian bases, s = I/sqrt(r).
-
-    The u factor is drawn first, then v, from one generator stream, so the
-    same seed reproduces the state bitwise.
-    """
-    if not (1 <= r <= min(m, n)):
-        raise DimensionError(f"rank {r} outside [1, min({m},{n})]")
-    rng = np.random.default_rng(seed)
-    u = householder_qr(rng.standard_normal((m, r))).q
-    v = householder_qr(rng.standard_normal((n, r))).q
-    s = np.eye(r) / math.sqrt(r)
-    return LowRankState(u, s, v)
 
 
 def tangent_project(state: LowRankState, g) -> Matrix:

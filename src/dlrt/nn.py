@@ -6,21 +6,21 @@ as ``((x @ v) @ s.T) @ u.T`` at cost O(b (m+n) r), and backward returns
 contracted gradients instead of the full m x n matrix.
 
 train_step hands the low-rank layers' states to the chosen stepper of
-``dlrt.integrators`` together with a network oracle, so every integrator is
-written once for single matrices and networks alike. One oracle evaluation
-is one forward/backward pass with all low-rank layers at the stepper's
-current phase, so each gradient evaluation sees a consistent network. With s
-substeps a step costs 2s+1 (psi), 2s (bc-psi, bug), 2s-1 (abc-psi) or 1
-(full) passes. Dense layers and biases take a plain gradient-descent step
-from the first pass.
+``dlrt.integrators`` together with the network's gradient function, so every
+integrator is written once for single matrices and networks alike. One
+evaluation of that function is one forward/backward pass with all low-rank
+layers at the stepper's current phase, so each gradient evaluation sees a
+consistent network. With s substeps a step costs 2s+1 (psi), 2s (bc-psi,
+bug), 2s-1 (abc-psi) or 1 (full) passes. Dense layers and biases take a
+plain gradient-descent step from the first pass.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .integrators import INTEGRATOR_NAMES, STEPPERS, GradientOracle, StepConfig
+from .integrators import INTEGRATOR_NAMES, STEPPERS, StepConfig
 from .linalg import DimensionError, Matrix, NumericError, as_matrix, read_only
 from .lowrank import LowRankState, _gram_svd
 
@@ -383,8 +383,9 @@ def backward(net: Network, cache: _Cache, dlogits) -> BatchGrad:
 # -- training ----------------------------------------------------------------
 
 
-def _network_oracle(net: Network, x: Matrix, labels, first: list) -> GradientOracle:
-    """Batch-loss oracle over the network's low-rank layers.
+def _network_oracle(net: Network, x: Matrix, labels, first: list) -> Callable[[list], list]:
+    """Gradient function of the batch loss over the network's low-rank
+    layers, the ``grads`` a stepper takes.
 
     One evaluation sets every low-rank layer to its factor pair (a, b),
     holds dense layers at their weights, and runs one forward/backward
@@ -392,7 +393,7 @@ def _network_oracle(net: Network, x: Matrix, labels, first: list) -> GradientOra
     The first evaluation's (loss, tapes) is appended to ``first``.
     """
 
-    def eval_grads(pairs):
+    def grads(pairs):
         pairs = iter(pairs)
         reprs = [
             _Repr(*next(pairs), layer.bias, layer.activation)
@@ -408,7 +409,7 @@ def _network_oracle(net: Network, x: Matrix, labels, first: list) -> GradientOra
             first.append((loss, tapes))
         return [tape for layer, tape in zip(net.layers, tapes) if isinstance(layer, LowRankLayer)]
 
-    return GradientOracle(eval_grads)
+    return grads
 
 
 def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
@@ -428,11 +429,11 @@ def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
         raise ValueError("full integrator requires an all-dense network")
 
     first = []
-    oracle = _network_oracle(net, x, labels, first)
+    grads = _network_oracle(net, x, labels, first)
     if states:
-        states = STEPPERS[integrator](states, oracle, cfg)
+        states = STEPPERS[integrator](states, grads, cfg)
     else:
-        oracle.grads([])
+        grads([])
     [(loss, tapes)] = first
 
     h = cfg.h

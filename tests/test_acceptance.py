@@ -29,7 +29,6 @@ from dlrt.integrators import (
 from dlrt.lowrank import (
     TruncationPolicy,
     compression_rate,
-    init_lowrank,
     tangent_project,
     truncation_rank,
 )
@@ -45,6 +44,8 @@ from dlrt.nn import (
     softmax_cross_entropy,
     train_step,
 )
+
+from helpers import init_lowrank
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -63,11 +64,11 @@ def test_criterion_01_loss_descent_inequality():
         oracle, state = problem.oracle, problem.y0
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.1, r_max=8, r_min=2))
         for _ in range(200):
-            [flow] = abc_psi_flow([state], oracle, cfg)
+            [flow] = abc_psi_flow([state], oracle.grads, cfg)
             y0 = state.u @ (state.s @ state.v.T)
             proj_grad_sq = float(np.sum((flow.u_hat.T @ oracle.full(y0)) ** 2))
-            bound = oracle.loss_at(y0) - (1 - h / 2) * h * proj_grad_sq
-            worst = max(worst, oracle.loss_at(flow.u_hat @ flow.l1.T) - bound)
+            bound = oracle.loss(y0) - (1 - h / 2) * h * proj_grad_sq
+            worst = max(worst, oracle.loss(flow.u_hat @ flow.l1.T) - bound)
             state = flow.truncate(cfg.policy)
     report(1, worst <= 1e-9, f"worst slack {worst:.3e} over 1000 steps (limit 1e-9)")
 
@@ -120,8 +121,8 @@ def test_criterion_04_backward_correction_gap():
     problem = synthetic_quadratic_problem(14, 11, 3, eps=1e-2, seed=13)
 
     def gap(h):
-        [psi] = psi_mid([problem.y0], problem.oracle, StepConfig(h=h))
-        [bc] = bc_psi_mid([problem.y0], problem.oracle, StepConfig(h=h))
+        [psi] = psi_mid([problem.y0], problem.oracle.grads, StepConfig(h=h))
+        [bc] = bc_psi_mid([problem.y0], problem.oracle.grads, StepConfig(h=h))
         return np.linalg.norm(psi.s_mid - bc.s_mid)
 
     ratio = gap(0.01) / gap(0.005)
@@ -143,7 +144,7 @@ def test_criterion_05_augmentation_and_orthonormality():
         a = rng.standard_normal((m, n))
         h = float(rng.uniform(1e-3, 0.5))
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.05, r_max=2 * r, r_min=1))
-        [flow] = abc_psi_flow([state], quadratic_oracle(a), cfg)
+        [flow] = abc_psi_flow([state], quadratic_oracle(a).grads, cfg)
         out = flow.truncate(cfg.policy)
         u_hat = flow.u_hat
         res_u0 = np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u))
@@ -313,10 +314,10 @@ def test_criterion_09_rank_adaptation():
     rank_hit = None
     loss_hit = None
     for step in range(1, 51):
-        [state] = abc_psi_step([state], oracle, cfg)
+        [state] = abc_psi_step([state], oracle.grads, cfg)
         if rank_hit is None and state.rank == 4:
             rank_hit = step
-        if loss_hit is None and oracle.loss_at(state.densify()) < 1e-6:
+        if loss_hit is None and oracle.loss(state.densify()) < 1e-6:
             loss_hit = step
     ok = rank_hit is not None and loss_hit is not None
     report(
@@ -339,7 +340,7 @@ def test_criterion_10_convergence_harness():
     best = initial
     for t in range(1, 2001):
         cfg = StepConfig(h=robbins_monro_step(1.5, t), policy=policy)
-        [state] = abc_psi_step([state], problem.oracle, cfg)
+        [state] = abc_psi_step([state], problem.oracle.grads, cfg)
         best = min(best, projected_grad_norm(state))
     ratio = best / initial
     report(10, ratio <= 1e-3, f"min projected-gradient ratio {ratio:.3e} (limit 1e-3)")

@@ -3,8 +3,9 @@ import pytest
 
 from dlrt import checkpoint
 from dlrt.checkpoint import MAGIC, CheckpointError, load_network, save_network
-from dlrt.lowrank import init_lowrank
 from dlrt.nn import DenseLayer, LowRankLayer, Network
+
+from helpers import init_lowrank
 
 
 def lowrank_net(*shapes, seed):

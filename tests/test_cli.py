@@ -576,8 +576,8 @@ class TestDescentAudit:
     def test_violations_exit_only_within_guarantee(self, lr, code, tmp_path, monkeypatch):
         # a flow that overshoots to twice its endpoint raises the loss past
         # the descent bound; only a step size within 2/c_l makes that fatal
-        def raised_flow_loss(states, oracle, cfg):
-            return [flow._replace(l1=2.0 * flow.l1) for flow in abc_psi_flow(states, oracle, cfg)]
+        def raised_flow_loss(states, grads, cfg):
+            return [flow._replace(l1=2.0 * flow.l1) for flow in abc_psi_flow(states, grads, cfg)]
 
         monkeypatch.setattr(dlrt.cli, "abc_psi_flow", raised_flow_loss)
         steps = 12
@@ -753,6 +753,22 @@ class TestStepCeiling:
     def test_huge_tau_runs(self, args, tmp_path):
         args += ["--dims", "8,6", "--target-rank", "2", "--tau", "1e300"]
         assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("args", [
+        # steps * substeps would be 200 * 6000 at the unread default steps
+        ["ode-bench", "--substeps", "6000", "--dims", "8,6", "--target-rank", "2",
+         "--h-list", "0.5", "--t-end", "1.0", "--ref-h", "0.1"],
+        # t_end/h * substeps would be 40 * 30000 at the unread default h_list
+        ["descent-audit", "--substeps", "30000", "--steps", "1", "--dims", "8,6",
+         "--target-rank", "2"],
+    ])
+    def test_unread_settings_count_nothing(self, args, tmp_path):
+        assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_OK
+
+    def test_train_counts_only_epochs(self, data_dir, tmp_path):
+        # steps * substeps would be 200 * 6000 at the unread default steps
+        args = train_args(data_dir, tmp_path, "--substeps", "6000", "--epochs", "0")
+        assert main(args) == EXIT_OK
 
 
 @pytest.fixture(scope="module")

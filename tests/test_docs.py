@@ -181,11 +181,12 @@ def test_exported_names_exist():
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
 
 
-def test_steppers_take_states_oracle_cfg():
+def test_steppers_take_states_grads_cfg():
     # a stepper reports what it computed through its return value, so none
-    # takes an option beyond its states, its oracle and its settings
+    # takes an option beyond its states, the gradient function it calls and
+    # its settings
     for name, stepper in integrators.STEPPERS.items():
-        assert list(inspect.signature(stepper).parameters) == ["states", "oracle", "cfg"], name
+        assert list(inspect.signature(stepper).parameters) == ["states", "grads", "cfg"], name
 
 
 def test_traced_names_exist():

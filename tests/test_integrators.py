@@ -1,8 +1,14 @@
+import re
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import dlrt.lowrank
 from dlrt.integrators import (
+    INTEGRATOR_NAMES,
+    STEPPERS,
     Gradient,
     GradientOracle,
     StepConfig,
@@ -21,7 +27,9 @@ from dlrt.integrators import (
     synthetic_quadratic_problem,
 )
 from dlrt.linalg import NumericError, svd_thin
-from dlrt.lowrank import LowRankState, TruncationPolicy, init_lowrank
+from dlrt.lowrank import LowRankState, TruncationPolicy
+
+from helpers import init_lowrank
 
 
 def zero_oracle():
@@ -32,7 +40,7 @@ def zero_oracle():
             for a, b in pairs
         ]
 
-    return GradientOracle(grads, eval_full=lambda y: np.zeros_like(y), loss=lambda y: 0.0)
+    return GradientOracle(grads, full=lambda y: np.zeros_like(y), loss=lambda y: 0.0)
 
 
 def signed_qr(a):
@@ -65,13 +73,6 @@ class TestGradientOracle:
         with pytest.raises(TypeError):
             GradientOracle(loss=lambda y: 0.0)
 
-    def test_optional_forms_raise_when_absent(self):
-        oracle = GradientOracle(quadratic_oracle(np.eye(3)).grads)
-        with pytest.raises(ValueError, match="no full-gradient form"):
-            oracle.full(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="no loss form"):
-            oracle.loss_at(np.zeros((3, 3)))
-
     def test_quadratic_oracle_owns_its_target(self):
         # the oracle marks the array it keeps read-only, so a write by the
         # caller cannot change its gradients
@@ -103,14 +104,14 @@ class TestEulerFullStep:
 class TestPsiStep:
     def test_zero_gradient_reproduces_state(self):
         state = init_lowrank(8, 6, 3, seed=5)
-        [out] = psi_step([state], zero_oracle(), StepConfig(h=0.1))
+        [out] = psi_step([state], zero_oracle().grads, StepConfig(h=0.1))
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
         out.validate()
 
     def test_on_manifold_target_is_fixed_point(self):
         state = init_lowrank(7, 5, 2, seed=6)
         oracle = quadratic_oracle(state.densify())
-        [out] = psi_step([state], oracle, StepConfig(h=0.1))
+        [out] = psi_step([state], oracle.grads, StepConfig(h=0.1))
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
 
     def test_matches_straight_line_reimplementation(self):
@@ -129,7 +130,7 @@ class TestPsiStep:
         v1, r_l = signed_qr(l1)
         expected = LowRankState(u1, r_l.T, v1)
 
-        [out] = psi_step([state], quadratic_oracle(a), StepConfig(h=h))
+        [out] = psi_step([state], quadratic_oracle(a).grads, StepConfig(h=h))
         np.testing.assert_allclose(out.u, expected.u, atol=1e-12)
         np.testing.assert_allclose(out.s, expected.s, atol=1e-12)
         np.testing.assert_allclose(out.v, expected.v, atol=1e-12)
@@ -138,7 +139,7 @@ class TestPsiStep:
 class TestBcPsiStep:
     def test_zero_gradient_reproduces_state(self):
         state = init_lowrank(9, 6, 3, seed=8)
-        [out] = bc_psi_step([state], zero_oracle(), StepConfig(h=0.2))
+        [out] = bc_psi_step([state], zero_oracle().grads, StepConfig(h=0.2))
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
 
     def test_core_gap_vs_psi_is_second_order(self):
@@ -147,8 +148,8 @@ class TestBcPsiStep:
         oracle = quadratic_oracle(a)
 
         def gap(h):
-            [psi] = psi_mid([state], oracle, StepConfig(h=h))
-            [bc] = bc_psi_mid([state], oracle, StepConfig(h=h))
+            [psi] = psi_mid([state], oracle.grads, StepConfig(h=h))
+            [bc] = bc_psi_mid([state], oracle.grads, StepConfig(h=h))
             return np.linalg.norm(psi.s_mid - bc.s_mid)
 
         ratio = gap(0.01) / gap(0.005)
@@ -159,8 +160,8 @@ class TestBcPsiStep:
         a = np.random.default_rng(10).standard_normal((6, 5))
         oracle = quadratic_oracle(a)
         cfg = StepConfig(h=0.1)
-        [out_psi] = psi_step([state], oracle, cfg)
-        [out_bc] = bc_psi_step([state], oracle, cfg)
+        [out_psi] = psi_step([state], oracle.grads, cfg)
+        [out_bc] = bc_psi_step([state], oracle.grads, cfg)
         # identical K sweep implies the same left basis; the cores differ
         np.testing.assert_allclose(out_psi.u, out_bc.u, atol=1e-12)
         assert np.linalg.norm(out_psi.s - out_bc.s) > 1e-8
@@ -169,7 +170,7 @@ class TestBcPsiStep:
 class TestBugFixedStep:
     def test_zero_gradient_reproduces_state(self):
         state = init_lowrank(7, 6, 2, seed=11)
-        [out] = bug_fixed_step([state], zero_oracle(), StepConfig(h=0.15))
+        [out] = bug_fixed_step([state], zero_oracle().grads, StepConfig(h=0.15))
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
 
     def test_full_rank_degenerates_to_euler(self):
@@ -177,7 +178,7 @@ class TestBugFixedStep:
         a = np.random.default_rng(12).standard_normal((6, 4))
         oracle = quadratic_oracle(a)
         h = 0.2
-        [out] = bug_fixed_step([state], oracle, StepConfig(h=h))
+        [out] = bug_fixed_step([state], oracle.grads, StepConfig(h=h))
         euler = euler_full_step(state.densify(), oracle, h)
         assert np.linalg.norm(out.densify() - euler) <= 1e-8
 
@@ -195,7 +196,7 @@ class TestBugFixedStep:
         s1 = s_init - h * (u1.T @ ((u1 @ s_init @ v1.T - a) @ v1))
         expected = u1 @ s1 @ v1.T
 
-        [out] = bug_fixed_step([state], quadratic_oracle(a), StepConfig(h=h))
+        [out] = bug_fixed_step([state], quadratic_oracle(a).grads, StepConfig(h=h))
         assert np.linalg.norm(out.densify() - expected) <= 1e-12
 
 
@@ -203,14 +204,14 @@ class TestAbcPsiStep:
     def test_zero_gradient_reproduces_state(self):
         state = init_lowrank(8, 7, 3, seed=14)
         policy = TruncationPolicy(tau=0.0, r_max=6, r_min=1)
-        [out] = abc_psi_step([state], zero_oracle(), StepConfig(h=0.1, policy=policy))
+        [out] = abc_psi_step([state], zero_oracle().grads, StepConfig(h=0.1, policy=policy))
         assert out.rank == 3
         assert np.linalg.norm(out.densify() - state.densify()) <= 1e-10
 
     def test_requires_policy(self):
         state = init_lowrank(4, 4, 2, seed=15)
         with pytest.raises(ValueError):
-            abc_psi_step([state], zero_oracle(), StepConfig(h=0.1))
+            abc_psi_step([state], zero_oracle().grads, StepConfig(h=0.1))
 
     def test_rank_grows_to_target_and_loss_descends(self):
         rng = np.random.default_rng(16)
@@ -220,10 +221,10 @@ class TestAbcPsiStep:
         oracle = quadratic_oracle(a)
         state = init_lowrank(12, 10, 2, seed=16)
         cfg = StepConfig(h=0.2, policy=TruncationPolicy(tau=1e-3, r_max=4, r_min=2))
-        losses = [oracle.loss_at(state.densify())]
+        losses = [oracle.loss(state.densify())]
         for _ in range(30):
-            [state] = abc_psi_step([state], oracle, cfg)
-            losses.append(oracle.loss_at(state.densify()))
+            [state] = abc_psi_step([state], oracle.grads, cfg)
+            losses.append(oracle.loss(state.densify()))
         assert state.rank == 4
         diffs = np.diff(losses)
         assert (diffs <= 1e-12).all()
@@ -235,19 +236,19 @@ class TestAbcPsiStep:
         state = init_lowrank(6, 5, 2, seed=17)
         h = 0.3
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
-        [flow] = abc_psi_flow([state], oracle, cfg)
+        [flow] = abc_psi_flow([state], oracle.grads, cfg)
         y0 = state.densify()
         proj_grad_sq = float(np.sum((flow.u_hat.T @ oracle.full(y0)) ** 2))
         # quadratic loss has unit curvature bound
-        rhs = oracle.loss_at(y0) - (1.0 - h / 2.0) * h * proj_grad_sq
-        assert oracle.loss_at(flow.u_hat @ flow.l1.T) <= rhs + 1e-9
+        rhs = oracle.loss(y0) - (1.0 - h / 2.0) * h * proj_grad_sq
+        assert oracle.loss(flow.u_hat @ flow.l1.T) <= rhs + 1e-9
 
     def test_augmented_basis_contains_start_and_k1(self):
         rng = np.random.default_rng(18)
         a = rng.standard_normal((9, 8))
         state = init_lowrank(9, 8, 3, seed=18)
         cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=6, r_min=1))
-        [flow] = abc_psi_flow([state], quadratic_oracle(a), cfg)
+        [flow] = abc_psi_flow([state], quadratic_oracle(a).grads, cfg)
         u_hat = flow.u_hat
         assert np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u)) <= 1e-10
         assert np.linalg.norm(flow.k1 - u_hat @ (u_hat.T @ flow.k1)) <= 1e-10
@@ -258,11 +259,11 @@ class TestAbcPsiStep:
         oracle = quadratic_oracle(a)
         cfg = StepConfig(h=0.05, substeps=3,
                          policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
-        [out] = abc_psi_step([state], oracle, cfg)
+        [out] = abc_psi_step([state], oracle.grads, cfg)
         out.validate()
         # three inner gradient steps move further than one
         cfg1 = StepConfig(h=0.05, substeps=1, policy=cfg.policy)
-        [out1] = abc_psi_step([state], oracle, cfg1)
+        [out1] = abc_psi_step([state], oracle.grads, cfg1)
         moved3 = np.linalg.norm(out.densify() - state.densify())
         moved1 = np.linalg.norm(out1.densify() - state.densify())
         assert moved3 > moved1
@@ -288,7 +289,7 @@ class TestOrthonormalityInvariant:
                 h = float(rng.uniform(1e-3, 0.5))
                 policy = TruncationPolicy(tau=0.05, r_max=2 * r, r_min=1)
                 cfg = StepConfig(h=h, policy=policy)
-                [out] = stepper([state], quadratic_oracle(a), cfg)
+                [out] = stepper([state], quadratic_oracle(a).grads, cfg)
                 r_out = out.rank
                 err_u = np.linalg.norm(out.u.T @ out.u - np.eye(r_out))
                 err_v = np.linalg.norm(out.v.T @ out.v - np.eye(r_out))
@@ -309,7 +310,7 @@ class TestOrthonormalityInvariant:
         cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=8, r_min=2))
         states = [problem.y0]
         for step in range(1, 3001):
-            states = abc_psi_step(states, problem.oracle, cfg)
+            states = abc_psi_step(states, problem.oracle.grads, cfg)
             if step % 100 == 0:
                 states[0].validate()
         assert not fallbacks and states[0].rank == 4
@@ -335,7 +336,7 @@ class TestOrthonormalityInvariant:
         cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=8, r_min=2))
         states = [problem.y0]
         for step in range(1, 3001):
-            states = abc_psi_step(states, problem.oracle, cfg)
+            states = abc_psi_step(states, problem.oracle.grads, cfg)
             if step % 100 == 0:
                 states[0].validate()
         assert (6, 8) in shapes
@@ -354,8 +355,8 @@ class TestStateLists:
         for substeps in (1, 3):
             cfg = StepConfig(h=0.1, substeps=substeps, policy=policy)
             for stepper in (psi_step, bc_psi_step, bug_fixed_step, abc_psi_step):
-                together = stepper(states, oracle, cfg)
-                alone = [stepper([st], oracle, cfg)[0] for st in states]
+                together = stepper(states, oracle.grads, cfg)
+                alone = [stepper([st], oracle.grads, cfg)[0] for st in states]
                 for got, want in zip(together, alone):
                     for name in ("u", "s", "v"):
                         assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -368,14 +369,14 @@ class TestStateLists:
         states = [init_lowrank(9, 7, 2, seed=30), init_lowrank(9, 7, 3, seed=31)]
         policy = TruncationPolicy(tau=0.05, r_max=5, r_min=1)
         cfg = StepConfig(h=0.1, policy=policy)
-        flows = abc_psi_flow(states, oracle, cfg)
+        flows = abc_psi_flow(states, oracle.grads, cfg)
         assert len(flows) == 2
         for state, flow in zip(states, flows):
             u_hat = flow.u_hat
             assert u_hat.shape[1] > state.rank
             assert np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u)) <= 1e-10
             assert np.linalg.norm(flow.k1 - u_hat @ (u_hat.T @ flow.k1)) <= 1e-10
-        stepped = abc_psi_step(states, oracle, cfg)
+        stepped = abc_psi_step(states, oracle.grads, cfg)
         for got, want in zip(stepped, [flow.truncate(policy) for flow in flows]):
             for name in ("u", "s", "v"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -384,10 +385,49 @@ class TestStateLists:
     def test_stepped_factors_read_only(self, stepper):
         oracle = quadratic_oracle(np.random.default_rng(32).standard_normal((6, 5)))
         cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.05, r_max=4, r_min=1))
-        [state] = stepper([init_lowrank(6, 5, 2, seed=32)], oracle, cfg)
+        [state] = stepper([init_lowrank(6, 5, 2, seed=32)], oracle.grads, cfg)
         for a in (state.u, state.s, state.v):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
+
+
+class TestFactorizationCounts:
+    """The README's table of dense factorizations per state per step."""
+
+    @staticmethod
+    def readme_table():
+        # integrator -> (QR, QR with a square u0, eigh, SVD)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([\w-]+)` \| (\d+) \| (\d+) \| (\d+) \| (\d+) \|$", readme, re.M)
+        return {name: tuple(map(int, counts)) for name, *counts in rows}
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("shape, square", [((50, 40, 4), False), ((6, 9, 6), True)],
+                             ids=["tall", "square-u0"])
+    def test_counts_match_readme(self, shape, square, substeps, monkeypatch):
+        table = self.readme_table()
+        assert set(table) == set(INTEGRATOR_NAMES)
+        m, n, r = shape
+        states = [init_lowrank(m, n, r, seed=seed) for seed in (33, 34)]
+        oracle = quadratic_oracle(np.random.default_rng(33).standard_normal((m, n)))
+        policy = TruncationPolicy(tau=0.1, r_max=2 * r, r_min=1)
+        cfg = StepConfig(h=0.1, substeps=substeps, policy=policy)
+        calls = Counter()
+        for name in ("qr", "eigh", "svd"):
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for integrator, (qr, qr_square, eigh, svd) in table.items():
+            calls.clear()
+            if integrator == "full":
+                for st in states:
+                    euler_full_step(st.densify(), oracle, cfg.h)
+            else:
+                STEPPERS[integrator](states, oracle.grads, cfg)
+            per_state = {name: calls[name] / len(states) for name in ("qr", "eigh", "svd")}
+            expected = {"qr": qr_square if square else qr, "eigh": eigh, "svd": svd}
+            assert per_state == expected, integrator
 
 
 class TestSStepLossDelta:
@@ -464,7 +504,7 @@ class TestNonFiniteValues:
 
     @staticmethod
     def poisoned(side, value):
-        # quadratic oracle whose right or left contraction holds one bad entry
+        # quadratic gradients whose right or left contraction holds one bad entry
         rich = quadratic_oracle(np.random.default_rng(40).standard_normal((12, 10)))
 
         def bad(contract):
@@ -474,13 +514,13 @@ class TestNonFiniteValues:
                 return g
             return out
 
-        def eval_grads(pairs):
+        def grads(pairs):
             return [
                 Gradient(bad(g.right), g.left) if side == "right" else Gradient(g.right, bad(g.left))
                 for g in rich.grads(pairs)
             ]
 
-        return GradientOracle(eval_grads)
+        return grads
 
     @pytest.mark.parametrize("side, value", [("right", np.nan), ("left", np.inf)])
     def test_abc_psi_bad_contraction(self, side, value):
@@ -493,7 +533,7 @@ class TestNonFiniteValues:
         u[4, 1] = np.nan
         oracle = quadratic_oracle(np.random.default_rng(41).standard_normal((12, 10)))
         with pytest.raises(NumericError):
-            abc_psi_step([LowRankState(u, state.s, state.v)], oracle, self.CFG)
+            abc_psi_step([LowRankState(u, state.s, state.v)], oracle.grads, self.CFG)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_dense_flow(self):

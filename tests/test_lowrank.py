@@ -10,12 +10,13 @@ from dlrt.lowrank import (
     LowRankState,
     TruncationPolicy,
     compression_rate,
-    init_lowrank,
     param_count,
     tangent_project,
     truncate_state,
     truncation_rank,
 )
+
+from helpers import init_lowrank
 
 
 EPS = np.finfo(np.float64).eps

@@ -7,7 +7,7 @@ from dlrt.checkpoint import load_network, save_network
 import dlrt.integrators as integrators_module
 import dlrt.lowrank as lowrank_module
 import dlrt.nn as nn_module
-from dlrt.integrators import STEPPERS, Gradient, GradientOracle, StepConfig
+from dlrt.integrators import STEPPERS, Gradient, StepConfig
 from dlrt.linalg import DimensionError, NumericError
 from dlrt.lowrank import LowRankState, TruncationPolicy
 from dlrt.nn import (
@@ -182,7 +182,7 @@ class TestImmutableValues:
         net = tiny_mixed_net(seed=4)
         x, labels = random_batch(net, 4, seed=4)
         st = net.layers[0].state
-        (tape,) = nn_module._network_oracle(net, x, labels, []).grads([(st.u @ st.s, st.v)])
+        (tape,) = nn_module._network_oracle(net, x, labels, [])([(st.u @ st.s, st.v)])
         assert tape._fields == ("x", "b", "xb", "delta")
         assert not hasattr(tape, "z")
         with pytest.raises(AttributeError):
@@ -443,7 +443,7 @@ class TestBackward:
         net = build_network(mlp_specs([6, 5, 4, 3], initial_rank=2), seed=12)
         x, labels = random_batch(net, 8, seed=12)
         pairs = [(l.state.u @ l.state.s, l.state.v) for l in net.layers]
-        grads = nn_module._network_oracle(net, x, labels, []).grads(pairs)
+        grads = nn_module._network_oracle(net, x, labels, [])(pairs)
         for g, (_, b) in zip(grads, pairs):
             tape = g
             assert tape.b is b and np.array_equal(tape.xb, tape.x @ b)
@@ -528,8 +528,8 @@ class TestTrainStep:
 
     def test_single_layer_abc_matches_reference_stepper(self):
         # one lowrank layer, identity activation, zero bias: train_step must
-        # agree with each standalone stepper driven by a closed-form oracle
-        # that knows nothing of the network code
+        # agree with each standalone stepper driven by closed-form gradients
+        # that know nothing of the network code
         spec = [LayerSpec("lowrank", 6, 5, "identity", initial_rank=2)]
         net = build_network(spec, seed=16)
         x, labels = random_batch(net, 8, seed=16)
@@ -545,11 +545,10 @@ class TestTrainStep:
                 for g in (eval_full(a @ b.T) for a, b in pairs)
             ]
 
-        oracle = GradientOracle(grads, loss=lambda y: softmax_cross_entropy(x @ y.T, labels)[0])
         for integrator, stepper in STEPPERS.items():
             for substeps in (1, 3):
                 cfg = StepConfig(h=0.1, substeps=substeps, policy=policy)
-                [expected] = stepper([net.layers[0].state], oracle, cfg)
+                [expected] = stepper([net.layers[0].state], grads, cfg)
                 new_net, _ = train_step(net, (x, labels), integrator, cfg)
                 got = new_net.layers[0].state
                 assert got.rank == expected.rank, (integrator, substeps)
@@ -592,7 +591,6 @@ class TestTrainStep:
 
         for module, name in ((integrators_module, "householder_qr"),
                              (integrators_module, "ortho_augment"),
-                             (lowrank_module, "householder_qr"),
                              (lowrank_module, "svd_thin")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         net = build_network(mlp_specs([6, 5, 4, 3], initial_rank=2), seed=23)
