@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin
@@ -50,6 +51,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 EXIT_VIOLATION = 5
+EXIT_WORKER_LOST = 6
 
 DATA_DIR_ENV = "DLRT_DATA_DIR"
 DIVERGENCE_NORM = 1e12
@@ -128,6 +130,11 @@ class RunConfig:
         for name in (self.integrator, *self.integrators):
             if name not in INTEGRATOR_NAMES:
                 raise ConfigError(f"unknown integrator {name!r}")
+        for key in ("integrators", "seeds"):
+            values = getattr(self, key)
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ConfigError(f"{key} repeats {repeats[0]!r}")
         if len(self.arch) < 2 or any(w < 1 for w in self.arch):
             raise ConfigError("arch needs >= 2 positive layer widths")
         if self.lr <= 0:
@@ -463,8 +470,10 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     logged lines follow run order, so their bytes do not depend on the
     worker count. Each run's JSON ``runtime_s`` is measured inside its
     worker, and the JSON's ``workers`` field records the count. A run that
-    raises, or a worker that is killed, fails the command once the runs in
-    flight end, and no worker outlives it.
+    raises fails the command once the runs in flight end. A worker that is
+    killed gives EXIT_WORKER_LOST, and the log names the first run without a
+    result; the runs before it keep their CSVs, and no summary is written.
+    No worker outlives the command.
     """
     global _compare_inputs
     integrators, seeds = config.integrators, config.seeds  # resolved by load_config
@@ -488,6 +497,11 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
             _log_run(r)
             out.write_csv(f"-{r['integrator']}-s{r['seed']}.csv", r["columns"], r["rows"])
             runs.append(r)
+    except BrokenProcessPool:
+        integrator, seed = jobs[len(runs)]
+        log.error("a compare worker was lost: run %s seed %d has no result; "
+                  "%d of %d runs written", integrator, seed, len(runs), len(jobs))
+        return EXIT_WORKER_LOST
     finally:
         _compare_inputs = ()
         if pool is not None:  # no worker outlives the command

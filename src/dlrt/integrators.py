@@ -436,7 +436,7 @@ def ode_error_study(
     h_list: Sequence[float],
     t_end: float,
     ref_h: float,
-    cfg_template: Optional[StepConfig] = None,
+    cfg_template: StepConfig,
 ) -> list[tuple[float, float]]:
     """Terminal-time error of an integrator against a fine dense reference.
 
@@ -447,7 +447,8 @@ def ode_error_study(
 
     Returns a list of (h, error) rows in the order of ``h_list``.
     ``cfg_template`` carries substeps and the truncation policy for the
-    rank-adaptive stepper.
+    rank-adaptive stepper; each run replaces its ``h``. An ``abc-psi``
+    template without a policy is refused before the reference is integrated.
 
     Raises
     ------
@@ -457,6 +458,8 @@ def ode_error_study(
     """
     if integrator not in INTEGRATOR_NAMES:
         raise ValueError(f"unknown integrator {integrator!r}")
+    if integrator == "abc-psi" and cfg_template.policy is None:
+        raise ValueError("abc_psi_step requires cfg.policy")
     w_ref = _integrate_dense(problem, ref_h, _steps_for(ref_h, t_end))
     rows: list[tuple[float, float]] = []
     for h in h_list:
@@ -464,7 +467,7 @@ def ode_error_study(
         if integrator == "full":
             w = _integrate_dense(problem, h, steps)
         else:
-            cfg = replace(cfg_template, h=h) if cfg_template else StepConfig(h=h)
+            cfg = replace(cfg_template, h=h)
             states = [problem.y0]
             for _ in range(steps):
                 states = STEPPERS[integrator](states, problem.oracle.grads, cfg)

@@ -3,7 +3,7 @@
 A layer with weight ``w`` (out_dim x in_dim) maps a batch ``x`` (b x in_dim)
 to ``x @ w.T + bias``. Low-rank layers never materialize ``w``: forward runs
 as ``((x @ v) @ s.T) @ u.T`` at cost O(b (m+n) r), and backward returns
-contracted gradients instead of the full m x n matrix.
+gradient handles that contract against a basis, never the m x n matrix.
 
 train_step hands the low-rank layers' states to the chosen stepper of
 ``dlrt.integrators`` together with the network's gradient function, so every
@@ -29,7 +29,6 @@ __all__ = [
     "DenseLayer",
     "LowRankLayer",
     "Network",
-    "BatchGrad",
     "build_network",
     "mlp_specs",
     "forward",
@@ -159,23 +158,6 @@ class Network:
         return [l.rank for l in self.layers if l.rank is not None]
 
 
-class DenseGrad(NamedTuple):
-    g: Matrix  # full out_dim x in_dim gradient
-
-
-class LowRankGrad(NamedTuple):
-    g_v: Matrix  # gradient contracted on the right basis, out_dim x r
-    g_u: Matrix  # gradient contracted on the left basis, in_dim x r
-
-
-@dataclass(frozen=True, eq=False)
-class BatchGrad:
-    """Per-layer loss gradients for one mini-batch, contracted where low-rank."""
-
-    weights: tuple  # DenseGrad | LowRankGrad per layer
-    biases: tuple
-
-
 def mlp_specs(widths: Sequence[int], initial_rank: Optional[int] = None) -> list:
     """Layer specs for an MLP: relu hidden layers, identity output.
 
@@ -231,10 +213,11 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
 # with no right factor (b = None), so its pass skips the x @ b product. The
 # forward pass records each layer's input, x @ b and pre-activation as a
 # plain (x, b, xb, z) tuple. Backward reads the records and returns one
-# tape per layer: the input, the right factor, x @ b and the
-# pre-activation's gradient, so that gradients can be contracted against
-# whatever factor the active integrator phase needs, without ever forming
-# delta.T @ x in full. The pre-activation does not outlive the pass.
+# tape per layer (the input, the right factor, x @ b and the
+# pre-activation's gradient): the layer's gradient handle, contracted against
+# whatever factor the active integrator phase needs. Only a dense layer's
+# update forms delta.T @ x in full. The pre-activation does not outlive the
+# pass.
 
 
 class _Repr(NamedTuple):
@@ -245,8 +228,8 @@ class _Repr(NamedTuple):
 
 
 class _Tape(NamedTuple):
-    """One layer's record of one forward/backward pass; its ``right`` and
-    ``left`` make it the gradient handle of the layer's weight."""
+    """One layer's record of one forward/backward pass: the gradient handle
+    of the layer's weight (``right``, ``left``, ``full``) and bias."""
 
     x: Matrix  # layer input, batch x in_dim
     b: Optional[Matrix]  # the pass's right factor (None for dense)
@@ -261,6 +244,9 @@ class _Tape(NamedTuple):
 
     def left(self, basis: Matrix) -> Matrix:
         return self.x.T @ (self.delta @ basis)
+
+    def full(self) -> Matrix:  # the dense gradient, out_dim x in_dim
+        return self.delta.T @ self.x
 
     def bias_grad(self) -> np.ndarray:
         return self.delta.sum(axis=0)
@@ -355,29 +341,14 @@ def softmax_cross_entropy(logits, labels) -> tuple:
     return loss, dlogits
 
 
-def backward(net: Network, cache: _Cache, dlogits) -> BatchGrad:
-    """Exact batch-loss gradients; low-rank layers come back contracted.
-
-    For a low-rank layer the pair is (G @ v, G.T @ u) against the layer's
-    current factors, computed as delta.T @ (x @ v) and x.T @ (delta @ u).
-    """
+def backward(net: Network, cache: _Cache, dlogits) -> list:
+    """The pass's gradient handles, one ``_Tape`` per layer in layer order:
+    the records ``train_step``'s passes hand the steppers. ``right(v)`` and
+    ``left(u)`` give G @ v and G.T @ u as delta.T @ (x @ v) and
+    x.T @ (delta @ u); ``full()`` gives G and ``bias_grad()`` the bias's."""
     if cache.net is not net:
         raise ValueError("stale cache: forward ran on a different network")
-    dlogits = as_matrix(dlogits, "dlogits")
-    tapes = _run_backward(cache.reprs, cache.records, dlogits)
-    weights = []
-    for layer, tape in zip(net.layers, tapes):
-        if isinstance(layer, DenseLayer):
-            entry = DenseGrad(tape.delta.T @ tape.x)
-            finite = np.isfinite(entry.g).all()
-        else:
-            st = layer.state
-            entry = LowRankGrad(tape.right(st.v), tape.left(st.u))
-            finite = np.isfinite(entry.g_v).all() and np.isfinite(entry.g_u).all()
-        if not finite:
-            raise NumericError("non-finite gradient")
-        weights.append(entry)
-    return BatchGrad(tuple(weights), tuple(tape.bias_grad() for tape in tapes))
+    return _run_backward(cache.reprs, cache.records, as_matrix(dlogits, "dlogits"))
 
 
 # -- training ----------------------------------------------------------------
@@ -442,7 +413,7 @@ def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
     for layer, tape in zip(net.layers, tapes):
         bias = layer.bias - h * tape.bias_grad()
         if isinstance(layer, DenseLayer):
-            w = layer.w - h * (tape.delta.T @ tape.x)
+            w = layer.w - h * tape.full()
             new_layers.append(DenseLayer(w, bias, layer.activation))
         else:
             new_layers.append(LowRankLayer(next(states), bias, layer.activation))

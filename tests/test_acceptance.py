@@ -221,7 +221,7 @@ def test_criterion_07_gradient_finite_differences():
 
         logits, cache = forward(net, x)
         _, dlogits = softmax_cross_entropy(logits, labels)
-        grads = backward(net, cache, dlogits)
+        tapes = backward(net, cache, dlogits)
         for li, layer in enumerate(net.layers):
             w0 = layer.densify()
             fd = np.zeros_like(w0)
@@ -235,12 +235,12 @@ def test_criterion_07_gradient_finite_differences():
                     vals.append(loss_with(layers))
                 fd[idx] = (vals[0] - vals[1]) / (2 * eps)
             if isinstance(layer, DenseLayer):
-                pairs = [(grads.weights[li].g, fd)]
+                pairs = [(tapes[li].full(), fd)]
             else:
                 st = layer.state
                 pairs = [
-                    (grads.weights[li].g_v, fd @ st.v),
-                    (grads.weights[li].g_u, fd.T @ st.u),
+                    (tapes[li].right(st.v), fd @ st.v),
+                    (tapes[li].left(st.u), fd.T @ st.u),
                 ]
             for got, want in pairs:
                 err = np.abs(got - want) / np.maximum(np.abs(want), 1e-2)

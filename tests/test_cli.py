@@ -6,7 +6,6 @@ import multiprocessing
 import os
 import re
 import signal
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from dlrt.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VIOLATION,
+    EXIT_WORKER_LOST,
     MAX_STEPS,
     ConfigError,
     RunConfig,
@@ -372,6 +372,21 @@ class TestCompare:
         assert code == EXIT_CONFIG
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, message", [
+        (["--integrators", "psi,bug,psi"], "integrators repeats 'psi'"),
+        (["--seeds", "0,1,0"], "seeds repeats 0"),
+    ])
+    def test_repeated_run_rejected(self, data_dir, tmp_path, caplog, args, message):
+        # a repeat would run the same experiment twice, write its CSV twice
+        # and count it twice in the summary
+        code = main([
+            "compare", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+            "--arch", "16,12,4", "--rank", "3", "--epochs", "1", *args,
+        ])
+        assert code == EXIT_CONFIG
+        assert message in caplog.text
+        assert not list(tmp_path.iterdir())
+
     def test_labels_beyond_output_width(self, data_dir, tmp_path):
         code = main([
             "compare", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
@@ -432,9 +447,11 @@ class TestCompareWorkers:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="without fork the runs, and the kill, are in process")
-    def test_killed_worker_fails_the_command(self, data_dir, tmp_path, monkeypatch):
-        # a worker the system kills mid-run (say for memory) fails compare;
-        # it does not leave it waiting for that run forever
+    def test_killed_worker_fails_the_command(self, data_dir, tmp_path, monkeypatch, caplog):
+        # a worker the system kills mid-run (say for memory) fails compare
+        # with its own exit code; it does not leave it waiting for that run
+        # forever. A run in flight in the other worker may be lost with it,
+        # so the first run without a result is bug s2 or one before it
         pin_cpus(monkeypatch, 2)
         run_training = dlrt.cli._run_training
 
@@ -444,9 +461,16 @@ class TestCompareWorkers:
             return run_training(config, integrator, seed, train, test)
 
         monkeypatch.setattr(dlrt.cli, "_run_training", killed_once)
-        with pytest.raises(BrokenProcessPool):
-            self.compare(data_dir, tmp_path)
+        assert self.compare(data_dir, tmp_path) == EXIT_WORKER_LOST
         assert multiprocessing.active_children() == []
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        match = re.fullmatch(r"a compare worker was lost: run (\S+) seed (\d+) has no "
+                             r"result; (\d+) of 6 runs written", line)
+        written = int(match[3])
+        assert (match[1], int(match[2])) == self.RUNS[written]
+        assert written <= self.RUNS.index(("bug", 2))
+        assert len(list(tmp_path.glob("compare-*-s*.csv"))) == written
+        assert not list(tmp_path.glob("compare-*.json"))
 
     def test_logs_in_run_order(self, data_dir, tmp_path, monkeypatch, caplog):
         pin_cpus(monkeypatch, 2)
@@ -864,7 +888,7 @@ class TestHostileSettings:
     BAD_WIDTHS = [[], 5, [2.5, 4], [True, 4], ["x"], [16, 0, 4], [16, -1, 4], [16, 64, 4], [64, 64]]
     HOSTILE = {
         "integrator": ["euler", "", 3, True, None],
-        "integrators": [[], "psi", ["euler"], [3], ["psi", "full"]],
+        "integrators": [[], "psi", ["euler"], [3], ["psi", "full"], ["psi", "psi"]],
         "arch": BAD_WIDTHS,
         "dims": BAD_WIDTHS,
         "lr": BAD_FLOAT,
@@ -879,7 +903,7 @@ class TestHostileSettings:
         "r_min": BAD_INT + [64, 10**12],
         "r_max": BAD_INT + [1, 64, 10**12],
         "seed": BAD_INT + [10**12],
-        "seeds": [[], 5, [-1], [True], [2.5], [0, 10**12]],
+        "seeds": [[], 5, [-1], [True], [2.5], [0, 10**12], [0, 0]],
         "epochs": BAD_INT + [10**12],
         "substeps": BAD_INT + [10**12],
         "steps": BAD_INT + [10**12],

@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -460,7 +461,8 @@ class TestSStepLossDelta:
 class TestOdeErrorStudy:
     def test_self_comparison_is_exact(self):
         problem = synthetic_quadratic_problem(8, 6, 2, eps=0.0, seed=24)
-        rows = ode_error_study(problem, "full", [0.1], t_end=1.0, ref_h=0.1)
+        rows = ode_error_study(problem, "full", [0.1], t_end=1.0, ref_h=0.1,
+                               cfg_template=StepConfig(h=1.0))
         assert rows == [(0.1, 0.0)]
 
     def test_first_order_convergence_quick(self):
@@ -474,17 +476,20 @@ class TestOdeErrorStudy:
     def test_rejects_unknown_integrator(self):
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=26)
         with pytest.raises(ValueError):
-            ode_error_study(problem, "rk4", [0.1], t_end=1.0, ref_h=0.01)
+            ode_error_study(problem, "rk4", [0.1], t_end=1.0, ref_h=0.01,
+                            cfg_template=StepConfig(h=1.0))
 
     def test_rejects_non_dividing_step(self):
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
         with pytest.raises(ValueError):
-            ode_error_study(problem, "full", [0.3], t_end=1.0, ref_h=0.01)
+            ode_error_study(problem, "full", [0.3], t_end=1.0, ref_h=0.01,
+                            cfg_template=StepConfig(h=1.0))
 
     def test_rejects_infinite_step_count(self):
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
         with pytest.raises(ValueError, match="step count inf"):
-            ode_error_study(problem, "full", [0.1], t_end=1e300, ref_h=1e-300)
+            ode_error_study(problem, "full", [0.1], t_end=1e300, ref_h=1e-300,
+                            cfg_template=StepConfig(h=1.0))
 
     @pytest.mark.parametrize("h_list, ref_h", [
         ([0.0], 0.1), ([-0.1], 0.1), ([float("nan")], 0.1), ([0.1], 0.0),
@@ -493,7 +498,23 @@ class TestOdeErrorStudy:
         # a zero step divided t_end by zero
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
         with pytest.raises(ValueError, match="step size must be positive"):
-            ode_error_study(problem, "psi", h_list, t_end=1.0, ref_h=ref_h)
+            ode_error_study(problem, "psi", h_list, t_end=1.0, ref_h=ref_h,
+                            cfg_template=StepConfig(h=1.0))
+
+    def test_abc_psi_without_policy_refused_before_reference(self):
+        # the dense reference is the study's long part: 10000 steps here
+        problem = synthetic_quadratic_problem(20, 16, 4, eps=1e-6, seed=0)
+        dense, calls = problem.oracle.full, []
+
+        def full(y):
+            calls.append(1)
+            return dense(y)
+
+        problem = replace(problem, oracle=replace(problem.oracle, full=full))
+        with pytest.raises(ValueError, match="requires cfg.policy"):
+            ode_error_study(problem, "abc-psi", [0.1], t_end=1.0, ref_h=1e-4,
+                            cfg_template=StepConfig(h=1.0))
+        assert calls == []
 
 
 class TestNonFiniteValues:
@@ -540,7 +561,8 @@ class TestNonFiniteValues:
         # at h = 3 the dense iterate grows as 2^n and overflows after ~1024 steps
         problem = synthetic_quadratic_problem(8, 6, 2, eps=0.0, seed=42)
         with pytest.raises(NumericError, match="diverged"):
-            ode_error_study(problem, "full", [3.0], t_end=3.0 * 1100, ref_h=3.0)
+            ode_error_study(problem, "full", [3.0], t_end=3.0 * 1100, ref_h=3.0,
+                            cfg_template=StepConfig(h=1.0))
 
     def test_study_scans_no_array(self, as_matrix_calls):
         # the README's ode-bench problem: 10000 dense reference steps and 150

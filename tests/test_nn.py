@@ -11,7 +11,6 @@ from dlrt.integrators import STEPPERS, Gradient, StepConfig
 from dlrt.linalg import DimensionError, NumericError
 from dlrt.lowrank import LowRankState, TruncationPolicy
 from dlrt.nn import (
-    BatchGrad,
     DenseLayer,
     LayerSpec,
     LowRankLayer,
@@ -168,13 +167,6 @@ class TestImmutableValues:
         with pytest.raises(ValueError, match="read-only"):
             bias[:] = 5.0
         assert np.array_equal(forward(net, np.ones((1, 2)))[0], [[1.0, 1.0]])
-
-    def test_batch_grad_holds_tuples(self):
-        net = tiny_mixed_net(seed=3)
-        x, labels = random_batch(net, 4, seed=3)
-        logits, cache = forward(net, x)
-        grads = backward(net, cache, softmax_cross_entropy(logits, labels)[1])
-        assert isinstance(grads.weights, tuple) and isinstance(grads.biases, tuple)
 
     def test_tape_is_a_frozen_record_without_z(self):
         # backward returns the tapes; the pre-activation does not outlive
@@ -394,35 +386,36 @@ class TestBackward:
         net = tiny_mixed_net(seed=7)
         x, _ = random_batch(net, 3, seed=7)
         _, cache = forward(net, x)
-        grads = backward(net, cache, np.zeros((3, 2)))
-        assert isinstance(grads, BatchGrad)
-        assert np.array_equal(grads.weights[0].g_v, np.zeros((3, 2)))
-        assert np.array_equal(grads.weights[1].g, np.zeros((2, 3)))
-        assert all(np.array_equal(b, np.zeros_like(b)) for b in grads.biases)
+        tapes = backward(net, cache, np.zeros((3, 2)))
+        assert [type(t) for t in tapes] == [nn_module._Tape] * 2
+        assert np.array_equal(tapes[0].right(net.layers[0].state.v), np.zeros((3, 2)))
+        assert np.array_equal(tapes[1].full(), np.zeros((2, 3)))
+        biases = [t.bias_grad() for t in tapes]
+        assert all(np.array_equal(b, np.zeros_like(b)) for b in biases)
 
     def test_gradients_match_finite_differences(self):
         net = tiny_mixed_net(seed=8)
         x, labels = random_batch(net, 5, seed=8)
         logits, cache = forward(net, x)
         _, dlogits = softmax_cross_entropy(logits, labels)
-        grads = backward(net, cache, dlogits)
+        tapes = backward(net, cache, dlogits)
 
         fd0 = fd_dense_gradient(net, 0, x, labels)
         st = net.layers[0].state
-        np.testing.assert_allclose(grads.weights[0].g_v, fd0 @ st.v, rtol=1e-5, atol=1e-7)
-        np.testing.assert_allclose(grads.weights[0].g_u, fd0.T @ st.u, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(tapes[0].right(st.v), fd0 @ st.v, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(tapes[0].left(st.u), fd0.T @ st.u, rtol=1e-5, atol=1e-7)
         fd1 = fd_dense_gradient(net, 1, x, labels)
-        np.testing.assert_allclose(grads.weights[1].g, fd1, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(tapes[1].full(), fd1, rtol=1e-5, atol=1e-7)
         for idx in (0, 1):
             fdb = fd_bias_gradient(net, idx, x, labels)
-            np.testing.assert_allclose(grads.biases[idx], fdb, rtol=1e-5, atol=1e-7)
+            np.testing.assert_allclose(tapes[idx].bias_grad(), fdb, rtol=1e-5, atol=1e-7)
 
     def test_contracted_equals_densified_route(self):
         net = tiny_mixed_net(seed=9)
         x, labels = random_batch(net, 4, seed=9)
         logits, cache = forward(net, x)
         _, dlogits = softmax_cross_entropy(logits, labels)
-        grads = backward(net, cache, dlogits)
+        tapes = backward(net, cache, dlogits)
 
         # dense replica of the lowrank layer gives the full gradient
         layers = list(net.layers)
@@ -432,10 +425,10 @@ class TestBackward:
         replica = Network(layers)
         logits_r, cache_r = forward(replica, x)
         _, dlogits_r = softmax_cross_entropy(logits_r, labels)
-        full = backward(replica, cache_r, dlogits_r).weights[0].g
+        full = backward(replica, cache_r, dlogits_r)[0].full()
         st = net.layers[0].state
-        assert np.linalg.norm(grads.weights[0].g_v - full @ st.v) <= 1e-10
-        assert np.linalg.norm(grads.weights[0].g_u - full.T @ st.u) <= 1e-10
+        assert np.linalg.norm(tapes[0].right(st.v) - full @ st.v) <= 1e-10
+        assert np.linalg.norm(tapes[0].left(st.u) - full.T @ st.u) <= 1e-10
 
     def test_right_contraction_reuses_forward_product(self):
         # at the evaluated right factor, g.right reads the forward pass's
@@ -449,6 +442,50 @@ class TestBackward:
             assert tape.b is b and np.array_equal(tape.xb, tape.x @ b)
             assert np.array_equal(g.right(b), tape.delta.T @ (tape.x @ b))
             assert np.array_equal(g.right(b.copy()), g.right(b))
+
+    @pytest.mark.parametrize("integrator", ["psi", "bc-psi", "bug", "abc-psi"])
+    def test_handles_match_train_step_first_pass(self, monkeypatch, integrator):
+        # backward's handles and the handles train_step's first pass gives
+        # the stepper come from one definition: the same bytes, for the
+        # contractions, the dense gradient and the bias gradient
+        specs = [
+            LayerSpec("lowrank", 6, 5, "relu", initial_rank=2),
+            LayerSpec("dense", 5, 4, "relu"),
+            LayerSpec("lowrank", 4, 3, "identity", initial_rank=2),
+        ]
+        net = build_network(specs, seed=13)
+        x, labels = random_batch(net, 8, seed=13)
+        logits, cache = forward(net, x)
+        tapes = backward(net, cache, softmax_cross_entropy(logits, labels)[1])
+
+        seen = []
+        stepper = STEPPERS[integrator]
+
+        def recording(states, grads, cfg):
+            def spy(pairs):
+                handles = grads(pairs)
+                seen.append(handles)
+                return handles
+
+            return stepper(states, spy, cfg)
+
+        monkeypatch.setitem(STEPPERS, integrator, recording)
+        cfg = StepConfig(h=0.1, policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
+        new_net, _ = train_step(net, (x, labels), integrator, cfg)
+
+        lowrank = [i for i, layer in enumerate(net.layers) if layer.rank is not None]
+        assert len(seen[0]) == len(lowrank)
+        for i, handle in zip(lowrank, seen[0]):
+            st, tape = net.layers[i].state, tapes[i]
+            assert np.array_equal(handle.right(st.v), tape.right(st.v))
+            assert np.array_equal(handle.left(st.u), tape.left(st.u))
+            assert np.array_equal(handle.full(), tape.full())
+            assert np.array_equal(handle.bias_grad(), tape.bias_grad())
+        # the dense layer and every bias step along the same first pass
+        dense = net.layers[1]
+        assert np.array_equal(new_net.layers[1].w, dense.w - 0.1 * tapes[1].full())
+        for layer, new, tape in zip(net.layers, new_net.layers, tapes):
+            assert np.array_equal(new.bias, layer.bias - 0.1 * tape.bias_grad())
 
     def test_stale_cache_rejected(self):
         net = tiny_mixed_net(seed=10)
@@ -504,14 +541,14 @@ class TestTrainStep:
         h = 0.1
         logits, cache = forward(net, x)
         _, dlogits = softmax_cross_entropy(logits, labels)
-        grads = backward(net, cache, dlogits)
+        tapes = backward(net, cache, dlogits)
         new_net, _ = train_step(net, (x, labels), "full", StepConfig(h=h))
         for i, layer in enumerate(net.layers):
             np.testing.assert_allclose(
-                new_net.layers[i].w, layer.w - h * grads.weights[i].g, atol=1e-14
+                new_net.layers[i].w, layer.w - h * tapes[i].full(), atol=1e-14
             )
             np.testing.assert_allclose(
-                new_net.layers[i].bias, layer.bias - h * grads.biases[i], atol=1e-14
+                new_net.layers[i].bias, layer.bias - h * tapes[i].bias_grad(), atol=1e-14
             )
 
     def test_full_integrator_rejects_lowrank_layers(self):
