@@ -106,7 +106,6 @@ class RunConfig:
     seeds: tuple[int, ...] = ()  # compare: defaults to (seed,)
     data_dir: Optional[str] = None
     out_dir: str = "runs"
-    substeps: int = 1
     # synthetic-problem settings (ode-bench, descent-audit)
     dims: tuple[int, ...] = (50, 40)
     target_rank: int = 4
@@ -122,15 +121,13 @@ class RunConfig:
             if not _fits(value, f.type):
                 raise ConfigError(f"{f.name} must be {_type_name(f.type)}, got {value!r}")
 
-    def validate(self, keys=None) -> "RunConfig":
+    def validate(self) -> "RunConfig":
         """Check ranges and relations; the types were checked at construction.
-        A step count is checked against MAX_STEPS when ``keys``, the settings
-        a command reads (default: all), hold every setting it multiplies."""
-        keys = {f.name for f in fields(self)} if keys is None else set(keys)
+        Every step count the settings imply is checked against MAX_STEPS."""
         for name in (self.integrator, *self.integrators):
             if name not in INTEGRATOR_NAMES:
                 raise ConfigError(f"unknown integrator {name!r}")
-        for key in ("integrators", "seeds"):
+        for key in ("integrators", "seeds", "h_list"):
             values = getattr(self, key)
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
             if repeats:
@@ -151,8 +148,6 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0")
         if self.seed < 0 or any(seed < 0 for seed in self.seeds):
             raise ConfigError("seeds must be >= 0")
-        if self.substeps < 1:
-            raise ConfigError("substeps must be >= 1")
         if len(self.dims) != 2 or any(d < 1 for d in self.dims):
             raise ConfigError("dims must be two positive integers")
         if self.target_rank < 1 or self.target_rank > min(self.dims):
@@ -163,18 +158,12 @@ class RunConfig:
             raise ConfigError("t_end and ref_h must be positive")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        counts = []
         try:
-            if {"h_list", "t_end", "substeps"} <= keys:
-                counts += [(f"t_end/h * substeps (h {h}, substeps {self.substeps})",
-                            _steps_for(h, self.t_end) * self.substeps) for h in self.h_list]
-            if {"ref_h", "t_end"} <= keys:
-                counts.append(("t_end/ref_h", _steps_for(self.ref_h, self.t_end)))
+            counts = [(f"t_end/h (h {h})", _steps_for(h, self.t_end)) for h in self.h_list]
+            counts.append(("t_end/ref_h", _steps_for(self.ref_h, self.t_end)))
         except ValueError as exc:
             raise ConfigError(str(exc))
-        counts += [(f"{name} * substeps ({n} * {self.substeps})", n * self.substeps)
-                   for name, n in (("steps", self.steps), ("epochs", self.epochs))
-                   if {name, "substeps"} <= keys]
+        counts += [("steps", self.steps), ("epochs", self.epochs)]
         for what, count in counts:
             if count > MAX_STEPS:
                 raise ConfigError(f"{what} asks for {count} steps, above MAX_STEPS {MAX_STEPS}")
@@ -195,9 +184,8 @@ class RunConfig:
 
 _DEFAULTS = RunConfig()
 # settings only some integrators read: the truncation policy (abc-psi) and
-# the factored layers' initial rank and substeps (every low-rank integrator)
+# the factored layers' initial rank (every low-rank integrator)
 _POLICY_FIELDS = tuple(f.name for f in fields(TruncationPolicy))
-_LOWRANK_FIELDS = ("rank", "substeps")
 
 
 def _unread_at_defaults(config: RunConfig, keys) -> RunConfig:
@@ -220,7 +208,7 @@ def _unread_at_defaults(config: RunConfig, keys) -> RunConfig:
     names = set(config.integrators or (config.integrator,))
     unread = [] if "abc-psi" in names else list(_POLICY_FIELDS)
     if names == {"full"}:
-        unread += _LOWRANK_FIELDS
+        unread.append("rank")
     return replace(config, **{key: getattr(_DEFAULTS, key) for key in unread})
 
 
@@ -254,7 +242,7 @@ def load_config(path=None, overrides=None, keys=None) -> RunConfig:
             merged[key] = value
     config = RunConfig(**merged)  # a list fits only a tuple field
     tuples = {key: tuple(value) for key, value in merged.items() if isinstance(value, list)}
-    return _unread_at_defaults(replace(config, **tuples), keys).validate(keys)
+    return _unread_at_defaults(replace(config, **tuples), keys).validate()
 
 
 def write_csv(path, config_hash, columns, rows) -> None:
@@ -359,7 +347,7 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
     rank = None if integrator == "full" else config.rank
     net = build_network(mlp_specs(config.arch, rank), seed=seed)
     # only abc-psi reads the policy
-    cfg = StepConfig(h=config.lr, substeps=config.substeps, policy=config.policy(config.rank))
+    cfg = StepConfig(h=config.lr, policy=config.policy(config.rank))
 
     n_lowrank = len(net.ranks())
     columns = (
@@ -551,19 +539,16 @@ def _synthetic_problem(config: RunConfig) -> tuple:
 
 def cmd_ode_bench(config: RunConfig, out: _Outputs) -> int:
     problem, policy = _synthetic_problem(config)
-    template = StepConfig(h=1.0, substeps=config.substeps, policy=policy)
     h_list = sorted(config.h_list, reverse=True)
     results = ode_error_study(
-        problem, config.integrator, h_list, config.t_end, config.ref_h,
-        cfg_template=template,
+        problem, config.integrator, h_list, config.t_end, config.ref_h, policy=policy
     )
     rows = []
     orders = []
     prev = None
     for h, err in results:
-        h, err = float(h), float(err)
         order = ""
-        if prev is not None and err > 0 and prev[1] > 0 and h != prev[0]:
+        if prev is not None and err > 0 and prev[1] > 0:
             value = float(np.log(prev[1] / err) / np.log(prev[0] / h))
             orders.append(value)
             order = repr(value)
@@ -580,7 +565,7 @@ def cmd_ode_bench(config: RunConfig, out: _Outputs) -> int:
     for (h, err), row in zip(results, rows):
         print(f"h={h:<10g} error={err:.6e} order={row[2] or '-'}")
     if plateau:
-        print("note: error has plateaued (perturbation floor reached)")
+        print("note: error has plateaued (error floor reached)")
     return EXIT_OK
 
 
@@ -595,7 +580,7 @@ def cmd_descent_audit(config: RunConfig, out: _Outputs) -> int:
             "h=%g exceeds 2/c_l=%g: the descent inequality is no longer "
             "guaranteed; violations below are reported, not fatal", h, 2.0 / curvature,
         )
-    cfg = StepConfig(h=h, substeps=config.substeps, policy=policy)
+    cfg = StepConfig(h=h, policy=policy)
     oracle = problem.oracle
     state = problem.y0
     rows = []
@@ -673,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tau", type=float, help="truncation tolerance")
     common.add_argument("--r-min", dest="r_min", type=int)
     common.add_argument("--r-max", dest="r_max", type=int)
-    common.add_argument("--substeps", type=int)
     integrator = argparse.ArgumentParser(add_help=False)  # train, compare, ode-bench
     integrator.add_argument("--integrator", choices=INTEGRATOR_NAMES)
     lr = argparse.ArgumentParser(add_help=False)  # train, compare, descent-audit

@@ -13,7 +13,7 @@ lowrank module:
 * ``psi_step``: fixed-rank projector splitting over K, S, L subflows; the
   S subflow runs against the descent direction.
 * ``bc_psi_step``: splitting with the S subflow replaced by a projection
-  of the previous core onto the new left basis, so no substep moves
+  of the previous core onto the new left basis, so no subflow moves
   against the descent direction.
 * ``bug_fixed_step``: K and L subflows advanced in parallel from the same
   initial state, then a Galerkin core step in the fresh bases.
@@ -29,11 +29,9 @@ and a finish: ``psi_mid`` and ``bc_psi_mid`` return ``SplitMid`` records
 for the shared L sweep, ``abc_psi_flow`` returns ``AbcFlow`` records for
 the truncation. The descent audit and the S-step probe read these values.
 
-All subflows are discretized by explicit Euler; ``StepConfig.substeps``
-repeats the gradient step inside the K and L subflows. A step reuses the
-gradient at the current point wherever a substep starts there, so with s
-substeps it costs 2s+1 (psi), 2s (bc-psi, bug) or 2s-1 (abc-psi)
-evaluations.
+Every subflow is one explicit-Euler step. A step reuses the gradient at the
+current point wherever a subflow starts there, so it costs 3 (psi), 2
+(bc-psi, bug) or 1 (abc-psi) evaluations.
 
 Steppers trust their states and their gradients: no array is scanned for
 non-finite entries inside a step. A non-finite value reaches a QR
@@ -44,7 +42,7 @@ non-finite entries inside a step. A non-finite value reaches a QR
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -112,8 +110,10 @@ class GradientOracle:
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Step size, inner gradient-step count, and the truncation policy
-    (the policy is consumed by abc_psi_step only)."""
+    """Step size and the truncation policy (the policy is consumed by
+    abc_psi_step only). No stepper reads ``substeps``, as each subflow is
+    one gradient step; the field accepts only 1 and stays so that callers
+    passing ``substeps=1`` keep constructing their configs."""
 
     h: float
     substeps: int = 1
@@ -122,9 +122,8 @@ class StepConfig:
     def __post_init__(self):
         if not 0 < self.h < math.inf:
             raise ValueError(f"step size h must be finite and positive, got {self.h}")
-        substeps = self.substeps
-        if isinstance(substeps, bool) or not isinstance(substeps, int) or substeps < 1:
-            raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
+        if type(self.substeps) is not int or self.substeps != 1:
+            raise ValueError(f"substeps must be 1, got {self.substeps!r}")
 
 
 class SplitMid(NamedTuple):
@@ -162,32 +161,22 @@ def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
     return w - h * oracle.full(w)
 
 
-def _k_sweep(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> tuple:
+def _k_sweep(states: Sequence[LowRankState], grads: Callable, h: float) -> tuple:
     """K subflow of every state from k0 = u0 @ s0 with the right bases frozen.
 
-    Returns (k0, handles0, k1): the start, the gradient handles at the
-    current point (the first substep's evaluation), and the swept factors.
+    Returns (k0, handles, k1): the start, the gradient handles there, and
+    the swept factors k1 = k0 - h * G @ v0.
     """
-    k = k0 = [st.u @ st.s for st in states]
+    k0 = [st.u @ st.s for st in states]
     v = [st.v for st in states]
-    handles = handles0 = grads(list(zip(k0, v)))
-    for step in range(cfg.substeps):
-        if step:
-            handles = grads(list(zip(k, v)))
-        k = [k_i - cfg.h * g.right(v_i) for k_i, v_i, g in zip(k, v, handles)]
-    return k0, handles0, k
+    handles = grads(list(zip(k0, v)))
+    return k0, handles, [k - h * g.right(v_i) for k, v_i, g in zip(k0, v, handles)]
 
 
-def _l_sweep(
-    l: list, u: list, grads: Callable, cfg: StepConfig, handles: Optional[list] = None
-) -> list:
-    """L subflow with the left bases u frozen; handles, when given, are
-    taken at u @ l.T and spare the first evaluation."""
-    for step in range(cfg.substeps):
-        if step or handles is None:
-            handles = grads(list(zip(u, l)))
-        l = [l_i - cfg.h * g.left(u_i) for l_i, u_i, g in zip(l, u, handles)]
-    return l
+def _l_sweep(l: list, u: list, handles: list, h: float) -> list:
+    """L subflow l - h * G.T @ u with the left bases u frozen, from the
+    gradient handles taken at u @ l.T."""
+    return [l_i - h * g.left(u_i) for l_i, u_i, g in zip(l, u, handles)]
 
 
 def _core_step(u, s, v, grads: Callable, h: float) -> list:
@@ -201,9 +190,11 @@ def _split_finish(
     states: Sequence[LowRankState], mids: list, grads: Callable, cfg: StepConfig
 ) -> list:
     """The last phase of psi and bc-psi: the L sweep from v0 @ s_mid.T in the
-    fresh left bases u1, then the right factor orthonormalized by QR."""
+    fresh left bases u1, with the gradient evaluated at its start, then the
+    right factor orthonormalized by QR."""
     u1 = [mid.u1 for mid in mids]
-    l1 = _l_sweep([st.v @ mid.s_mid.T for st, mid in zip(states, mids)], u1, grads, cfg)
+    l0 = [st.v @ mid.s_mid.T for st, mid in zip(states, mids)]
+    l1 = _l_sweep(l0, u1, grads(list(zip(u1, l0))), cfg.h)
     qrs = [householder_qr(l) for l in l1]
     return [LowRankState(u, np.ascontiguousarray(r.T), v) for u, (v, r) in zip(u1, qrs)]
 
@@ -214,9 +205,9 @@ def psi_mid(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) ->
 
     The S sweep is the core step with step size -h: it moves along the
     positive gradient direction; that is the splitting's backward-in-time
-    substep, not a bug.
+    subflow, not a bug.
     """
-    _, _, k1 = _k_sweep(states, grads, cfg)
+    _, _, k1 = _k_sweep(states, grads, cfg.h)
     u1, s_start = zip(*map(householder_qr, k1))
     s_mid = _core_step(u1, s_start, [st.v for st in states], grads, -cfg.h)
     return [SplitMid(*mid) for mid in zip(u1, s_start, s_mid)]
@@ -231,14 +222,14 @@ def bc_psi_mid(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig)
     """The K sweep and its QR of ``bc_psi_step``, one ``SplitMid`` per
     state, with s_mid = u1.T @ k0: the previous iterate expressed in the
     fresh left basis, in place of psi's backward core sweep."""
-    k0, _, k1 = _k_sweep(states, grads, cfg)
+    k0, _, k1 = _k_sweep(states, grads, cfg.h)
     qrs = [householder_qr(k) for k in k1]
     return [SplitMid(u1, r, u1.T @ k) for (u1, r), k in zip(qrs, k0)]
 
 
 def bc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """Fixed-rank splitting step with the S sweep replaced by a projection,
-    so no substep moves against the descent direction."""
+    so no subflow moves against the descent direction."""
     return _split_finish(states, bc_psi_mid(states, grads, cfg), grads, cfg)
 
 
@@ -246,13 +237,13 @@ def bug_fixed_step(states: Sequence[LowRankState], grads: Callable, cfg: StepCon
     """Fixed-rank basis-update and Galerkin step.
 
     K and L sweeps both start from the current state (they are
-    independent and could run in parallel, and their first substeps share
-    one evaluation); the core is then rebuilt in the two fresh bases and
+    independent and could run in parallel, and they share one
+    evaluation); the core is then rebuilt in the two fresh bases and
     advanced by one explicit-Euler step.
     """
-    _, handles, k1 = _k_sweep(states, grads, cfg)
+    _, handles, k1 = _k_sweep(states, grads, cfg.h)
     u0 = [st.u for st in states]
-    l1 = _l_sweep([st.v @ st.s.T for st in states], u0, grads, cfg, handles)
+    l1 = _l_sweep([st.v @ st.s.T for st in states], u0, handles, cfg.h)
     u1 = [householder_qr(k).q for k in k1]
     v1 = [householder_qr(l).q for l in l1]
     s_init = [
@@ -265,13 +256,13 @@ def bug_fixed_step(states: Sequence[LowRankState], grads: Callable, cfg: StepCon
 
 def abc_psi_flow(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """Steps 1-4 of ``abc_psi_step``, one ``AbcFlow`` per state."""
-    _, handles, k1 = _k_sweep(states, grads, cfg)
+    _, handles, k1 = _k_sweep(states, grads, cfg.h)
     u_hat = [ortho_augment(st.u, k) for st, k in zip(states, k1)]
     l0 = [
         np.hstack([st.v @ st.s.T, np.zeros((st.v.shape[0], u.shape[1] - st.rank))])
         for st, u in zip(states, u_hat)
     ]
-    l1 = _l_sweep(l0, u_hat, grads, cfg, handles)
+    l1 = _l_sweep(l0, u_hat, handles, cfg.h)
     return [AbcFlow(*flow) for flow in zip(k1, u_hat, l1)]
 
 
@@ -288,9 +279,9 @@ def abc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfi
     3. Core correction folded into the right factor: l0 = v0 @ k0.T @ u_hat
        (the current iterate expressed against u_hat), which is
        [v0 @ s0.T | 0] because k0.T @ u_hat = [s0.T | 0].
-    4. L sweep in the enlarged basis. Its first substep starts at the
-       current point, u_hat @ l0.T = k0 @ v0.T, so with one substep the
-       whole step costs one evaluation of ``grads``.
+    4. L sweep in the enlarged basis. It starts at the current point,
+       u_hat @ l0.T = k0 @ v0.T, so it reuses the K sweep's gradient and
+       the whole step costs one evaluation of ``grads``.
     5. Truncation of u_hat @ l1.T by the policy's singular-value
        criterion. With l1 = P diag(sigma) Q^T the new state is
        (u_hat Q_r, diag(sigma_r), P_r), already in orthonormal-times-core
@@ -436,7 +427,7 @@ def ode_error_study(
     h_list: Sequence[float],
     t_end: float,
     ref_h: float,
-    cfg_template: StepConfig,
+    policy: Optional[TruncationPolicy],
 ) -> list[tuple[float, float]]:
     """Terminal-time error of an integrator against a fine dense reference.
 
@@ -446,9 +437,9 @@ def ode_error_study(
     endpoint is recorded.
 
     Returns a list of (h, error) rows in the order of ``h_list``.
-    ``cfg_template`` carries substeps and the truncation policy for the
-    rank-adaptive stepper; each run replaces its ``h``. An ``abc-psi``
-    template without a policy is refused before the reference is integrated.
+    ``policy`` is the truncation policy of the rank-adaptive stepper, which
+    the other integrators ignore. ``abc-psi`` without a policy is refused
+    before the reference is integrated.
 
     Raises
     ------
@@ -458,7 +449,7 @@ def ode_error_study(
     """
     if integrator not in INTEGRATOR_NAMES:
         raise ValueError(f"unknown integrator {integrator!r}")
-    if integrator == "abc-psi" and cfg_template.policy is None:
+    if integrator == "abc-psi" and policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
     w_ref = _integrate_dense(problem, ref_h, _steps_for(ref_h, t_end))
     rows: list[tuple[float, float]] = []
@@ -467,7 +458,7 @@ def ode_error_study(
         if integrator == "full":
             w = _integrate_dense(problem, h, steps)
         else:
-            cfg = replace(cfg_template, h=h)
+            cfg = StepConfig(h=h, policy=policy)
             states = [problem.y0]
             for _ in range(steps):
                 states = STEPPERS[integrator](states, problem.oracle.grads, cfg)

@@ -10,9 +10,9 @@ train_step hands the low-rank layers' states to the chosen stepper of
 integrator is written once for single matrices and networks alike. One
 evaluation of that function is one forward/backward pass with all low-rank
 layers at the stepper's current phase, so each gradient evaluation sees a
-consistent network. With s substeps a step costs 2s+1 (psi), 2s (bc-psi,
-bug), 2s-1 (abc-psi) or 1 (full) passes. Dense layers and biases take a
-plain gradient-descent step from the first pass.
+consistent network. A step costs 3 (psi), 2 (bc-psi, bug) or 1 (abc-psi,
+full) passes. Dense layers and biases take a plain gradient-descent step
+from the first pass.
 """
 
 from dataclasses import dataclass

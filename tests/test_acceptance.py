@@ -92,19 +92,18 @@ def test_criterion_03_step_size_robustness():
     # first-order convergence to the dense reference flow without a step-size
     # restriction tied to the smallest kept singular value
     policy = TruncationPolicy(tau=0.0, r_max=8, r_min=2)
-    template = StepConfig(h=1.0, policy=policy)
     h_list = [0.1, 0.05, 0.025, 0.0125]
 
     clean = synthetic_quadratic_problem(20, 16, 4, eps=0.0, seed=11, start_offset=0.01)
     rows = ode_error_study(clean, "abc-psi", h_list, t_end=1.0, ref_h=1e-4,
-                           cfg_template=template)
+                           policy=policy)
     errs = [e for _, e in rows]
     ratios = [errs[i] / errs[i + 1] for i in range(3)]
 
     perturbed = synthetic_quadratic_problem(20, 16, 4, eps=1e-6, seed=11,
                                             start_offset=0.01)
     rows_p = ode_error_study(perturbed, "abc-psi", h_list, t_end=1.0, ref_h=1e-4,
-                             cfg_template=template)
+                             policy=policy)
     floor = rows_p[-1][1]
 
     ok = all(1.6 <= r <= 2.4 for r in ratios) and floor <= 1e-4

@@ -144,9 +144,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("at_ceiling, above, count", [
         ({"ref_h": 1.0 / MAX_STEPS}, {"ref_h": 1.0 / (MAX_STEPS + 1)}, "t_end/ref_h"),
         ({"h_list": (1.0 / MAX_STEPS,)}, {"h_list": (1.0 / (MAX_STEPS + 1),)}, "t_end/h"),
-        ({"substeps": MAX_STEPS // 2}, {"substeps": MAX_STEPS // 2 + 1}, "t_end/h"),
-        ({"steps": MAX_STEPS}, {"steps": MAX_STEPS + 1}, "steps * substeps"),
-        ({"epochs": MAX_STEPS}, {"epochs": MAX_STEPS + 1}, "epochs * substeps"),
+        ({"steps": MAX_STEPS}, {"steps": MAX_STEPS + 1}, "steps"),
+        ({"epochs": MAX_STEPS}, {"epochs": MAX_STEPS + 1}, "epochs"),
     ])
     def test_step_ceiling(self, at_ceiling, above, count):
         # t_end 1 and h 0.5: two steps each for t_end/h and t_end/ref_h
@@ -548,6 +547,27 @@ class TestOdeBench:
         summary = json.loads(list(tmp_path.glob("ode-bench-*.json"))[0].read_text())
         assert summary["plateau"] is True
 
+    def test_plateau_without_perturbation(self, tmp_path, capsys):
+        # eps 0 and a rank-1 cap on a rank-2 target: the error plateaus at
+        # the rank floor, so the note names no perturbation
+        code = main([
+            "ode-bench", "--out-dir", str(tmp_path), "--dims", "2,2",
+            "--target-rank", "2", "--r-max", "1", "--r-min", "1",
+        ])
+        assert code == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "(error floor reached)" in stdout
+        assert "perturbation" not in stdout
+
+    def test_repeated_step_size_rejected(self, tmp_path, caplog):
+        # a repeat would run the same flow twice and write two identical rows
+        code = main([
+            "ode-bench", "--out-dir", str(tmp_path), "--h-list", "0.1,0.1,0.05",
+        ])
+        assert code == EXIT_CONFIG
+        assert "h_list repeats 0.1" in caplog.text
+        assert not list(tmp_path.iterdir())
+
 
     def test_step_not_dividing_t_end_rejected(self, tmp_path):
         code = main([
@@ -634,12 +654,22 @@ class TestCommandSettings:
     @pytest.mark.parametrize("args", [
         ["ode-bench", "--epochs", "3"],
         ["descent-audit", "--integrator", "psi"],
+        ["train", "--substeps", "2"],  # every subflow is one gradient step
     ])
     def test_unread_flag_rejected(self, args, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out-dir", str(tmp_path)])
         assert exc.value.code == EXIT_CONFIG
         assert not list(tmp_path.iterdir())
+
+    def test_substeps_config_key_rejected(self, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"substeps": 1}))
+        out = tmp_path / "out"
+        args = ["descent-audit", "--config", str(cfg), "--out-dir", str(out)]
+        assert main(args) == EXIT_CONFIG
+        assert "unknown config keys: ['substeps']" in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, unread", [
         ("train", {"t_end": 0.25}),
@@ -689,12 +719,12 @@ class TestCommandSettings:
         # a dense run reads no low-rank setting, psi no truncation setting
         ("train", [["--integrator", "full", "--rank", "5"],
                    ["--integrator", "full", "--rank", "6", "--tau", "0.3", "--r-min", "3",
-                    "--r-max", "4", "--substeps", "2"]], 1),
+                    "--r-max", "4"]], 1),
         ("train", [["--integrator", "psi"], ["--integrator", "psi", "--tau", "0.3"]], 1),
         ("train", [["--integrator", "psi"], ["--integrator", "psi", "--rank", "2"],
                    ["--integrator", "abc-psi"], ["--integrator", "abc-psi", "--tau", "0.3"]], 4),
         ("ode-bench", [["--integrator", "full"],
-                       ["--integrator", "full", "--substeps", "3", "--r-min", "1"]], 1),
+                       ["--integrator", "full", "--r-min", "1"]], 1),
     ])
     def test_hash_covers_settings_read(self, command, variants, distinct, data_dir, tmp_path):
         hashes = set()
@@ -762,8 +792,7 @@ class TestStepCeiling:
     @pytest.mark.parametrize("args", [
         ["ode-bench", "--integrator", "full", "--t-end", "1e6", "--ref-h", "1e-6",
          "--h-list", "1e6"],
-        ["descent-audit", "--dims", "8,6", "--target-rank", "2", "--lr", "0.5", "--steps", "5",
-         "--substeps", "1000000000"],
+        ["descent-audit", "--steps", "1000001"],
     ])
     def test_exits_config(self, args, tmp_path, caplog):
         assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG
@@ -777,22 +806,6 @@ class TestStepCeiling:
     def test_huge_tau_runs(self, args, tmp_path):
         args += ["--dims", "8,6", "--target-rank", "2", "--tau", "1e300"]
         assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_OK
-
-    @pytest.mark.parametrize("args", [
-        # steps * substeps would be 200 * 6000 at the unread default steps
-        ["ode-bench", "--substeps", "6000", "--dims", "8,6", "--target-rank", "2",
-         "--h-list", "0.5", "--t-end", "1.0", "--ref-h", "0.1"],
-        # t_end/h * substeps would be 40 * 30000 at the unread default h_list
-        ["descent-audit", "--substeps", "30000", "--steps", "1", "--dims", "8,6",
-         "--target-rank", "2"],
-    ])
-    def test_unread_settings_count_nothing(self, args, tmp_path):
-        assert main(args + ["--out-dir", str(tmp_path)]) == EXIT_OK
-
-    def test_train_counts_only_epochs(self, data_dir, tmp_path):
-        # steps * substeps would be 200 * 6000 at the unread default steps
-        args = train_args(data_dir, tmp_path, "--substeps", "6000", "--epochs", "0")
-        assert main(args) == EXIT_OK
 
 
 @pytest.fixture(scope="module")
@@ -905,7 +918,6 @@ class TestHostileSettings:
         "seed": BAD_INT + [10**12],
         "seeds": [[], 5, [-1], [True], [2.5], [0, 10**12], [0, 0]],
         "epochs": BAD_INT + [10**12],
-        "substeps": BAD_INT + [10**12],
         "steps": BAD_INT + [10**12],
         "data_dir": [3, True, "", "no-such-dir"],
         "bogus": [1],

@@ -254,21 +254,6 @@ class TestAbcPsiStep:
         assert np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u)) <= 1e-10
         assert np.linalg.norm(flow.k1 - u_hat @ (u_hat.T @ flow.k1)) <= 1e-10
 
-    def test_substeps_accepted(self):
-        state = init_lowrank(7, 6, 2, seed=19)
-        a = np.random.default_rng(19).standard_normal((7, 6))
-        oracle = quadratic_oracle(a)
-        cfg = StepConfig(h=0.05, substeps=3,
-                         policy=TruncationPolicy(tau=0.1, r_max=4, r_min=1))
-        [out] = abc_psi_step([state], oracle.grads, cfg)
-        out.validate()
-        # three inner gradient steps move further than one
-        cfg1 = StepConfig(h=0.05, substeps=1, policy=cfg.policy)
-        [out1] = abc_psi_step([state], oracle.grads, cfg1)
-        moved3 = np.linalg.norm(out.densify() - state.densify())
-        moved1 = np.linalg.norm(out1.densify() - state.densify())
-        assert moved3 > moved1
-
 
 class TestOrthonormalityInvariant:
     def test_factors_stay_orthonormal_over_random_steps(self):
@@ -353,14 +338,13 @@ class TestStateLists:
         oracle = quadratic_oracle(a)
         states = [init_lowrank(9, 7, 2, seed=28), init_lowrank(9, 7, 3, seed=29)]
         policy = TruncationPolicy(tau=0.05, r_max=4, r_min=1)
-        for substeps in (1, 3):
-            cfg = StepConfig(h=0.1, substeps=substeps, policy=policy)
-            for stepper in (psi_step, bc_psi_step, bug_fixed_step, abc_psi_step):
-                together = stepper(states, oracle.grads, cfg)
-                alone = [stepper([st], oracle.grads, cfg)[0] for st in states]
-                for got, want in zip(together, alone):
-                    for name in ("u", "s", "v"):
-                        assert np.array_equal(getattr(got, name), getattr(want, name))
+        cfg = StepConfig(h=0.1, policy=policy)
+        for stepper in (psi_step, bc_psi_step, bug_fixed_step, abc_psi_step):
+            together = stepper(states, oracle.grads, cfg)
+            alone = [stepper([st], oracle.grads, cfg)[0] for st in states]
+            for got, want in zip(together, alone):
+                for name in ("u", "s", "v"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_abc_psi_flows_of_two_states(self):
         # every state's flow augments its own basis, and the step is the
@@ -402,17 +386,16 @@ class TestFactorizationCounts:
         rows = re.findall(r"^\| `([\w-]+)` \| (\d+) \| (\d+) \| (\d+) \| (\d+) \|$", readme, re.M)
         return {name: tuple(map(int, counts)) for name, *counts in rows}
 
-    @pytest.mark.parametrize("substeps", [1, 3])
     @pytest.mark.parametrize("shape, square", [((50, 40, 4), False), ((6, 9, 6), True)],
                              ids=["tall", "square-u0"])
-    def test_counts_match_readme(self, shape, square, substeps, monkeypatch):
+    def test_counts_match_readme(self, shape, square, monkeypatch):
         table = self.readme_table()
         assert set(table) == set(INTEGRATOR_NAMES)
         m, n, r = shape
         states = [init_lowrank(m, n, r, seed=seed) for seed in (33, 34)]
         oracle = quadratic_oracle(np.random.default_rng(33).standard_normal((m, n)))
         policy = TruncationPolicy(tau=0.1, r_max=2 * r, r_min=1)
-        cfg = StepConfig(h=0.1, substeps=substeps, policy=policy)
+        cfg = StepConfig(h=0.1, policy=policy)
         calls = Counter()
         for name in ("qr", "eigh", "svd"):
             def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -462,14 +445,14 @@ class TestOdeErrorStudy:
     def test_self_comparison_is_exact(self):
         problem = synthetic_quadratic_problem(8, 6, 2, eps=0.0, seed=24)
         rows = ode_error_study(problem, "full", [0.1], t_end=1.0, ref_h=0.1,
-                               cfg_template=StepConfig(h=1.0))
+                               policy=None)
         assert rows == [(0.1, 0.0)]
 
     def test_first_order_convergence_quick(self):
         problem = synthetic_quadratic_problem(10, 8, 3, eps=0.0, seed=25)
-        cfg = StepConfig(h=1.0, policy=TruncationPolicy(tau=0.0, r_max=6, r_min=1))
+        policy = TruncationPolicy(tau=0.0, r_max=6, r_min=1)
         rows = ode_error_study(problem, "abc-psi", [0.1, 0.05], t_end=1.0,
-                               ref_h=1e-4, cfg_template=cfg)
+                               ref_h=1e-4, policy=policy)
         ratio = rows[0][1] / rows[1][1]
         assert 1.6 <= ratio <= 2.4
 
@@ -477,19 +460,19 @@ class TestOdeErrorStudy:
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=26)
         with pytest.raises(ValueError):
             ode_error_study(problem, "rk4", [0.1], t_end=1.0, ref_h=0.01,
-                            cfg_template=StepConfig(h=1.0))
+                            policy=None)
 
     def test_rejects_non_dividing_step(self):
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
         with pytest.raises(ValueError):
             ode_error_study(problem, "full", [0.3], t_end=1.0, ref_h=0.01,
-                            cfg_template=StepConfig(h=1.0))
+                            policy=None)
 
     def test_rejects_infinite_step_count(self):
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
         with pytest.raises(ValueError, match="step count inf"):
             ode_error_study(problem, "full", [0.1], t_end=1e300, ref_h=1e-300,
-                            cfg_template=StepConfig(h=1.0))
+                            policy=None)
 
     @pytest.mark.parametrize("h_list, ref_h", [
         ([0.0], 0.1), ([-0.1], 0.1), ([float("nan")], 0.1), ([0.1], 0.0),
@@ -499,7 +482,7 @@ class TestOdeErrorStudy:
         problem = synthetic_quadratic_problem(6, 5, 2, eps=0.0, seed=27)
         with pytest.raises(ValueError, match="step size must be positive"):
             ode_error_study(problem, "psi", h_list, t_end=1.0, ref_h=ref_h,
-                            cfg_template=StepConfig(h=1.0))
+                            policy=None)
 
     def test_abc_psi_without_policy_refused_before_reference(self):
         # the dense reference is the study's long part: 10000 steps here
@@ -513,7 +496,7 @@ class TestOdeErrorStudy:
         problem = replace(problem, oracle=replace(problem.oracle, full=full))
         with pytest.raises(ValueError, match="requires cfg.policy"):
             ode_error_study(problem, "abc-psi", [0.1], t_end=1.0, ref_h=1e-4,
-                            cfg_template=StepConfig(h=1.0))
+                            policy=None)
         assert calls == []
 
 
@@ -562,16 +545,16 @@ class TestNonFiniteValues:
         problem = synthetic_quadratic_problem(8, 6, 2, eps=0.0, seed=42)
         with pytest.raises(NumericError, match="diverged"):
             ode_error_study(problem, "full", [3.0], t_end=3.0 * 1100, ref_h=3.0,
-                            cfg_template=StepConfig(h=1.0))
+                            policy=None)
 
     def test_study_scans_no_array(self, as_matrix_calls):
         # the README's ode-bench problem: 10000 dense reference steps and 150
         # abc-psi steps, none of which re-checks its own arrays
         problem = synthetic_quadratic_problem(20, 16, 4, eps=1e-6, seed=0)
-        cfg = StepConfig(h=1.0, policy=TruncationPolicy(tau=0.1, r_max=8, r_min=2))
+        policy = TruncationPolicy(tau=0.1, r_max=8, r_min=2)
         as_matrix_calls.clear()
         rows = ode_error_study(problem, "abc-psi", [0.1, 0.05, 0.025, 0.0125],
-                               t_end=1.0, ref_h=1e-4, cfg_template=cfg)
+                               t_end=1.0, ref_h=1e-4, policy=policy)
         assert len(rows) == 4
         assert as_matrix_calls == []
 
@@ -588,7 +571,7 @@ def test_step_config_validation():
     cases = [
         (0.0, 1, "h"), (-0.1, 1, "h"), (float("nan"), 1, "h"), (float("inf"), 1, "h"),
         (0.1, 0, "substeps"), (0.1, 1.5, "substeps"), (0.1, 2.0, "substeps"),
-        (0.1, True, "substeps"),
+        (0.1, True, "substeps"), (0.1, 2, "substeps"),
     ]
     for h, substeps, field in cases:
         with pytest.raises(ValueError, match=rf"\b{field}\b"):

@@ -582,22 +582,19 @@ class TestTrainStep:
                 for g in (eval_full(a @ b.T) for a, b in pairs)
             ]
 
+        cfg = StepConfig(h=0.1, policy=policy)
         for integrator, stepper in STEPPERS.items():
-            for substeps in (1, 3):
-                cfg = StepConfig(h=0.1, substeps=substeps, policy=policy)
-                [expected] = stepper([net.layers[0].state], grads, cfg)
-                new_net, _ = train_step(net, (x, labels), integrator, cfg)
-                got = new_net.layers[0].state
-                assert got.rank == expected.rank, (integrator, substeps)
-                gap = np.linalg.norm(got.densify() - expected.densify())
-                assert gap <= 1e-10, (integrator, substeps)
+            [expected] = stepper([net.layers[0].state], grads, cfg)
+            new_net, _ = train_step(net, (x, labels), integrator, cfg)
+            got = new_net.layers[0].state
+            assert got.rank == expected.rank, integrator
+            gap = np.linalg.norm(got.densify() - expected.densify())
+            assert gap <= 1e-10, integrator
 
     @pytest.mark.parametrize("integrator", ["psi", "bc-psi", "bug", "abc-psi", "full"])
     def test_passes_per_step(self, integrator, monkeypatch):
-        # one network pass is one softmax_cross_entropy call; with s
-        # substeps psi makes 2s+1, bc-psi and bug 2s, abc-psi 2s-1, full 1
-        passes = {"psi": (3, 7), "bc-psi": (2, 6), "bug": (2, 6),
-                  "abc-psi": (1, 5), "full": (1, 1)}[integrator]
+        # one network pass is one softmax_cross_entropy call
+        passes = {"psi": 3, "bc-psi": 2, "bug": 2, "abc-psi": 1, "full": 1}[integrator]
         calls = []
 
         def counted(logits, labels):
@@ -609,11 +606,8 @@ class TestTrainStep:
         net = build_network(mlp_specs([6, 5, 4, 3], initial_rank=rank), seed=23)
         x, labels = random_batch(net, 8, seed=23)
         policy = TruncationPolicy(tau=1e-6, r_max=4, r_min=1)
-        for substeps, expected in zip((1, 3), passes):
-            calls.clear()
-            train_step(net, (x, labels), integrator,
-                       StepConfig(h=0.05, substeps=substeps, policy=policy))
-            assert len(calls) == expected, substeps
+        train_step(net, (x, labels), integrator, StepConfig(h=0.05, policy=policy))
+        assert len(calls) == passes
 
     def test_abc_psi_factorizations_per_layer(self, monkeypatch):
         # one augmentation QR and one truncation SVD per low-rank layer,
@@ -704,15 +698,6 @@ class TestTrainStep:
                     layer.state.validate()
         for layer in net.layers:
             layer.state.validate(tol=1e-12)
-
-    def test_substeps_run(self):
-        net = tiny_mixed_net(seed=19)
-        x, labels = random_batch(net, 8, seed=19)
-        policy = TruncationPolicy(tau=1e-6, r_max=4, r_min=1)
-        for integrator in ("psi", "bc-psi", "bug", "abc-psi"):
-            cfg = StepConfig(h=0.02, substeps=3, policy=policy)
-            new_net, loss0 = train_step(net, (x, labels), integrator, cfg)
-            assert loss_of(new_net, x, labels) < loss0
 
 
 class TestEvaluate:
