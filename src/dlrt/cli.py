@@ -120,6 +120,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _fits(value, f.type):
                 raise ConfigError(f"{f.name} must be {_type_name(f.type)}, got {value!r}")
+            if isinstance(value, list):  # a list fits only a tuple field
+                object.__setattr__(self, f.name, tuple(value))
 
     def validate(self) -> "RunConfig":
         """Check ranges and relations; the types were checked at construction.
@@ -240,45 +242,39 @@ def load_config(path=None, overrides=None, keys=None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    config = RunConfig(**merged)  # a list fits only a tuple field
-    tuples = {key: tuple(value) for key, value in merged.items() if isinstance(value, list)}
-    return _unread_at_defaults(replace(config, **tuples), keys).validate()
-
-
-def write_csv(path, config_hash, columns, rows) -> None:
-    """CSV with a comment line naming the tool version and config hash."""
-    with atomic_write(path, "w", newline="") as fh:
-        fh.write(f"# dlrt {__version__} config {config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
-def write_json(path, payload) -> None:
-    with atomic_write(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return _unread_at_defaults(RunConfig(**merged), keys).validate()
 
 
 @dataclass(frozen=True)
 class _Outputs:
-    """A command's output files, named ``<command>-<hash>...``."""
+    """A command's output files, named ``<command>-<hash>...`` and written
+    atomically: the one writer of every CSV and JSON a command leaves."""
 
     command: str
     config: RunConfig
     dir: Path
-    tag: str  # config.hash()
 
     def path(self, suffix: str) -> Path:
-        return self.dir / f"{self.command}-{self.tag}{suffix}"
+        return self.dir / f"{self.command}-{self.config.hash()}{suffix}"
 
     def write_csv(self, suffix: str, columns, rows) -> None:
-        write_csv(self.path(suffix), self.tag, columns, rows)
+        """CSV with a comment line naming the tool version and config hash.
+        A float cell is written as ``repr(float(v))``, which reads back as
+        the same float (numpy 2's own repr of a float64 would not)."""
+        with atomic_write(self.path(suffix), "w", newline="") as fh:
+            fh.write(f"# dlrt {__version__} config {self.config.hash()}\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
     def write_summary(self, **fields) -> None:
         """The JSON summary: the command, its config and hash, then ``fields``."""
-        header = {"command": self.command, "config": asdict(self.config), "config_hash": self.tag}
-        write_json(self.path(".json"), {**header, **fields})
+        summary = {"command": self.command, "config": asdict(self.config),
+                   "config_hash": self.config.hash(), **fields}
+        with atomic_write(self.path(".json"), "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _layer_triples(net) -> list:
@@ -302,7 +298,7 @@ def _divergence(loss, net) -> Optional[str]:
     for idx, layer in enumerate(net.layers):
         weight = layer.w if layer.rank is None else layer.state.s
         norm = np.linalg.norm(weight)
-        if norm > DIVERGENCE_NORM:
+        if not norm <= DIVERGENCE_NORM:  # a NaN norm fails the comparison
             return f"layer {idx} weight norm {norm:.3e} exceeds {DIVERGENCE_NORM:g}"
     return None
 
@@ -310,9 +306,9 @@ def _divergence(loss, net) -> Optional[str]:
 def _metric_row(epoch, train_loss, test_acc, net):
     triples = _layer_triples(net)
     return (
-        [epoch, repr(float(train_loss)), repr(float(test_acc))]
+        [epoch, train_loss, test_acc]
         + net.ranks()
-        + [param_count(triples), repr(round(compression_rate(triples), 6))]
+        + [param_count(triples), round(compression_rate(triples), 6)]
     )
 
 
@@ -385,20 +381,16 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
         "runtime_s": time.monotonic() - start,
         "integrator": integrator,
         "seed": seed,
-        "final_accuracy": float(rows[-1][2]),
+        "final_accuracy": rows[-1][2],
         "param_count": param_count(triples),
         "compression_rate": compression_rate(triples),
     }
 
 
 def _log_run(result: dict) -> None:
-    """Log a run's epoch summaries, read back from its rows, and its
-    divergence."""
+    """Log a run's epoch summaries, read from its rows, and its divergence."""
     for row in result["rows"][1:]:
-        log.info(
-            "epoch %d: train_loss %.4f test_acc %.4f ranks %s",
-            row[0], float(row[1]), float(row[2]), row[3:-2],
-        )
+        log.info("epoch %d: train_loss %.4f test_acc %.4f ranks %s", *row[:3], row[3:-2])
     if result["divergence"] is not None:
         log.error("%s", result["divergence"])
 
@@ -497,8 +489,8 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     rows = []
     for r in runs:
         rows.append(
-            ["run", r["integrator"], r["seed"], r["status"],
-             repr(r["final_accuracy"]), r["param_count"]]
+            ["run", r["integrator"], r["seed"], r["status"], r["final_accuracy"],
+             r["param_count"]]
         )
     print(f"{'integrator':>10} {'mean_acc':>9} {'std':>7} {'params':>8} {'runs':>5}")
     for integrator in integrators:
@@ -508,8 +500,7 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
         std = float(np.std(accs)) if accs else float("nan")
         params = int(np.mean([r["param_count"] for r in ok])) if ok else 0
         rows.append(
-            ["summary", integrator, "", f"{len(ok)}/{len(seeds)} ok",
-             repr(mean), params]
+            ["summary", integrator, "", f"{len(ok)}/{len(seeds)} ok", mean, params]
         )
         print(f"{integrator:>10} {mean:9.4f} {std:7.4f} {params:8d} {len(ok):2d}/{len(seeds)}")
     out.write_csv(
@@ -547,12 +538,11 @@ def cmd_ode_bench(config: RunConfig, out: _Outputs) -> int:
     orders = []
     prev = None
     for h, err in results:
-        order = ""
+        order = None  # written as an empty cell
         if prev is not None and err > 0 and prev[1] > 0:
-            value = float(np.log(prev[1] / err) / np.log(prev[0] / h))
-            orders.append(value)
-            order = repr(value)
-        rows.append([repr(h), repr(err), order])
+            order = float(np.log(prev[1] / err) / np.log(prev[0] / h))
+            orders.append(order)
+        rows.append([h, err, order])
         prev = (h, err)
     out.write_csv(".csv", ["h", "error", "observed_order"], rows)
     plateau = bool(orders) and orders[-1] < 0.5
@@ -563,7 +553,7 @@ def cmd_ode_bench(config: RunConfig, out: _Outputs) -> int:
         plateau=plateau,
     )
     for (h, err), row in zip(results, rows):
-        print(f"h={h:<10g} error={err:.6e} order={row[2] or '-'}")
+        print(f"h={h:<10g} error={err:.6e} order={'-' if row[2] is None else row[2]}")
     if plateau:
         print("note: error has plateaued (error floor reached)")
     return EXIT_OK
@@ -605,8 +595,7 @@ def cmd_descent_audit(config: RunConfig, out: _Outputs) -> int:
                 step, loss_flow, bound,
             )
         rows.append(
-            [step, repr(loss_before), repr(loss_flow), repr(bound),
-             repr(margin), int(violated)]
+            [step, loss_before, loss_flow, bound, margin, int(violated)]
         )
     s_before, s_after = s_step_loss_delta_psi(problem.y0, oracle, cfg)
     out.write_csv(
@@ -711,7 +700,10 @@ def main(argv=None) -> int:
         config = load_config(path, settings, keys=settings)
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return func(config, _Outputs(command, config, out_dir, config.hash()))
+        # numpy's overflow and invalid-value warnings precede a non-finite
+        # value, which the command reports as a NumericError or a divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            return func(config, _Outputs(command, config, out_dir))
     except (ConfigError, DataError, OSError, NumericError) as exc:
         log.error("%s", exc)
         if isinstance(exc, NumericError):

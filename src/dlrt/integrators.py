@@ -74,9 +74,6 @@ __all__ = [
     "STEPPERS",
 ]
 
-INTEGRATOR_NAMES = ("full", "psi", "bc-psi", "bug", "abc-psi")
-
-
 class Gradient(NamedTuple):
     """Lazy contractions of one loss gradient G (m, n) at an evaluated point."""
 
@@ -388,6 +385,7 @@ STEPPERS: dict[str, Callable] = {
     "bug": bug_fixed_step,
     "abc-psi": abc_psi_step,
 }
+INTEGRATOR_NAMES = ("full", *STEPPERS)  # dense SGD, then the steppers in order
 
 
 @dataclass(frozen=True)

@@ -209,22 +209,15 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
 
 # -- forward / backward tape ------------------------------------------------
 #
-# Internally every layer is viewed as w = a @ b.T; a dense layer is a = w
-# with no right factor (b = None), so its pass skips the x @ b product. The
-# forward pass records each layer's input, x @ b and pre-activation as a
-# plain (x, b, xb, z) tuple. Backward reads the records and returns one
-# tape per layer (the input, the right factor, x @ b and the
-# pre-activation's gradient): the layer's gradient handle, contracted against
-# whatever factor the active integrator phase needs. Only a dense layer's
-# update forms delta.T @ x in full. The pre-activation does not outlive the
-# pass.
-
-
-class _Repr(NamedTuple):
-    a: Matrix  # left factor, out_dim x r (the weight, out_dim x in_dim, for dense)
-    b: Optional[Matrix]  # right factor, in_dim x r (None for dense)
-    bias: np.ndarray
-    activation: str
+# A pass views every layer's weight as w = a @ b.T, one factor pair per
+# layer: a dense layer is a = w with no right factor (b = None), so its pass
+# skips the x @ b product; bias and activation come from the layer itself.
+# The forward pass records each layer's input, x @ b and pre-activation as a
+# plain (x, xb, z) tuple. Backward reads the records and returns one tape
+# per layer (the input, the right factor, x @ b and the pre-activation's
+# gradient): the layer's gradient handle, contracted against whatever factor
+# the active integrator phase needs. Only a dense layer's update forms
+# delta.T @ x in full. The pre-activation does not outlive the pass.
 
 
 class _Tape(NamedTuple):
@@ -252,49 +245,50 @@ class _Tape(NamedTuple):
         return self.delta.sum(axis=0)
 
 
-def _base_repr(layer) -> _Repr:
+def _pair(layer) -> tuple:
+    """The layer's weight as its pass's factor pair (a, b)."""
     if isinstance(layer, DenseLayer):
-        return _Repr(layer.w, None, layer.bias, layer.activation)
+        return layer.w, None
     st = layer.state
-    return _Repr(st.u @ st.s, st.v, layer.bias, layer.activation)
+    return st.u @ st.s, st.v
 
 
-def _run_forward(reprs, x, records=None):
+def _run_forward(layers, pairs, x, records=None):
     # returns the logits; with a list given as records, appends each
-    # layer's (x, b, xb, z) for backward. Evaluation passes none, so no
+    # layer's (x, xb, z) for backward. Evaluation passes none, so no
     # layer's arrays outlive the next layer: holding them made the
     # allocator fault fresh pages for every 512-row chunk, about 30% of a
     # paper-net evaluation's time
     cur = x
-    for rep in reprs:
-        xb = cur if rep.b is None else cur @ rep.b
-        z = xb @ rep.a.T + rep.bias
+    for layer, (a, b) in zip(layers, pairs):
+        xb = cur if b is None else cur @ b
+        z = xb @ a.T + layer.bias
         if records is not None:
-            records.append((cur, rep.b, xb, z))
-        cur = np.maximum(z, 0.0) if rep.activation == "relu" else z
+            records.append((cur, xb, z))
+        cur = np.maximum(z, 0.0) if layer.activation == "relu" else z
     if not np.isfinite(cur).all():
         raise NumericError("non-finite activation in forward pass")
     return cur
 
 
-def _run_backward(reprs, records, dlogits) -> list:
+def _run_backward(layers, pairs, records, dlogits) -> list:
     # the pass's tapes in layer order, from its forward records
     tapes = []
     d = dlogits
-    for idx in range(len(reprs) - 1, -1, -1):
-        rep, (x, b, xb, z) = reprs[idx], records[idx]
-        delta = d * (z > 0.0) if rep.activation == "relu" else d
+    for idx in range(len(layers) - 1, -1, -1):
+        (a, b), (x, xb, z) = pairs[idx], records[idx]
+        delta = d * (z > 0.0) if layers[idx].activation == "relu" else d
         tapes.append(_Tape(x, b, xb, delta))
         if idx > 0:
-            d = delta @ rep.a
-            if rep.b is not None:
-                d = d @ rep.b.T
+            d = delta @ a
+            if b is not None:
+                d = d @ b.T
     return tapes[::-1]
 
 
 class _Cache(NamedTuple):
     net: "Network"
-    reprs: list
+    pairs: list
     records: list
 
 
@@ -310,10 +304,10 @@ def _net_input(net: Network, x) -> Matrix:
 def forward(net: Network, x_batch) -> tuple:
     """Batch forward pass. Returns (logits, cache) with cache for backward."""
     x = _net_input(net, x_batch)
-    reprs = [_base_repr(layer) for layer in net.layers]
+    pairs = [_pair(layer) for layer in net.layers]
     records = []
-    logits = _run_forward(reprs, x, records)
-    return logits, _Cache(net, reprs, records)
+    logits = _run_forward(net.layers, pairs, x, records)
+    return logits, _Cache(net, pairs, records)
 
 
 def softmax_cross_entropy(logits, labels) -> tuple:
@@ -348,7 +342,8 @@ def backward(net: Network, cache: _Cache, dlogits) -> list:
     x.T @ (delta @ u); ``full()`` gives G and ``bias_grad()`` the bias's."""
     if cache.net is not net:
         raise ValueError("stale cache: forward ran on a different network")
-    return _run_backward(cache.reprs, cache.records, as_matrix(dlogits, "dlogits"))
+    dlogits = as_matrix(dlogits, "dlogits")
+    return _run_backward(net.layers, cache.pairs, cache.records, dlogits)
 
 
 # -- training ----------------------------------------------------------------
@@ -365,17 +360,15 @@ def _network_oracle(net: Network, x: Matrix, labels, first: list) -> Callable[[l
     """
 
     def grads(pairs):
-        pairs = iter(pairs)
-        reprs = [
-            _Repr(*next(pairs), layer.bias, layer.activation)
-            if isinstance(layer, LowRankLayer)
-            else _base_repr(layer)
+        given = iter(pairs)
+        pairs = [
+            next(given) if isinstance(layer, LowRankLayer) else _pair(layer)
             for layer in net.layers
         ]
         records = []
-        logits = _run_forward(reprs, x, records)
+        logits = _run_forward(net.layers, pairs, x, records)
         loss, dlogits = softmax_cross_entropy(logits, labels)
-        tapes = _run_backward(reprs, records, dlogits)
+        tapes = _run_backward(net.layers, pairs, records, dlogits)
         if not first:
             first.append((loss, tapes))
         return [tape for layer, tape in zip(net.layers, tapes) if isinstance(layer, LowRankLayer)]
@@ -444,6 +437,7 @@ def evaluate(net: Network, dataset, chunk: int = 512) -> float:
 def _chunk_logits(net: Network, images, chunk: int):
     """(start, logits) for each ``chunk``-row slice of ``images``, by the
     cache-free pass."""
-    reprs = [_base_repr(layer) for layer in net.layers]
+    pairs = [_pair(layer) for layer in net.layers]
     for start in range(0, images.shape[0], chunk):
-        yield start, _run_forward(reprs, _net_input(net, images[start : start + chunk]))
+        x = _net_input(net, images[start : start + chunk])
+        yield start, _run_forward(net.layers, pairs, x)

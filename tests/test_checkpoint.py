@@ -132,9 +132,12 @@ def test_payload_larger_than_file_rejected(tmp_path, kind, dims):
     ([2, 1, 2, 1, 1, 1], "unknown layer kind 2"),
     ([2, 1, 1, 1, 4, 3, 4], r"rank 4 exceeds min\(4,3\)"),
     ([2, 0], "no layers"),
+    # a low-rank layer header cut after m
+    ([2, 1, 1, 1, 4], "expected u32"),
     # dense 2 x 3 then dense 2 x 4, zero payloads (two u32 words per f64)
     ([2, 2, 0, 1, 2, 3, *[0] * 16, 0, 1, 2, 4, *[0] * 20], "do not chain: 2 -> 4"),
-], ids=["version-1", "version-3", "activation", "kind", "rank", "count", "chain"])
+], ids=["version-1", "version-3", "activation", "kind", "rank", "count", "header-cut",
+         "chain"])
 def test_bad_header_is_checkpoint_error(tmp_path, words, match):
     # a rank above min(m, n) and widths that do not chain raised
     # DimensionError; a file of no layers loaded as an empty network,

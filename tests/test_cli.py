@@ -6,6 +6,9 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,14 +28,13 @@ from dlrt.cli import (
     RunConfig,
     build_parser,
     load_config,
+    _Outputs,
     main,
-    write_csv,
-    write_json,
 )
 from dlrt.data import Dataset, load_dataset, write_idx_images, write_idx_labels
 from dlrt.integrators import abc_psi_flow
-from dlrt.lowrank import compression_rate
-from dlrt.nn import LayerSpec, build_network, evaluate
+from dlrt.lowrank import LowRankState, compression_rate
+from dlrt.nn import DenseLayer, LayerSpec, LowRankLayer, Network, build_network, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +141,7 @@ class TestRunConfig:
         assert not list(out.iterdir())
 
     def test_list_fits_a_tuple_field(self):
-        assert RunConfig(arch=[3, 4]).validate().arch == [3, 4]
+        assert RunConfig(arch=[3, 4]).validate().arch == (3, 4)
 
     @pytest.mark.parametrize("at_ceiling, above, count", [
         ({"ref_h": 1.0 / MAX_STEPS}, {"ref_h": 1.0 / (MAX_STEPS + 1)}, "t_end/ref_h"),
@@ -159,22 +161,67 @@ class TestWriters:
     """A failed write leaves the previous file in place and no temporary."""
 
     def test_write_csv_failure_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "out.csv"
-        write_csv(path, "0123456789ab", ["x"], [[1], [2]])
-        good = path.read_bytes()
-        with pytest.raises(csv.Error):
-            write_csv(path, "0123456789ab", ["x"], [[3], 4])  # 4 is not a row
-        assert path.read_bytes() == good
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-
-    def test_write_json_failure_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "out.json"
-        write_json(path, {"a": 1})
+        out = _Outputs("train", RunConfig(), tmp_path)
+        out.write_csv(".csv", ["x"], [[1], [2]])
+        path = out.path(".csv")
         good = path.read_bytes()
         with pytest.raises(TypeError):
-            write_json(path, {"a": 1, "b": object()})
+            out.write_csv(".csv", ["x"], [[3], 4])  # 4 is not a row
         assert path.read_bytes() == good
-        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_write_json_failure_keeps_previous_file(self, tmp_path):
+        out = _Outputs("train", RunConfig(), tmp_path)
+        out.write_summary(a=1)
+        path = out.path(".json")
+        good = path.read_bytes()
+        with pytest.raises(TypeError):
+            out.write_summary(a=1, b=object())
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_float_cells_written_by_repr(self, tmp_path):
+        # numpy 2's own repr of a float64 is "np.float64(0.1)"
+        out = _Outputs("train", RunConfig(), tmp_path)
+        out.write_csv(".csv", ["a", "b", "c"], [[np.float64(0.1), 0.25, 3]])
+        assert out.path(".csv").read_text().splitlines()[2] == "0.1,0.25,3"
+
+
+FLOAT_COLUMNS = {
+    "train_loss", "test_accuracy", "compression_rate", "accuracy", "h", "error",
+    "observed_order", "loss_before", "loss_after_flow", "descent_bound", "margin",
+}
+
+
+def _float_cells(path):
+    """The non-empty cells of a CSV's float columns; a cell of any other
+    column is checked to hold no float."""
+    header, *rows = csv.reader(path.read_text().splitlines()[1:])
+    cells = []
+    for row in rows:
+        for column, cell in zip(header, row):
+            if column not in FLOAT_COLUMNS:
+                assert "." not in cell, (path.name, column, cell)
+            elif cell:
+                cells.append(cell)
+    return cells
+
+
+def test_every_float_cell_reads_back(data_dir, tmp_path):
+    """Every float cell of every command's CSVs is written as repr(float)."""
+    train = train_args(data_dir, tmp_path, "--epochs", "1")
+    problem = ["--dims", "8,6", "--target-rank", "2", "--out-dir", str(tmp_path)]
+    assert main(train) == EXIT_OK
+    assert main(["compare", *train[1:], "--integrators", "full,abc-psi"]) == EXIT_OK
+    assert main(["ode-bench", *problem, "--integrator", "psi", "--h-list", "0.1,0.05",
+                 "--ref-h", "0.01"]) == EXIT_OK
+    assert main(["descent-audit", *problem, "--steps", "3"]) == EXIT_OK
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert {p.name.split("-")[0] for p in paths} == {"train", "compare", "ode", "descent"}
+    for path in paths:
+        cells = _float_cells(path)
+        assert cells, path.name
+        assert all(cell == repr(float(cell)) for cell in cells), path.name
 
 
 class TestTrain:
@@ -850,14 +897,12 @@ def test_corrupt_gzip_exits_io(corrupt, data_dir, tmp_path_factory, tmp_path, ca
 class TestDivergenceReason:
     """The "diverged" log line says why."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_descent_audit_overflow(self, tmp_path, caplog):
         args = ["descent-audit", "--lr", "1e300", "--steps", "5", "--out-dir", str(tmp_path)]
         assert main(args) == EXIT_DIVERGED
         assert "factor diverged" in caplog.text
         assert "eigendecomposition failed" not in caplog.text
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_error_in_training(self, data_dir, tmp_path, caplog):
         args = train_args(data_dir, tmp_path, "--epochs", "1", "--integrator", "psi")
         args[args.index("--lr") + 1] = "1e300"
@@ -870,11 +915,62 @@ class TestDivergenceReason:
         assert main(args) == EXIT_DIVERGED
         assert "diverged in epoch 1: layer 0 weight norm" in caplog.text
 
+    def test_nan_weight_is_diverged(self):
+        net = build_network([LayerSpec("dense", 4, 3, "identity")], seed=0)
+        w = net.layers[0].w.copy()
+        w[0, 0] = np.nan
+        net = Network([DenseLayer(w, net.layers[0].bias, "identity")])
+        assert dlrt.cli._divergence(0.5, net).startswith("layer 0 weight norm nan")
+
+    def test_nan_core_stops_the_run(self, data_dir, tmp_path, monkeypatch, caplog):
+        # a step that leaves a NaN core (no forward pass sees it before the
+        # epoch's evaluation) ends the run with its earlier rows written
+        original = dlrt.cli.train_step
+        calls = []
+
+        def nan_core_at_epoch_end(net, batch, integrator, cfg):
+            net, loss = original(net, batch, integrator, cfg)
+            calls.append(None)
+            if len(calls) == 19:  # epoch 1's last batch: 600 samples in batches of 32
+                layer = net.layers[0]
+                s = layer.state.s.copy()
+                s[0, 0] = np.nan
+                state = LowRankState(layer.state.u, s, layer.state.v)
+                layers = (LowRankLayer(state, layer.bias, layer.activation), *net.layers[1:])
+                net = Network(layers)
+            return net, loss
+
+        monkeypatch.setattr(dlrt.cli, "train_step", nan_core_at_epoch_end)
+        assert main(train_args(data_dir, tmp_path, "--epochs", "2")) == EXIT_DIVERGED
+        assert "diverged in epoch 1: layer 0 weight norm nan" in caplog.text
+        lines = list(tmp_path.glob("train-*.csv"))[0].read_text().splitlines()
+        assert len(lines) == 3  # comment, header, epoch 0
+        assert list(tmp_path.glob("train-*.ckpt"))
+        summary = json.loads(list(tmp_path.glob("train-*.json"))[0].read_text())
+        assert summary["status"] == "diverged"
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_overflow_warnings_silenced(command, data_dir, tmp_path):
+    """An overflowing run reaches its documented exit code with warnings
+    as errors, and numpy's warnings do not reach stderr."""
+    args = train_args(data_dir, tmp_path, "--epochs", "1", "--integrator", "full",
+                      "--batch-size", "600")
+    args[args.index("--lr") + 1] = "1e200"
+    if command == "compare":
+        args = ["compare", *args[1:], "--integrators", "full,psi,abc-psi", "--seeds", "0,1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(dlrt.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "dlrt.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == (EXIT_DIVERGED if command == "train" else EXIT_OK), proc.stderr
+    assert "Warning" not in proc.stderr
+    # train: its CSV, checkpoint and JSON; compare: six run CSVs, its CSV and JSON
+    assert len(list(tmp_path.iterdir())) == (3 if command == "train" else 8)
+
 
 class TestNumericFailures:
     """A non-finite value outside training exits 4 and writes nothing."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("args", [
         ["descent-audit", "--lr", "1e300", "--steps", "5"],
         ["ode-bench", "--integrator", "psi", "--h-list", "1e155", "--t-end", "1e155",
@@ -939,7 +1035,6 @@ class TestHostileSettings:
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         return f"--{key.replace('_', '-')}={text}"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", sorted(BASE))
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(data=st.data())

@@ -63,6 +63,13 @@ class TestLoadImages:
         with pytest.raises(DataError):
             load_idx_images(p)
 
+    def test_oversized_header_rejected(self, tmp_path):
+        # 2**16 images of 256 x 256: 2**32 bytes, refused before the body is read
+        p = tmp_path / "img"
+        make_image_file(p, 2**16, 2**8, 2**8, [0])
+        with pytest.raises(DataError, match="overflow"):
+            load_idx_images(p)
+
     @pytest.mark.parametrize("corrupt", [
         lambda gz: gz[:-12],  # truncated: EOFError
         lambda gz: gz[:10] + b"\xff" + gz[11:],  # reserved deflate block type: zlib.error
@@ -98,6 +105,12 @@ class TestLoadLabels:
         p = tmp_path / "lab"
         p.write_bytes(struct.pack(">2I", 0x00000803, 0))
         with pytest.raises(DataError):
+            load_idx_labels(p)
+
+    def test_truncated_body(self, tmp_path):
+        p = tmp_path / "lab"
+        p.write_bytes(struct.pack(">2I", 0x00000801, 3) + bytes([1, 2]))
+        with pytest.raises(DataError, match="expected 3 label bytes, found 2"):
             load_idx_labels(p)
 
 
@@ -167,6 +180,12 @@ class TestWriters:
             write_idx_images(p, np.zeros((1, abs(rows * cols))), rows=rows, cols=cols)
         assert not p.exists()
 
+    def test_width_not_rows_times_cols_rejected(self, tmp_path):
+        p = tmp_path / "i"
+        with pytest.raises(DataError, match="5 pixels, expected 4"):
+            write_idx_images(p, np.zeros((1, 5)), rows=2, cols=2)
+        assert not p.exists()
+
 
 class TestLoadDataset:
     def test_loads_both_splits(self, tmp_path):
@@ -181,6 +200,10 @@ class TestLoadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path, "train")
+
+    def test_unknown_split(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown split 'val'"):
+            load_dataset(tmp_path, "val")
 
     def test_arrays_read_only(self, tmp_path):
         make_image_file(tmp_path / "train-images-idx3-ubyte", 2, 1, 2, [1, 2, 3, 4])

@@ -201,6 +201,15 @@ def test_svd_thin_wide_factorization():
     np.testing.assert_array_equal(p @ np.diag(sigma) @ qmat.T, l)
 
 
+def test_svd_thin_failure_is_numeric_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericError, match="SVD failed to converge"):
+        svd_thin(np.eye(3))
+
+
 def test_as_matrix_rejects_vector():
     with pytest.raises(DimensionError):
         as_matrix(np.zeros(4))

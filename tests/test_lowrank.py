@@ -397,6 +397,15 @@ class TestCompressionAccounting:
         single = param_count([(40, 30, 5)])
         assert param_count([(40, 30, 5), (40, 30, 5)]) == 2 * single
 
+    @pytest.mark.parametrize("layer", [(0, 30, 5), (40, -1, None), (40, 30, -1)])
+    def test_param_count_rejects_bad_dims(self, layer):
+        with pytest.raises(ValueError, match="bad layer dims"):
+            param_count([layer])
+
+    def test_compression_rate_needs_a_layer(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            compression_rate([])
+
 
 class TestPolicy:
     def test_invalid_policy(self):

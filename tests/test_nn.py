@@ -72,6 +72,19 @@ class TestLayerSpec:
         with pytest.raises(ValueError):
             LayerSpec("dense", 4, 3, initial_rank=2)
 
+    @pytest.mark.parametrize("args, match", [
+        (("dense", 0, 3), "dims must be positive"),
+        (("lowrank", 4, -1), "dims must be positive"),
+        (("lowrank", 4, 3), "needs initial_rank"),
+    ])
+    def test_rejects_bad_dims_or_missing_rank(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            LayerSpec(*args)
+
+    def test_mlp_specs_needs_two_widths(self):
+        with pytest.raises(ValueError, match="at least input and output"):
+            mlp_specs([5])
+
     def test_mlp_specs_caps_rank_at_narrow_layers(self):
         specs = mlp_specs([784, 500, 10], initial_rank=20)
         assert specs[0].initial_rank == 20
@@ -336,6 +349,10 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
+    def test_rejects_labels_not_one_per_row(self):
+        with pytest.raises(DimensionError, match="one integer per row"):
+            softmax_cross_entropy(np.zeros((2, 3)), np.zeros((2, 1), dtype=int))
+
     def test_rejects_empty_batch(self):
         # the mean over no rows was NaN, so train_step returned a NaN loss
         # and an unchanged net
@@ -551,6 +568,11 @@ class TestTrainStep:
                 new_net.layers[i].bias, layer.bias - h * tapes[i].bias_grad(), atol=1e-14
             )
 
+    def test_rejects_unknown_integrator(self):
+        net = tiny_mixed_net(seed=14)
+        with pytest.raises(ValueError, match="unknown integrator 'euler'"):
+            train_step(net, random_batch(net, 2, seed=14), "euler", StepConfig(h=0.1))
+
     def test_full_integrator_rejects_lowrank_layers(self):
         net = tiny_mixed_net(seed=14)
         x, labels = random_batch(net, 2, seed=14)
@@ -740,6 +762,11 @@ class TestEvaluate:
         net = Network([DenseLayer(np.zeros((3, 2)), np.zeros(3), "identity")])
         with pytest.raises(DimensionError, match="one integer per image"):
             evaluate(net, (np.ones((4, 2)), labels))
+
+    def test_rejects_empty_dataset(self):
+        net = Network([DenseLayer(np.eye(2), np.zeros(2), "identity")])
+        with pytest.raises(ValueError, match="empty dataset"):
+            evaluate(net, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_rejects_chunk_below_one(self, chunk):
