@@ -41,6 +41,7 @@ from .linalg import NumericError
 from .lowrank import TruncationPolicy, compression_rate, param_count
 from .nn import build_network, mlp_specs, softmax_cross_entropy, train_step
 from .nn import _chunk_logits, evaluate as net_accuracy
+from .threads import cpu_count, set_share
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -298,7 +299,9 @@ def _divergence(loss, net) -> Optional[str]:
     for idx, layer in enumerate(net.layers):
         weight = layer.w if layer.rank is None else layer.state.s
         norm = np.linalg.norm(weight)
-        if not norm <= DIVERGENCE_NORM:  # a NaN norm fails the comparison
+        if not np.isfinite(norm):
+            return f"layer {idx} weight norm {norm:.3e} is not finite"
+        if norm > DIVERGENCE_NORM:
             return f"layer {idx} weight norm {norm:.3e} exceeds {DIVERGENCE_NORM:g}"
     return None
 
@@ -432,14 +435,6 @@ def _compare_run(job: tuple) -> dict:
     return result
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity mask, or all of the
-    host's where the platform has no affinity call."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     """Train every integrator x seed run and tabulate their accuracies.
 
@@ -448,18 +443,22 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     that they inherit them. With one worker, or where ``fork`` does not
     exist, the runs go in process. Either way the CSVs, stdout and the
     logged lines follow run order, so their bytes do not depend on the
-    worker count. Each run's JSON ``runtime_s`` is measured inside its
-    worker, and the JSON's ``workers`` field records the count. A run that
-    raises fails the command once the runs in flight end. A worker that is
-    killed gives EXIT_WORKER_LOST, and the log names the first run without a
-    result; the runs before it keep their CSVs, and no summary is written.
+    worker count. Each worker may fill CPUs // workers CPUs with
+    ``threads.map_states``, so on a host with no more CPUs than workers
+    every worker runs its states on one thread. Each run's JSON
+    ``runtime_s`` is measured inside its worker, and the JSON's ``workers``
+    field records the count. A run that raises fails the command once the
+    runs in flight end. A worker that is killed gives EXIT_WORKER_LOST, and
+    the log names the first run without a result; the runs before it keep
+    their CSVs, and no summary is written.
     No worker outlives the command.
     """
     global _compare_inputs
     integrators, seeds = config.integrators, config.seeds  # resolved by load_config
     train, test = _load_splits(config)
     jobs = [(integrator, seed) for integrator in integrators for seed in seeds]
-    workers = min(len(jobs), _cpu_count())
+    cpus = cpu_count()
+    workers = min(len(jobs), cpus)
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1
     _compare_inputs = (config, train, test)
@@ -468,8 +467,13 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     try:
         if workers > 1:
             # an executor, unlike multiprocessing.Pool, raises BrokenProcessPool
-            # when a worker is killed mid-run instead of waiting for it forever
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            # when a worker is killed mid-run instead of waiting for it
+            # forever. Each worker's state threads fill only its share of
+            # the CPUs
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=set_share, initargs=(cpus // workers,),
+            )
             results = pool.map(_compare_run, jobs)
         else:
             results = map(_compare_run, jobs)

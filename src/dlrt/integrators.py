@@ -33,6 +33,14 @@ Every subflow is one explicit-Euler step. A step reuses the gradient at the
 current point wherever a subflow starts there, so it costs 3 (psi), 2
 (bc-psi, bug) or 1 (abc-psi) evaluations.
 
+After its one evaluation, an abc-psi step has no data passing between
+states: each state's K contraction, augmentation, L contraction and
+truncation form one task, and ``threads.map_states`` spreads the tasks over
+the CPUs that BLAS leaves idle (none under an unpinned BLAS, where they run
+in a plain loop). A task's arithmetic does not depend on the thread it runs
+on, so the bytes of a step do not depend on the pool's width. The other
+steppers run inline: a pool per phase made psi slower.
+
 Steppers trust their states and their gradients: no array is scanned for
 non-finite entries inside a step. A non-finite value reaches a QR
 (``psi``, ``bc-psi``, ``bug``) or the truncation (``abc-psi``), which raise
@@ -49,6 +57,7 @@ import numpy as np
 
 from .linalg import Matrix, NumericError, as_matrix, householder_qr, ortho_augment, read_only
 from .lowrank import LowRankState, TruncationPolicy, truncate_state
+from .threads import map_states
 
 __all__ = [
     "Gradient",
@@ -158,16 +167,21 @@ def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
     return w - h * oracle.full(w)
 
 
+def _k_start(states: Sequence[LowRankState], grads: Callable) -> tuple:
+    """k0 = u0 @ s0 of every state, and the gradient handles there from one
+    evaluation of ``grads``."""
+    k0 = [st.u @ st.s for st in states]
+    return k0, grads([(k, st.v) for k, st in zip(k0, states)])
+
+
 def _k_sweep(states: Sequence[LowRankState], grads: Callable, h: float) -> tuple:
     """K subflow of every state from k0 = u0 @ s0 with the right bases frozen.
 
     Returns (k0, handles, k1): the start, the gradient handles there, and
     the swept factors k1 = k0 - h * G @ v0.
     """
-    k0 = [st.u @ st.s for st in states]
-    v = [st.v for st in states]
-    handles = grads(list(zip(k0, v)))
-    return k0, handles, [k - h * g.right(v_i) for k, v_i, g in zip(k0, v, handles)]
+    k0, handles = _k_start(states, grads)
+    return k0, handles, [k - h * g.right(st.v) for k, st, g in zip(k0, states, handles)]
 
 
 def _l_sweep(l: list, u: list, handles: list, h: float) -> list:
@@ -251,16 +265,25 @@ def bug_fixed_step(states: Sequence[LowRankState], grads: Callable, cfg: StepCon
     return [LowRankState(u, s, v) for u, s, v in zip(u1, s1, v1)]
 
 
+def _abc_flow(state: LowRankState, k0: Matrix, g, h: float) -> AbcFlow:
+    """Steps 1-4 of ``abc_psi_step`` for one state, from k0 = u0 @ s0 and
+    the gradient handle there."""
+    k1 = k0 - h * g.right(state.v)
+    u_hat = ortho_augment(state.u, k1)
+    # l0 = [v0 @ s0.T | 0] is built in the L sweep's buffer. The zero block
+    # is not folded in as -h * G.T @ u_hat: -(+0) is -0 where 0 - (+0) is
+    # +0, and an all-zero input pixel gives exact zeros there
+    l1 = np.zeros((state.v.shape[0], u_hat.shape[1]))
+    l1[:, : state.rank] = state.v @ state.s.T
+    l1 -= h * g.left(u_hat)
+    return AbcFlow(k1, u_hat, l1)
+
+
 def abc_psi_flow(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
-    """Steps 1-4 of ``abc_psi_step``, one ``AbcFlow`` per state."""
-    _, handles, k1 = _k_sweep(states, grads, cfg.h)
-    u_hat = [ortho_augment(st.u, k) for st, k in zip(states, k1)]
-    l0 = [
-        np.hstack([st.v @ st.s.T, np.zeros((st.v.shape[0], u.shape[1] - st.rank))])
-        for st, u in zip(states, u_hat)
-    ]
-    l1 = _l_sweep(l0, u_hat, handles, cfg.h)
-    return [AbcFlow(*flow) for flow in zip(k1, u_hat, l1)]
+    """Steps 1-4 of ``abc_psi_step``, one ``AbcFlow`` per state, the states
+    spread over ``threads.map_states`` after the one evaluation."""
+    k0, handles = _k_start(states, grads)
+    return map_states(lambda st, k, g: _abc_flow(st, k, g, cfg.h), states, k0, handles)
 
 
 def abc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
@@ -288,12 +311,19 @@ def abc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfi
 
     The cost profile per step is one QR of the m x r residual (none for a
     square u0) and the truncation's eigendecomposition, at most q x q, per
-    state. A non-finite value in a state or a gradient contraction reaches
-    l1, and the truncation raises ``NumericError``.
+    state. A state's work after the evaluation (step 1's contraction, then
+    steps 2-5) is one task of ``threads.map_states``, so the states update
+    in parallel where BLAS leaves CPUs idle. A non-finite value in a state
+    or a gradient contraction reaches l1, and the truncation raises
+    ``NumericError``: the first failing state's, in state order, at any
+    pool width.
     """
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
-    return [flow.truncate(cfg.policy) for flow in abc_psi_flow(states, grads, cfg)]
+    k0, handles = _k_start(states, grads)
+    return map_states(
+        lambda st, k, g: _abc_flow(st, k, g, cfg.h).truncate(cfg.policy), states, k0, handles
+    )
 
 
 def s_step_loss_delta_psi(

@@ -258,14 +258,20 @@ def _run_forward(layers, pairs, x, records=None):
     # layer's (x, xb, z) for backward. Evaluation passes none, so no
     # layer's arrays outlive the next layer: holding them made the
     # allocator fault fresh pages for every 512-row chunk, about 30% of a
-    # paper-net evaluation's time
+    # paper-net evaluation's time. Without records the bias and the ReLU
+    # also go into z in place, one array per layer: after a threaded
+    # abc-psi step, each extra temporary faulted fresh pages again
     cur = x
     for layer, (a, b) in zip(layers, pairs):
         xb = cur if b is None else cur @ b
-        z = xb @ a.T + layer.bias
+        z = xb @ a.T
+        z += layer.bias
         if records is not None:
             records.append((cur, xb, z))
-        cur = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        if layer.activation == "relu":
+            cur = np.maximum(z, 0.0, out=None if records is not None else z)
+        else:
+            cur = z
     if not np.isfinite(cur).all():
         raise NumericError("non-finite activation in forward pass")
     return cur

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dlrt.cli
+import dlrt.threads
 from dlrt.checkpoint import load_network
 from dlrt.cli import (
     EXIT_CONFIG,
@@ -32,9 +34,18 @@ from dlrt.cli import (
     main,
 )
 from dlrt.data import Dataset, load_dataset, write_idx_images, write_idx_labels
-from dlrt.integrators import abc_psi_flow
-from dlrt.lowrank import LowRankState, compression_rate
-from dlrt.nn import DenseLayer, LayerSpec, LowRankLayer, Network, build_network, evaluate
+from dlrt.integrators import StepConfig, abc_psi_flow
+from dlrt.lowrank import LowRankState, TruncationPolicy, compression_rate
+from dlrt.nn import (
+    DenseLayer,
+    LayerSpec,
+    LowRankLayer,
+    Network,
+    build_network,
+    evaluate,
+    mlp_specs,
+    train_step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -443,6 +454,16 @@ class TestCompare:
         assert not list(tmp_path.glob("compare-*"))
 
 
+# the names of this process's live threads at each of its forks, as the
+# parent sees them just after the fork; no thread starts between
+# dlrt.threads' own before-fork hook and this one
+FORK_THREADS = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        after_in_parent=lambda: FORK_THREADS.append([t.name for t in threading.enumerate()])
+    )
+
+
 def pin_cpus(monkeypatch, count):
     """Make the affinity mask that compare reads hold ``count`` CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
@@ -530,6 +551,47 @@ class TestCompareWorkers:
                                 f"test_acc {float(row[2]):.4f}")
         lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
         assert [line.split(" ranks ")[0] for line in lines] == expected
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="without fork the runs are in process")
+    def test_no_state_thread_at_fork(self, data_dir, tmp_path, monkeypatch, capsys):
+        # after a step on the state pool, compare forks with no pool thread
+        # alive, its workers run their states inline on their share of the
+        # CPUs, and the bytes match an in-process compare
+        monkeypatch.setattr(dlrt.threads, "blas_threads", lambda: 1)
+        pin_cpus(monkeypatch, 2)
+        net = build_network(mlp_specs([16, 12, 8, 4], 3), seed=0)
+        rng = np.random.default_rng(0)
+        batch = rng.random((32, 16)), rng.integers(0, 4, 32)
+        train_step(net, batch, "abc-psi", StepConfig(h=0.05, policy=TruncationPolicy(0.05, 6)))
+        assert any(t.name.startswith("dlrt-state") for t in threading.enumerate())
+
+        run_training, log_run = dlrt.cli._run_training, dlrt.cli._log_run
+        widths = []
+
+        def with_width(*args):
+            return {**run_training(*args), "width": dlrt.threads.width(8)}
+
+        def logged(result):
+            widths.append(result["width"])
+            log_run(result)
+
+        monkeypatch.setattr(dlrt.cli, "_run_training", with_width)
+        monkeypatch.setattr(dlrt.cli, "_log_run", logged)
+        del FORK_THREADS[:]
+        assert self.compare(data_dir, tmp_path / "2") == EXIT_OK
+        forks, forked_out = list(FORK_THREADS), capsys.readouterr().out
+        assert len(forks) == 2
+        assert not [name for names in forks for name in names if name.startswith("dlrt-state")]
+        assert widths == [1] * len(self.RUNS)
+        assert dlrt.threads.width(8) == 2  # the parent's own share is untouched
+
+        pin_cpus(monkeypatch, 1)
+        assert self.compare(data_dir, tmp_path / "1") == EXIT_OK
+        assert capsys.readouterr().out == forked_out
+        csvs = [{path.name: path.read_bytes() for path in (tmp_path / n).glob("*.csv")}
+                for n in ("1", "2")]
+        assert csvs[0] == csvs[1]
 
     def test_divergence_logged_by_the_parent(self, data_dir, tmp_path, monkeypatch, caplog):
         pin_cpus(monkeypatch, 2)
@@ -942,7 +1004,7 @@ class TestDivergenceReason:
 
         monkeypatch.setattr(dlrt.cli, "train_step", nan_core_at_epoch_end)
         assert main(train_args(data_dir, tmp_path, "--epochs", "2")) == EXIT_DIVERGED
-        assert "diverged in epoch 1: layer 0 weight norm nan" in caplog.text
+        assert "diverged in epoch 1: layer 0 weight norm nan is not finite" in caplog.text
         lines = list(tmp_path.glob("train-*.csv"))[0].read_text().splitlines()
         assert len(lines) == 3  # comment, header, epoch 0
         assert list(tmp_path.glob("train-*.ckpt"))

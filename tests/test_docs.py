@@ -127,8 +127,9 @@ def test_svd_thin_called_only_by_the_gram_route():
 
 
 def test_one_process_pool():
-    # compare's runs are the one parallel site: only cli imports a process
-    # pool module, and only cmd_compare creates a pool
+    # two parallel sites: compare's runs, on the one process pool that
+    # cmd_compare creates, and a step's states, on the one thread pool that
+    # the threads module creates. Only those two modules import a pool module
     importers = set()
     for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -140,9 +141,10 @@ def test_one_process_pool():
                 continue
             if any(m.split(".")[0] in ("multiprocessing", "concurrent") for m in modules):
                 importers.add(path.stem)
-    assert importers == {"cli"}
+    assert importers == {"cli", "threads"}
     assert call_sites("Pool") == []
     assert call_sites("ProcessPoolExecutor") == ["cli.cmd_compare"]
+    assert call_sites("ThreadPoolExecutor") == ["threads._executor"]
 
 
 def test_no_import_inside_a_function():
