@@ -19,7 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin
 
@@ -30,6 +30,7 @@ from .checkpoint import atomic_write, save_network
 from .data import DataError, batches, load_dataset
 from .integrators import (
     INTEGRATOR_NAMES,
+    STEPPERS,
     StepConfig,
     _steps_for,
     abc_psi_flow,
@@ -88,33 +89,49 @@ def _type_name(kind) -> str:
     return "finite float" if kind is float else kind.__name__
 
 
+def _set(default, commands: str, help=None, integrators=None):
+    """A ``RunConfig`` setting: its default, the commands that read it
+    (space-separated), its flag's help and, for a setting that only some
+    integrators read, those integrators."""
+    return field(default=default, metadata={
+        "commands": tuple(commands.split()), "help": help, "integrators": integrators,
+    })
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings for all subcommands. Each command reads the slice its parser
-    declares; the other fields keep their defaults."""
+    """The settings of one command's run. A field names the commands that
+    read it; every other command takes it at its default, and so does a
+    command none of whose integrators reads it."""
 
-    integrator: str = "abc-psi"
-    integrators: tuple[str, ...] = ()  # compare: defaults to (integrator,)
-    arch: tuple[int, ...] = (784, 500, 500, 500, 500, 10)
-    lr: float = 0.01
-    tau: float = 0.1
-    rank: int = 50
-    r_min: int = 2
-    r_max: Optional[int] = None  # None: twice the initial rank
-    batch_size: int = 64
-    epochs: int = 20
-    seed: int = 0
-    seeds: tuple[int, ...] = ()  # compare: defaults to (seed,)
-    data_dir: Optional[str] = None
-    out_dir: str = "runs"
-    # synthetic-problem settings (ode-bench, descent-audit)
-    dims: tuple[int, ...] = (50, 40)
-    target_rank: int = 4
-    eps: float = 0.0
-    h_list: tuple[float, ...] = (0.1, 0.05, 0.025)
-    t_end: float = 1.0
-    ref_h: float = 1e-4
-    steps: int = 200
+    command: str = "train"
+    integrator: str = _set("abc-psi", "train ode-bench", f"one of {', '.join(INTEGRATOR_NAMES)}")
+    integrators: tuple[str, ...] = _set(("abc-psi",), "compare",
+                                        "comma-separated integrator names")
+    arch: tuple[int, ...] = _set((784, 500, 500, 500, 500, 10), "train compare",
+                                 "comma-separated layer widths")
+    lr: float = _set(0.01, "train compare descent-audit", "step size / learning rate")
+    tau: float = _set(0.1, "train compare ode-bench descent-audit", "truncation tolerance",
+                      integrators=("abc-psi",))
+    rank: int = _set(50, "train compare", "initial rank per layer",
+                     integrators=tuple(STEPPERS))  # the low-rank integrators
+    r_min: int = _set(2, "train compare ode-bench descent-audit", integrators=("abc-psi",))
+    r_max: Optional[int] = _set(None, "train compare ode-bench descent-audit",
+                                "default: twice the initial rank", integrators=("abc-psi",))
+    batch_size: int = _set(64, "train compare")
+    epochs: int = _set(20, "train compare")
+    seed: int = _set(0, "train ode-bench descent-audit")
+    seeds: tuple[int, ...] = _set((0,), "compare", "comma-separated seeds")
+    data_dir: Optional[str] = _set(None, "train compare",
+                                   f"directory of IDX files (default ${DATA_DIR_ENV})")
+    out_dir: str = _set("runs", "train compare ode-bench descent-audit")
+    dims: tuple[int, ...] = _set((50, 40), "ode-bench descent-audit", "problem size m,n")
+    target_rank: int = _set(4, "ode-bench descent-audit")
+    eps: float = _set(0.0, "ode-bench descent-audit", "full-rank perturbation size")
+    h_list: tuple[float, ...] = _set((0.1, 0.05, 0.025), "ode-bench")
+    t_end: float = _set(1.0, "ode-bench")
+    ref_h: float = _set(1e-4, "ode-bench")
+    steps: int = _set(200, "descent-audit")
 
     def __post_init__(self):
         for f in fields(self):
@@ -123,6 +140,16 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be {_type_name(f.type)}, got {value!r}")
             if isinstance(value, list):  # a list fits only a tuple field
                 object.__setattr__(self, f.name, tuple(value))
+        if self.command not in _COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}")
+        # descent-audit reads no integrator: it audits abc-psi, the default
+        ran = self.integrators if self.command == "compare" else (self.integrator,)
+        for f in _settings():
+            if self.command not in f.metadata["commands"]:
+                if getattr(self, f.name) != f.default:
+                    raise ConfigError(f"{self.command} does not read {f.name}")
+            elif f.metadata["integrators"] and not set(ran) & set(f.metadata["integrators"]):
+                object.__setattr__(self, f.name, f.default)
 
     def validate(self) -> "RunConfig":
         """Check ranges and relations; the types were checked at construction.
@@ -132,6 +159,8 @@ class RunConfig:
                 raise ConfigError(f"unknown integrator {name!r}")
         for key in ("integrators", "seeds", "h_list"):
             values = getattr(self, key)
+            if not values:
+                raise ConfigError(f"{key} is empty")
             repeats = [v for i, v in enumerate(values) if v in values[:i]]
             if repeats:
                 raise ConfigError(f"{key} repeats {repeats[0]!r}")
@@ -155,7 +184,7 @@ class RunConfig:
             raise ConfigError("dims must be two positive integers")
         if self.target_rank < 1 or self.target_rank > min(self.dims):
             raise ConfigError("target_rank must be in [1, min(dims)]")
-        if not self.h_list or any(h <= 0 for h in self.h_list):
+        if any(h <= 0 for h in self.h_list):
             raise ConfigError("h_list must hold positive step sizes")
         if self.t_end <= 0 or self.ref_h <= 0:
             raise ConfigError("t_end and ref_h must be positive")
@@ -172,10 +201,14 @@ class RunConfig:
                 raise ConfigError(f"{what} asks for {count} steps, above MAX_STEPS {MAX_STEPS}")
         return self
 
+    def settings(self) -> dict:
+        """The settings the command reads, by name: the JSON summary's config."""
+        return {f.name: getattr(self, f.name) for f in _settings(self.command)}
+
     def hash(self) -> str:
         # identifies the experiment: filesystem locations don't contribute
-        settings = asdict(self)
-        settings.pop("data_dir")
+        settings = self.settings()
+        settings.pop("data_dir", None)
         settings.pop("out_dir")
         canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
@@ -185,46 +218,22 @@ class RunConfig:
         return TruncationPolicy(tau=self.tau, r_max=r_max, r_min=self.r_min)
 
 
-_DEFAULTS = RunConfig()
-# settings only some integrators read: the truncation policy (abc-psi) and
-# the factored layers' initial rank (every low-rank integrator)
-_POLICY_FIELDS = tuple(f.name for f in fields(TruncationPolicy))
+def _settings(command=None) -> list:
+    """The ``RunConfig`` fields that are settings, in table order: all of
+    them, or those ``command`` reads."""
+    return [f for f in fields(RunConfig)
+            if f.metadata and (command is None or command in f.metadata["commands"])]
 
 
-def _unread_at_defaults(config: RunConfig, keys) -> RunConfig:
-    """``config`` with the settings its run does not read at their defaults,
-    so that they neither fail validation nor change the hash.
-
-    Compare (the command that reads ``integrators``) takes ``integrator``
-    and ``seed`` only as fallbacks for its lists, so the lists are resolved
-    from them and they are reset. Integrator-specific settings are reset
-    when none of the run's integrators reads them.
-    """
-    if "integrators" in keys:
-        config = replace(
-            config,
-            integrators=config.integrators or (config.integrator,),
-            seeds=config.seeds or (config.seed,),
-            integrator=_DEFAULTS.integrator,
-            seed=_DEFAULTS.seed,
-        )
-    names = set(config.integrators or (config.integrator,))
-    unread = [] if "abc-psi" in names else list(_POLICY_FIELDS)
-    if names == {"full"}:
-        unread.append("rank")
-    return replace(config, **{key: getattr(_DEFAULTS, key) for key in unread})
-
-
-def load_config(path=None, overrides=None, keys=None) -> RunConfig:
-    """Defaults, then ``$DLRT_DATA_DIR``, then JSON file settings, then flag
-    overrides. File settings outside ``keys``, the settings a command reads
-    (default: all), keep their defaults, and so do the settings that none of
-    the run's integrators reads; keys that are no field fail, and so do
-    values that do not fit their field's annotation."""
-    valid = {f.name for f in fields(RunConfig)}
-    keys = valid if keys is None else set(keys)
+def load_config(command: str, path=None, overrides=None) -> RunConfig:
+    """``command``'s settings: defaults, then ``$DLRT_DATA_DIR``, then JSON
+    file settings, then flag overrides. A file key that only other commands
+    read is ignored, so one file serves every command; a key that is no
+    setting fails, and so does a value that does not fit its field's
+    annotation."""
+    read = {f.name for f in _settings(command)}
     merged = {}
-    if "data_dir" in keys and os.environ.get(DATA_DIR_ENV):
+    if "data_dir" in read and os.environ.get(DATA_DIR_ENV):
         merged["data_dir"] = os.environ[DATA_DIR_ENV]
     if path is not None:
         try:
@@ -236,14 +245,14 @@ def load_config(path=None, overrides=None, keys=None) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_cfg) - valid
+        unknown = set(file_cfg) - {f.name for f in _settings()}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update((k, v) for k, v in file_cfg.items() if k in keys)
+        merged.update((k, v) for k, v in file_cfg.items() if k in read)
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    return _unread_at_defaults(RunConfig(**merged), keys).validate()
+    return RunConfig(command, **merged).validate()
 
 
 @dataclass(frozen=True)
@@ -251,12 +260,11 @@ class _Outputs:
     """A command's output files, named ``<command>-<hash>...`` and written
     atomically: the one writer of every CSV and JSON a command leaves."""
 
-    command: str
     config: RunConfig
     dir: Path
 
     def path(self, suffix: str) -> Path:
-        return self.dir / f"{self.command}-{self.config.hash()}{suffix}"
+        return self.dir / f"{self.config.command}-{self.config.hash()}{suffix}"
 
     def write_csv(self, suffix: str, columns, rows) -> None:
         """CSV with a comment line naming the tool version and config hash.
@@ -270,8 +278,8 @@ class _Outputs:
                 writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
     def write_summary(self, **fields) -> None:
-        """The JSON summary: the command, its config and hash, then ``fields``."""
-        summary = {"command": self.command, "config": asdict(self.config),
+        """The JSON summary: the command, its settings and hash, then ``fields``."""
+        summary = {"command": self.config.command, "config": self.config.settings(),
                    "config_hash": self.config.hash(), **fields}
         with atomic_write(self.path(".json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -454,7 +462,7 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     No worker outlives the command.
     """
     global _compare_inputs
-    integrators, seeds = config.integrators, config.seeds  # resolved by load_config
+    integrators, seeds = config.integrators, config.seeds
     train, test = _load_splits(config)
     jobs = [(integrator, seed) for integrator in integrators for seed in seeds]
     cpus = cpu_count()
@@ -626,8 +634,23 @@ def cmd_descent_audit(config: RunConfig, out: _Outputs) -> int:
     return EXIT_OK
 
 
-def _list(cast):
-    """argparse type: a comma-separated list of ``cast`` values."""
+_COMMANDS = {  # each subcommand's function and help
+    "train": (cmd_train, "one training run"),
+    "compare": (cmd_compare, "train across integrators and seeds"),
+    "ode-bench": (cmd_ode_bench, "step-size robustness study on a synthetic problem"),
+    "descent-audit": (cmd_descent_audit, "check the per-step loss descent inequality"),
+}
+
+
+def _flag_type(kind):
+    """argparse type of a ``RunConfig`` annotation: a comma-separated list
+    of values for a tuple."""
+    if get_origin(kind) is Union:  # Optional[X]
+        kind = get_args(kind)[0]
+    if get_origin(kind) is not tuple:
+        return kind
+    cast = get_args(kind)[0]
+
     def parse(text):
         return tuple(cast(x.strip()) for x in text.split(",") if x.strip())
     parse.__name__ = f"{cast.__name__} list"  # named in argparse's error message
@@ -635,61 +658,21 @@ def _list(cast):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``dlrt`` parser: each subcommand takes exactly the settings it
-    reads, and each flag is declared once, in a parent group."""
+    """The ``dlrt`` parser: each subcommand has a flag for each setting it
+    reads, by ``RunConfig``'s field table, and ``--config``."""
     parser = argparse.ArgumentParser(
         prog="dlrt",
         description="Low-rank training experiments with splitting integrators",
     )
     parser.add_argument("--version", action="version", version=f"dlrt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)  # every command
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--out-dir", dest="out_dir")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--tau", type=float, help="truncation tolerance")
-    common.add_argument("--r-min", dest="r_min", type=int)
-    common.add_argument("--r-max", dest="r_max", type=int)
-    integrator = argparse.ArgumentParser(add_help=False)  # train, compare, ode-bench
-    integrator.add_argument("--integrator", choices=INTEGRATOR_NAMES)
-    lr = argparse.ArgumentParser(add_help=False)  # train, compare, descent-audit
-    lr.add_argument("--lr", type=float, help="step size / learning rate")
-    training = argparse.ArgumentParser(add_help=False)  # train, compare
-    training.add_argument("--rank", type=int, help="initial rank per layer")
-    training.add_argument("--epochs", type=int)
-    training.add_argument("--batch-size", dest="batch_size", type=int)
-    training.add_argument("--data-dir", dest="data_dir",
-                          help=f"directory of IDX files (default ${DATA_DIR_ENV})")
-    training.add_argument("--arch", type=_list(int), help="comma-separated layer widths")
-    problem = argparse.ArgumentParser(add_help=False)  # ode-bench, descent-audit
-    problem.add_argument("--dims", type=_list(int), help="problem size m,n")
-    problem.add_argument("--target-rank", dest="target_rank", type=int)
-    problem.add_argument("--eps", type=float, help="full-rank perturbation size")
-
-    p_train = sub.add_parser("train", parents=[common, integrator, lr, training],
-                             help="one training run")
-    p_train.set_defaults(func=cmd_train)
-
-    p_cmp = sub.add_parser("compare", parents=[common, integrator, lr, training],
-                           help="train across integrators and seeds")
-    p_cmp.add_argument("--integrators", type=_list(str),
-                       help="comma-separated integrator names")
-    p_cmp.add_argument("--seeds", type=_list(int), help="comma-separated seeds")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_ode = sub.add_parser("ode-bench", parents=[common, integrator, problem],
-                           help="step-size robustness study on a synthetic problem")
-    p_ode.add_argument("--h-list", dest="h_list", type=_list(float))
-    p_ode.add_argument("--t-end", dest="t_end", type=float)
-    p_ode.add_argument("--ref-h", dest="ref_h", type=float)
-    p_ode.set_defaults(func=cmd_ode_bench)
-
-    p_aud = sub.add_parser("descent-audit", parents=[common, lr, problem],
-                           help="check the per-step loss descent inequality")
-    p_aud.add_argument("--steps", type=int)
-    p_aud.set_defaults(func=cmd_descent_audit)
-
+    for command, (_, summary) in _COMMANDS.items():
+        # no abbreviated flags: compare would take --seed for --seeds
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for f in _settings(command):
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=_flag_type(f.type),
+                           help=f.metadata["help"])
     return parser
 
 
@@ -698,16 +681,15 @@ def main(argv=None) -> int:
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )
     settings = vars(build_parser().parse_args(argv))
-    command, func, path = settings.pop("command"), settings.pop("func"), settings.pop("config")
+    command, path = settings.pop("command"), settings.pop("config")
     try:
-        # the parser's destinations are exactly the settings the command reads
-        config = load_config(path, settings, keys=settings)
+        config = load_config(command, path, settings)
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         # numpy's overflow and invalid-value warnings precede a non-finite
         # value, which the command reports as a NumericError or a divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            return func(config, _Outputs(command, config, out_dir))
+            return _COMMANDS[command][0](config, _Outputs(config, out_dir))
     except (ConfigError, DataError, OSError, NumericError) as exc:
         log.error("%s", exc)
         if isinstance(exc, NumericError):

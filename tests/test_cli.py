@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gzip
 import json
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +67,27 @@ def data_dir(tmp_path_factory):
     return root
 
 
+COMMANDS = ("train", "compare", "ode-bench", "descent-audit")
+# RunConfig's field table: each setting's field by name, and the settings
+# each command reads
+SETTINGS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
+READ = {command: {key for key, f in SETTINGS.items() if command in f.metadata["commands"]}
+        for command in COMMANDS}
+
+
 def train_args(data_dir, out_dir, *extra):
     return [
         "train", "--data-dir", str(data_dir), "--out-dir", str(out_dir),
         "--arch", "16,12,4", "--rank", "3", "--tau", "0.05", "--lr", "0.05",
         "--batch-size", "32", "--seed", "1", *extra,
     ]
+
+
+def compare_args(data_dir, out_dir, *extra):
+    """``train_args`` for compare, which takes its seeds as a list."""
+    args = ["compare", *train_args(data_dir, out_dir, *extra)[1:]]
+    args[args.index("--seed")] = "--seeds"
+    return args
 
 
 class TestRunConfig:
@@ -99,21 +116,20 @@ class TestRunConfig:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"lr": 0.1, "bogus": 1}))
         with pytest.raises(ConfigError):
-            load_config(p)
+            load_config("train", p)
 
     def test_flags_override_file(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"lr": 0.1, "epochs": 7}))
-        cfg = load_config(p, {"lr": 0.2, "epochs": None})
+        cfg = load_config("train", p, {"lr": 0.2, "epochs": None})
         assert cfg.lr == 0.2
         assert cfg.epochs == 7
 
     def test_config_file_lists_become_tuples(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"arch": [16, 8, 4], "h_list": [0.1, 0.05]}))
-        cfg = load_config(p)
-        assert cfg.arch == (16, 8, 4)
-        assert cfg.h_list == (0.1, 0.05)
+        assert load_config("train", p).arch == (16, 8, 4)
+        assert load_config("ode-bench", p).h_list == (0.1, 0.05)
 
     @pytest.mark.parametrize("key, value", [
         ("lr", float("nan")), ("eps", float("inf")), ("seed", True), ("rank", 2.5),
@@ -161,18 +177,21 @@ class TestRunConfig:
         ({"epochs": MAX_STEPS}, {"epochs": MAX_STEPS + 1}, "epochs"),
     ])
     def test_step_ceiling(self, at_ceiling, above, count):
-        # t_end 1 and h 0.5: two steps each for t_end/h and t_end/ref_h
-        base = {"h_list": (0.5,), "ref_h": 0.5, "steps": 1, "epochs": 1}
-        RunConfig(**{**base, **at_ceiling}).validate()
+        # each count on the command that reads it; t_end 1 and h 0.5: two
+        # steps each for t_end/h and t_end/ref_h
+        (key,) = at_ceiling
+        command = SETTINGS[key].metadata["commands"][0]
+        base = {"h_list": (0.5,), "ref_h": 0.5} if command == "ode-bench" else {}
+        RunConfig(command, **{**base, **at_ceiling}).validate()
         with pytest.raises(ConfigError, match=rf"^{re.escape(count)}.*above MAX_STEPS"):
-            RunConfig(**{**base, **above}).validate()
+            RunConfig(command, **{**base, **above}).validate()
 
 
 class TestWriters:
     """A failed write leaves the previous file in place and no temporary."""
 
     def test_write_csv_failure_keeps_previous_file(self, tmp_path):
-        out = _Outputs("train", RunConfig(), tmp_path)
+        out = _Outputs(RunConfig(), tmp_path)
         out.write_csv(".csv", ["x"], [[1], [2]])
         path = out.path(".csv")
         good = path.read_bytes()
@@ -182,7 +201,7 @@ class TestWriters:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_write_json_failure_keeps_previous_file(self, tmp_path):
-        out = _Outputs("train", RunConfig(), tmp_path)
+        out = _Outputs(RunConfig(), tmp_path)
         out.write_summary(a=1)
         path = out.path(".json")
         good = path.read_bytes()
@@ -193,7 +212,7 @@ class TestWriters:
 
     def test_float_cells_written_by_repr(self, tmp_path):
         # numpy 2's own repr of a float64 is "np.float64(0.1)"
-        out = _Outputs("train", RunConfig(), tmp_path)
+        out = _Outputs(RunConfig(), tmp_path)
         out.write_csv(".csv", ["a", "b", "c"], [[np.float64(0.1), 0.25, 3]])
         assert out.path(".csv").read_text().splitlines()[2] == "0.1,0.25,3"
 
@@ -223,7 +242,8 @@ def test_every_float_cell_reads_back(data_dir, tmp_path):
     train = train_args(data_dir, tmp_path, "--epochs", "1")
     problem = ["--dims", "8,6", "--target-rank", "2", "--out-dir", str(tmp_path)]
     assert main(train) == EXIT_OK
-    assert main(["compare", *train[1:], "--integrators", "full,abc-psi"]) == EXIT_OK
+    assert main(compare_args(data_dir, tmp_path, "--epochs", "1",
+                             "--integrators", "full,abc-psi")) == EXIT_OK
     assert main(["ode-bench", *problem, "--integrator", "psi", "--h-list", "0.1,0.05",
                  "--ref-h", "0.01"]) == EXIT_OK
     assert main(["descent-audit", *problem, "--steps", "3"]) == EXIT_OK
@@ -397,7 +417,7 @@ class TestCompare:
         code = main([
             "compare", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
             "--arch", "16,12,4", "--rank", "3", "--epochs", "1",
-            "--batch-size", "32", "--seed", "3",
+            "--batch-size", "32", "--seeds", "3",
         ])
         assert code == EXIT_OK
         summary = json.loads(list(tmp_path.glob("compare-*.json"))[0].read_text())
@@ -432,6 +452,9 @@ class TestCompare:
     @pytest.mark.parametrize("args, message", [
         (["--integrators", "psi,bug,psi"], "integrators repeats 'psi'"),
         (["--seeds", "0,1,0"], "seeds repeats 0"),
+        # an empty list runs nothing; it does not fall back to a default
+        (["--integrators="], "integrators is empty"),
+        (["--seeds="], "seeds is empty"),
     ])
     def test_repeated_run_rejected(self, data_dir, tmp_path, caplog, args, message):
         # a repeat would run the same experiment twice, write its CSV twice
@@ -755,7 +778,7 @@ class TestDescentAudit:
 
 class TestCommandSettings:
     """Each command takes only the settings it reads; other config-file
-    keys keep their defaults and stay out of the hash."""
+    keys are ignored and stay out of the hash."""
 
     ODE_ARGS = ["--dims", "8,6", "--target-rank", "2", "--tau", "0",
                 "--h-list", "0.1", "--t-end", "1.0", "--ref-h", "0.01"]
@@ -764,6 +787,10 @@ class TestCommandSettings:
         ["ode-bench", "--epochs", "3"],
         ["descent-audit", "--integrator", "psi"],
         ["train", "--substeps", "2"],  # every subflow is one gradient step
+        # compare takes its integrators and seeds as lists alone, and no
+        # abbreviation of a list flag
+        ["compare", "--integrator", "psi"],
+        ["compare", "--seed", "3"],
     ])
     def test_unread_flag_rejected(self, args, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -809,6 +836,9 @@ class TestCommandSettings:
         ("ode-bench", "dims", [8.5, 6]),
         ("descent-audit", "steps", 2.5),
         ("compare", "arch", [16.5, 4]),
+        # an empty list runs nothing; it does not fall back to a default
+        ("compare", "integrators", []),
+        ("compare", "seeds", []),
     ])
     def test_non_list_config_value_rejected(self, command, key, value, tmp_path, caplog):
         cfg = tmp_path / "cfg.json"
@@ -820,10 +850,11 @@ class TestCommandSettings:
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("command, variants, distinct", [
-        # compare reads --integrator and --seed only as list fallbacks
-        ("compare", [["--integrators", "psi"], ["--integrators", "psi", "--integrator", "bug"],
-                     ["--integrator", "psi"]], 1),
-        ("compare", [["--seeds", "3"], ["--seed", "3"], ["--seeds", "3", "--seed", "5"]], 1),
+        # compare's lists default to abc-psi and seed 0; a dense compare
+        # reads no rank
+        ("compare", [[], ["--integrators", "abc-psi"]], 1),
+        ("compare", [["--integrators", "full", "--rank", "5"],
+                     ["--integrators", "full", "--rank", "0"]], 1),
         ("compare", [["--integrators", "psi"], ["--integrators", "psi,bug"]], 2),
         # a dense run reads no low-rank setting, psi no truncation setting
         ("train", [["--integrator", "full", "--rank", "5"],
@@ -840,13 +871,88 @@ class TestCommandSettings:
         for i, extra in enumerate(variants):
             out = tmp_path / str(i)
             if command == "ode-bench":
-                args = ["--out-dir", str(out)] + self.ODE_ARGS
+                args = ["ode-bench", "--out-dir", str(out)] + self.ODE_ARGS
+            elif command == "compare":
+                args = compare_args(data_dir, out, "--epochs", "0")
             else:
-                args = train_args(data_dir, out, "--epochs", "0")[1:]
-            assert main([command, *args, *extra]) == EXIT_OK
+                args = train_args(data_dir, out, "--epochs", "0")
+            assert main([*args, *extra]) == EXIT_OK
             (summary,) = out.glob("*.json")
             hashes.add(json.loads(summary.read_text())["config_hash"])
         assert len(hashes) == distinct
+
+
+class TestSettingsTable:
+    """RunConfig's field table alone says which command reads which
+    setting: each parser, record, hash and JSON summary follows it."""
+
+    # a valid value, other than its default, for each setting
+    OTHER = {
+        "integrator": "psi", "integrators": ("psi",), "arch": (16, 8, 4), "lr": 0.5,
+        "tau": 0.05, "rank": 3, "r_min": 1, "r_max": 6, "batch_size": 32, "epochs": 0,
+        "seed": 3, "seeds": (3,), "data_dir": "elsewhere", "out_dir": "elsewhere",
+        "dims": (8, 6), "target_rank": 2, "eps": 1e-3, "h_list": (0.1,), "t_end": 0.5,
+        "ref_h": 0.01, "steps": 5,
+    }
+
+    def test_tables(self):
+        assert set(self.OTHER) == set(SETTINGS)
+        assert all(SETTINGS[key].default != value for key, value in self.OTHER.items())
+        (parsers,) = [a.choices for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        assert tuple(parsers) == COMMANDS
+        assert {c for f in SETTINGS.values() for c in f.metadata["commands"]} == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_are_the_settings_read(self, command):
+        settings = vars(build_parser().parse_args([command]))
+        assert set(settings) - {"command", "config"} == READ[command]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_record_rejects_unread_settings(self, command):
+        for key in set(SETTINGS) - READ[command]:
+            with pytest.raises(ConfigError, match=f"^{command} does not read {key}$"):
+                RunConfig(command, **{key: self.OTHER[key]})
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_hash_covers_every_setting_read(self, command):
+        # with a dense run, the settings only low-rank or abc-psi runs read
+        # keep their defaults and leave the hash
+        dense = {"compare": {"integrators": ("full",)}, "descent-audit": {}}.get(
+            command, {"integrator": "full"})
+        for ran in ({}, dense):
+            for key in READ[command] - set(ran):
+                changed = RunConfig(command, **{**ran, key: self.OTHER[key]}).hash()
+                per_integrator = ran and SETTINGS[key].metadata["integrators"]
+                kept = key in ("out_dir", "data_dir") or per_integrator
+                assert (changed == RunConfig(command, **ran).hash()) == bool(kept), (ran, key)
+
+    def run_args(self, command, data_dir, out):
+        if command == "ode-bench":
+            return ["ode-bench", "--out-dir", str(out)] + TestCommandSettings.ODE_ARGS
+        if command == "descent-audit":
+            return ["descent-audit", "--out-dir", str(out), "--dims", "8,6",
+                    "--target-rank", "2", "--steps", "3"]
+        args = train_args(data_dir, out, "--epochs", "0")
+        return args if command == "train" else compare_args(data_dir, out, "--epochs", "0")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_summary_records_the_settings_read(self, command, data_dir, tmp_path):
+        # a config file holding every setting the command does not read
+        # leaves its hash and JSON config as they are
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: self.OTHER[key]
+                                   for key in set(SETTINGS) - READ[command]}))
+        summaries = []
+        for i, extra in enumerate([[], ["--config", str(cfg)]]):
+            assert main(self.run_args(command, data_dir, tmp_path / str(i)) + extra) == EXIT_OK
+            (summary,) = (tmp_path / str(i)).glob("*.json")
+            summary = json.loads(summary.read_text())
+            assert set(summary["config"]) == READ[command]
+            summaries.append((summary["config_hash"], summary["config"]))
+        (hash_a, config_a), (hash_b, config_b) = summaries
+        assert hash_a == hash_b
+        assert {**config_a, "out_dir": None} == {**config_b, "out_dir": None}
 
 
 class TestNonFiniteSettings:
@@ -934,8 +1040,9 @@ def empty_split_dirs(tmp_path_factory):
 @pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("empty", ["train", "test"])
 def test_empty_split_exits_io(command, empty, empty_split_dirs, tmp_path, caplog):
-    args = train_args(empty_split_dirs[empty], tmp_path, "--epochs", "1")
-    assert main([command, *args[1:]]) == EXIT_IO
+    args = (train_args if command == "train" else compare_args)(
+        empty_split_dirs[empty], tmp_path, "--epochs", "1")
+    assert main(args) == EXIT_IO
     assert f"{empty} split" in caplog.text
     assert not list(tmp_path.iterdir())
 
@@ -1016,11 +1123,14 @@ class TestDivergenceReason:
 def test_overflow_warnings_silenced(command, data_dir, tmp_path):
     """An overflowing run reaches its documented exit code with warnings
     as errors, and numpy's warnings do not reach stderr."""
-    args = train_args(data_dir, tmp_path, "--epochs", "1", "--integrator", "full",
-                      "--batch-size", "600")
+    if command == "train":
+        args = train_args(data_dir, tmp_path, "--epochs", "1", "--integrator", "full",
+                          "--batch-size", "600")
+    else:
+        args = compare_args(data_dir, tmp_path, "--epochs", "1", "--batch-size", "600",
+                            "--integrators", "full,psi,abc-psi")
+        args[args.index("--seeds") + 1] = "0,1"
     args[args.index("--lr") + 1] = "1e200"
-    if command == "compare":
-        args = ["compare", *args[1:], "--integrators", "full,psi,abc-psi", "--seeds", "0,1"]
     env = {**os.environ, "PYTHONPATH": str(Path(dlrt.cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "dlrt.cli", *args],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -1088,10 +1198,6 @@ class TestHostileSettings:
         "ode-bench": {**PROBLEM, "h_list": [0.1], "t_end": 1.0, "ref_h": 0.01},
         "descent-audit": {**PROBLEM, "lr": 0.5, "steps": 5},
     }
-    # the settings each command reads: its parser's destinations
-    READ = {command: set(vars(build_parser().parse_args([command])))
-            - {"command", "func", "config"} for command in BASE}
-
     @staticmethod
     def flag(key, value):
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
@@ -1101,7 +1207,7 @@ class TestHostileSettings:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_exit_code(self, command, data, data_dir, tmp_path_factory):
-        read = self.READ[command]
+        read = READ[command]
         keys = sorted((read - {"out_dir"}) | {"bogus"})
         swapped = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True))
         config = dict(self.BASE[command])

@@ -1,4 +1,4 @@
-"""The README's CLI reference checked against the code: config keys, flags,
+"""The README's CLI reference checked against the code: the settings table,
 example commands and exit codes; the dlrt names the README cites; the one
 call site of each dense factorization in the source, the one caller of
 ``svd_thin`` and the one process pool; module-level imports, frozen
@@ -19,7 +19,7 @@ from dlrt import cli, integrators
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
-CONFIG_FIELDS = [f.name for f in fields(cli.RunConfig)]
+SETTINGS = [f for f in fields(cli.RunConfig) if f.name != "command"]
 (SUBCOMMANDS,) = [
     a.choices for a in cli.build_parser()._actions
     if isinstance(a, argparse._SubParsersAction)
@@ -32,27 +32,37 @@ def section(heading):
     return re.split(r"\n#+ ", body, maxsplit=1)[0]
 
 
+def settings_rows():
+    return re.findall(r"^\| `(\w+)` +\| `(--[\w-]+)` +\|(.*)\|$", section("### Settings"), re.M)
+
+
 def test_config_keys_list_run_config_fields():
-    listed = section("### Config file keys").split("Unknown keys")[0]
-    assert re.findall(r"`(\w+)`", listed) == CONFIG_FIELDS
+    # the settings table's key column: one row per setting, in field order
+    assert [key for key, _, _ in settings_rows()] == [f.name for f in SETTINGS]
 
 
 def test_every_flag_sets_a_config_field():
     for command, parser in SUBCOMMANDS.items():
         dests = {a.dest for a in parser._actions if a.option_strings}
-        stray = dests - {"help", "config"} - set(CONFIG_FIELDS)
+        stray = dests - {"help", "config"} - {f.name for f in SETTINGS}
         assert not stray, f"{command}: flags without a config field: {sorted(stray)}"
 
 
 def test_flag_table_lists_each_command_flags():
-    rows = re.findall(r"^\| `?([\w-]+)`? +\|(.*)\|$", section("### Flags"), re.M)
-    listed = {name: set(re.findall(r"`(--[\w-]+)`", flags))
-              for name, flags in rows if name != "command"}
-    common = listed.pop("all")
-    assert set(listed) == set(SUBCOMMANDS)
+    # each settings-table row names its flag and the commands RunConfig's
+    # field says read it; each command's parser has the flags of its rows
+    # and --config
+    rows = settings_rows()
+    assert len(rows) == len(SETTINGS)
+    readers = {}
+    for (key, flag, named), f in zip(rows, SETTINGS):
+        assert flag == f"--{key.replace('_', '-')}"
+        named = set(SUBCOMMANDS) if named.strip() == "all" else set(re.findall(r"`([\w-]+)`", named))
+        assert named == set(f.metadata["commands"]), key
+        readers[flag] = named
     for command, parser in SUBCOMMANDS.items():
         flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
-        assert common | listed[command] == flags, command
+        assert flags == {"--config"} | {f for f, named in readers.items() if command in named}
 
 
 def test_readme_commands_parse():
