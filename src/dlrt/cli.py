@@ -42,7 +42,7 @@ from .linalg import NumericError
 from .lowrank import TruncationPolicy, compression_rate, param_count
 from .nn import build_network, mlp_specs, softmax_cross_entropy, train_step
 from .nn import _chunk_logits, evaluate as net_accuracy
-from .threads import cpu_count, set_share
+from .threads import cpu_count, set_share, width
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
@@ -382,7 +382,6 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
         rows.append(
             _metric_row(epoch, np.mean(losses), net_accuracy(net, test), net)
         )
-    triples = _layer_triples(net)
     return {
         "status": "ok" if divergence is None else "diverged",
         "divergence": divergence,
@@ -393,8 +392,8 @@ def _run_training(config: RunConfig, integrator: str, seed: int, train, test) ->
         "integrator": integrator,
         "seed": seed,
         "final_accuracy": rows[-1][2],
-        "param_count": param_count(triples),
-        "compression_rate": compression_rate(triples),
+        "param_count": rows[-1][-2],
+        "compression_rate": rows[-1][-1],
     }
 
 
@@ -446,27 +445,27 @@ def _compare_run(job: tuple) -> dict:
 def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     """Train every integrator x seed run and tabulate their accuracies.
 
-    The runs are independent, so they are spread over min(runs, CPUs in the
-    affinity mask) worker processes, forked after the splits are loaded so
-    that they inherit them. With one worker, or where ``fork`` does not
-    exist, the runs go in process. Either way the CSVs, stdout and the
-    logged lines follow run order, so their bytes do not depend on the
-    worker count. Each worker may fill CPUs // workers CPUs with
-    ``threads.map_states``, so on a host with no more CPUs than workers
-    every worker runs its states on one thread. Each run's JSON
-    ``runtime_s`` is measured inside its worker, and the JSON's ``workers``
-    field records the count. A run that raises fails the command once the
-    runs in flight end. A worker that is killed gives EXIT_WORKER_LOST, and
-    the log names the first run without a result; the runs before it keep
-    their CSVs, and no summary is written.
-    No worker outlives the command.
+    The runs are independent, so they are spread over ``threads.width``
+    worker processes, min(runs, CPUs // BLAS threads), forked after the
+    splits are loaded so that they inherit them. With BLAS unpinned (a
+    thread per CPU) or its thread count unreadable, that is one. With one
+    worker, or where ``fork`` does not exist, the runs go in process.
+    Either way the CSVs, stdout and the logged lines follow run order, so
+    their bytes do not depend on the worker count. Each worker may fill
+    CPUs // workers CPUs with ``threads.map_states``, so on a host with no
+    more CPUs than workers every worker runs its states on one thread.
+    Each run's JSON ``runtime_s`` is measured inside its worker, and the
+    JSON's ``workers`` field records the count. A run that raises fails the
+    command once the runs in flight end. A worker that is killed gives
+    EXIT_WORKER_LOST, and the log names the first run without a result; the
+    runs before it keep their CSVs, and no summary is written. No worker
+    outlives the command.
     """
     global _compare_inputs
     integrators, seeds = config.integrators, config.seeds
     train, test = _load_splits(config)
     jobs = [(integrator, seed) for integrator in integrators for seed in seeds]
-    cpus = cpu_count()
-    workers = min(len(jobs), cpus)
+    workers = width(len(jobs))
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1
     _compare_inputs = (config, train, test)
@@ -480,7 +479,7 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
             # the CPUs
             pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=set_share, initargs=(cpus // workers,),
+                initializer=set_share, initargs=(cpu_count() // workers,),
             )
             results = pool.map(_compare_run, jobs)
         else:

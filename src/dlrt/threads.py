@@ -1,28 +1,29 @@
-"""Independent per-state work on a thread pool sized to the CPUs that BLAS
-leaves idle.
+"""The CPU budget of a process and a thread pool that spends it.
+
+``width(tasks)`` is min(tasks, share // BLAS threads): the share is the
+CPUs in the affinity mask (or what ``set_share`` set), and the BLAS
+thread count is read once per process from the loaded OpenBLAS. Where
+that count cannot be read, or leaves no CPU idle, the width is 1. It
+sizes both ``compare``'s worker processes and ``map_states``' threads.
 
 ``map_states(fn, *iterables)`` returns ``[fn(*args) for args in
-zip(*iterables)]``. Its width is min(tasks, share // BLAS threads): the
-share is the CPUs in the affinity mask (or what ``set_share`` set), and the
-BLAS thread count is read once per process from the loaded OpenBLAS. Where
-that count cannot be read, or leaves no CPU idle, the width is 1 and the
-tasks run in a plain loop on the calling thread. Otherwise the calling
-thread and width - 1 pool threads pull tasks from one shared queue, so a
-starved pool thread cannot hold the others back. numpy releases the GIL
-inside BLAS and LAPACK, and each task's arithmetic is the same on any
-thread, so results do not depend on the width. A task runs in the
-caller's context variables, numpy's error state among them.
+zip(*iterables)]``. At width 1 the calls run in a plain loop on the
+calling thread. Otherwise they go to a pool of ``width`` threads, whose
+one work queue hands the next call to whichever thread is idle, while
+the caller waits. numpy releases the GIL inside BLAS and LAPACK, and each
+call's arithmetic is the same on any thread, so results do not depend on
+the width. A call runs in the caller's context variables, numpy's error
+state among them.
 
-The pool is created at the first call that needs it and kept for the next
-ones. It is shut down before the process forks, so no pool thread is
-alive in a forked child or at the fork.
+The pool is created at the first call that needs it and kept while the
+width holds. It is shut down before the process forks, so no pool thread
+is alive in a forked child or at the fork.
 """
 
 import contextvars
 import ctypes
 import functools
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Optional
@@ -80,7 +81,8 @@ def set_share(cpus: int) -> None:
 
 
 def width(tasks: int) -> int:
-    """How many threads ``map_states`` runs ``tasks`` tasks on."""
+    """How many threads, or ``compare`` worker processes, may run ``tasks``
+    tasks beside BLAS's own threads."""
     blas = blas_threads()
     if blas is None or blas < 1:
         return 1
@@ -96,45 +98,21 @@ def map_states(fn: Callable, *iterables) -> list:
     threads = width(len(jobs))
     if threads == 1:
         return [fn(*args) for args in jobs]
-    todo = queue.SimpleQueue()
-    for i in range(len(jobs)):
-        todo.put(i)
-    outcomes = [None] * len(jobs)
-
-    def drain():
-        while True:
-            try:
-                i = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                outcomes[i] = (fn(*jobs[i]), None)
-            except Exception as exc:
-                outcomes[i] = (None, exc)
-
-    # each pool thread drains in a copy of the caller's context, which holds
-    # numpy's error state (the CLI's np.errstate), as the caller does
-    pool = _executor(threads - 1)
-    helpers = [pool.submit(contextvars.copy_context().run, drain) for _ in range(threads - 1)]
-    try:
-        drain()
-    finally:
-        wait(helpers)
-    for helper in helpers:
-        helper.result()
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [value for value, _ in outcomes]
+    # each call runs in a copy of the caller's context, which holds numpy's
+    # error state (the CLI's np.errstate), as the caller does
+    pool = _executor(threads)
+    futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in jobs]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def _executor(threads: int) -> ThreadPoolExecutor:
-    # the persistent pool, grown when a call needs more threads than it has;
-    # a pool per call cost about 0.8 ms a step on a 784-128-10 net (2-CPU
-    # host, one BLAS thread)
+    # the persistent pool, rebuilt when the width changes; a pool per call
+    # cost about 0.8 ms a step on a 784-128-10 net (2-CPU host, one BLAS
+    # thread)
     global _pool, _pool_threads
     with _pool_lock:
-        if _pool_threads < threads:
+        if _pool_threads != threads:
             if _pool is not None:
                 _pool.shutdown(wait=True)
             _pool = ThreadPoolExecutor(threads, thread_name_prefix="dlrt-state")

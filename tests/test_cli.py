@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import csv
 import gzip
+import io
 import json
 import logging
 import multiprocessing
@@ -287,6 +289,19 @@ class TestTrain:
         assert summary["epochs_completed"] == 2
         assert "runtime_s" in summary
 
+    @pytest.mark.parametrize("integrator, lr", [("abc-psi", "0.05"), ("full", "1e8")])
+    def test_summary_figures_are_the_last_row(self, data_dir, tmp_path, integrator, lr):
+        # one form for a run's final figures: the JSON holds the CSV's last
+        # row, diverged runs included (the full run's last row is epoch 0)
+        main(train_args(data_dir, tmp_path, "--epochs", "2", "--integrator", integrator,
+                        "--lr", lr))
+        (path,) = tmp_path.glob("train-*.csv")
+        last = list(csv.DictReader(path.read_text().splitlines()[1:]))[-1]
+        summary = json.loads(next(tmp_path.glob("train-*.json")).read_text())
+        assert summary["final_accuracy"] == float(last["test_accuracy"])
+        assert summary["param_count"] == int(last["param_count"])
+        assert summary["compression_rate"] == float(last["compression_rate"])
+
     def test_zero_epochs_initial_row_only(self, data_dir, tmp_path):
         code = main(train_args(data_dir, tmp_path, "--epochs", "0"))
         assert code == EXIT_OK
@@ -487,15 +502,21 @@ if hasattr(os, "register_at_fork"):
     )
 
 
-def pin_cpus(monkeypatch, count):
-    """Make the affinity mask that compare reads hold ``count`` CPUs."""
+def pin_cpus(monkeypatch, count, blas=1):
+    """Make the affinity mask that compare reads hold ``count`` CPUs, and
+    the BLAS thread count it reads ``blas``."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(dlrt.threads, "blas_threads", lambda: blas)
 
 
 class TestCompareWorkers:
-    """compare spreads its runs over min(runs, CPUs) forked workers."""
+    """compare spreads its runs over ``threads.width(runs)`` forked workers:
+    min(runs, CPUs) with BLAS at one thread, one where BLAS fills the CPUs
+    or its thread count cannot be read."""
 
     RUNS = [(integrator, seed) for integrator in ("abc-psi", "bug", "full") for seed in (1, 2)]
+    # run count -> the extra flags that give it
+    RUN_SETS = {6: (), 2: ("--integrators", "abc-psi")}
 
     def compare(self, data_dir, out_dir, *extra):
         return main([
@@ -518,6 +539,39 @@ class TestCompareWorkers:
             outputs[cpus] = csvs, capsys.readouterr().out
         assert len(outputs[1][0]) == len(self.RUNS) + 1
         assert outputs[1] == outputs[2]
+
+    @pytest.fixture(scope="class")
+    def in_process(self, data_dir, tmp_path_factory):
+        """run count -> (CSVs, stdout) of a compare run in process."""
+        outputs = {}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pin_cpus(monkeypatch, 1)
+            for runs, extra in self.RUN_SETS.items():
+                out_dir = tmp_path_factory.mktemp("in-process")
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    assert self.compare(data_dir, out_dir, *extra) == EXIT_OK
+                outputs[runs] = ({path.name: path.read_bytes() for path in out_dir.glob("*.csv")},
+                                 stdout.getvalue())
+        return outputs
+
+    @pytest.mark.parametrize("blas, cpus, runs, workers", [
+        (None, 2, 6, 1),  # no OpenBLAS found
+        (2, 2, 6, 1),  # BLAS fills every CPU, as unpinned OpenBLAS does
+        (4, 2, 6, 1),
+        (2, 4, 6, 2),
+        (1, 2, 6, 2),  # one BLAS thread: min(runs, CPUs)
+        (1, 4, 2, 2),
+    ])
+    def test_workers_follow_the_width_rule(self, data_dir, tmp_path, monkeypatch, capsys,
+                                           in_process, blas, cpus, runs, workers):
+        pin_cpus(monkeypatch, cpus, blas)
+        assert self.compare(data_dir, tmp_path, *self.RUN_SETS[runs]) == EXIT_OK
+        (summary,) = tmp_path.glob("compare-*.json")
+        summary = json.loads(summary.read_text())
+        assert (len(summary["runs"]), summary["workers"]) == (runs, workers)
+        csvs = {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")}
+        assert (csvs, capsys.readouterr().out) == in_process[runs]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failed_run_raises_and_leaves_no_worker(self, cpus, data_dir, tmp_path,
@@ -581,7 +635,6 @@ class TestCompareWorkers:
         # after a step on the state pool, compare forks with no pool thread
         # alive, its workers run their states inline on their share of the
         # CPUs, and the bytes match an in-process compare
-        monkeypatch.setattr(dlrt.threads, "blas_threads", lambda: 1)
         pin_cpus(monkeypatch, 2)
         net = build_network(mlp_specs([16, 12, 8, 4], 3), seed=0)
         rng = np.random.default_rng(0)

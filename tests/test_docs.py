@@ -139,7 +139,8 @@ def test_svd_thin_called_only_by_the_gram_route():
 def test_one_process_pool():
     # two parallel sites: compare's runs, on the one process pool that
     # cmd_compare creates, and a step's states, on the one thread pool that
-    # the threads module creates. Only those two modules import a pool module
+    # the threads module creates. Only those two modules import a pool
+    # module, and threads.width sizes both pools
     importers = set()
     for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -155,6 +156,7 @@ def test_one_process_pool():
     assert call_sites("Pool") == []
     assert call_sites("ProcessPoolExecutor") == ["cli.cmd_compare"]
     assert call_sites("ThreadPoolExecutor") == ["threads._executor"]
+    assert call_sites("width") == ["cli.cmd_compare", "threads.map_states"]
 
 
 def test_no_import_inside_a_function():

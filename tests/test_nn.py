@@ -721,6 +721,26 @@ class TestTrainStep:
         for layer in net.layers:
             layer.state.validate(tol=1e-12)
 
+    @pytest.mark.parametrize("tau, settled", [(0.1, [16, 16, 10]), (0.5, [3, 3, 3])])
+    def test_rank_settles_near_one_over_tau_squared(self, tau, settled):
+        # the initial spectrum is nearly flat, so the truncation drops the
+        # smallest singular value while the rank is above about 1/tau^2, and
+        # the augmented directions enter far below tau * ||sigma||: above
+        # 1/tau^2 (4 at tau 0.5) the rank falls within a few steps, then
+        # holds; below it (100 at tau 0.1) it holds from the start
+        net = build_network(mlp_specs([64, 48, 48, 10], initial_rank=16), seed=0)
+        rng = np.random.default_rng(0)
+        cfg = StepConfig(h=0.05, policy=TruncationPolicy(tau, r_max=32))
+        ranks = [net.ranks()]
+        for _ in range(60):
+            batch = rng.random((32, 64)), rng.integers(0, 10, 32)
+            net, _ = train_step(net, batch, "abc-psi", cfg)
+            ranks.append(net.ranks())
+        assert ranks[0] == [16, 16, 10]
+        assert np.all(np.diff(ranks, axis=0) <= 0)  # no rank rises
+        assert ranks[10:] == [settled] * 51
+        assert max(settled) <= 1 / tau**2
+
 
 class TestEvaluate:
     def test_perfect_and_inverted(self):

@@ -118,31 +118,28 @@ def run_steps(integrator):
 
 
 @pytest.fixture
-def off_caller(monkeypatch):
-    """An event set when an abc-psi task runs off the calling thread. Until
-    then the caller's task waits in ``ortho_augment``, so on any host a
-    pool thread takes the next task. A test that uses it steps at width 2
-    first."""
+def augment_on_caller(monkeypatch):
+    """Per ``ortho_augment`` call, whether it ran on the calling thread.
+    Only abc-psi calls it, once per state, inside a ``map_states`` task."""
     caller = threading.get_ident()
-    event = threading.Event()
+    on_caller = []
     original = integrators.ortho_augment
 
     def recorded(u0, k1):
-        if threading.get_ident() != caller:
-            event.set()
-        elif not event.is_set():
-            event.wait(timeout=30)
+        on_caller.append(threading.get_ident() == caller)
         return original(u0, k1)
 
     monkeypatch.setattr(integrators, "ortho_augment", recorded)
-    return event
+    return on_caller
 
 
 @pytest.mark.parametrize("integrator", INTEGRATOR_NAMES)
-def test_steps_same_bytes_at_width_1_and_2(monkeypatch, off_caller, integrator):
+def test_steps_same_bytes_at_width_1_and_2(monkeypatch, augment_on_caller, integrator):
+    # at width 2 the caller waits while the pool runs every task
     force_width(monkeypatch, 2)
     pooled = run_steps(integrator)
-    assert off_caller.is_set() == (integrator == "abc-psi")
+    assert bool(augment_on_caller) == (integrator == "abc-psi")
+    assert not any(augment_on_caller)
     force_width(monkeypatch, 1)
     assert run_steps(integrator) == pooled
 
@@ -174,14 +171,14 @@ def step_error(states, grads):
     return str(info.value)
 
 
-def test_non_finite_state_same_error_at_width_2(monkeypatch, off_caller):
+def test_non_finite_state_same_error_at_width_2(monkeypatch, augment_on_caller):
     # states 1 and 3 both diverge, each with its own message; state 1's is
     # raised, as by the plain loop, though a pool thread ran it
     states, grads = shaped_states_and_grads()
     both = scaled(scaled(states, 1, 1e300), 3, np.nan)
     force_width(monkeypatch, 2)
     pooled = step_error(both, grads)
-    assert off_caller.is_set()
+    assert augment_on_caller and not any(augment_on_caller)
     force_width(monkeypatch, 1)
     assert pooled == step_error(both, grads)
     assert pooled != step_error(scaled(states, 3, np.nan), grads)
