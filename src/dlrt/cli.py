@@ -41,7 +41,7 @@ from .integrators import (
 from .linalg import NumericError
 from .lowrank import TruncationPolicy, compression_rate, param_count
 from .nn import build_network, mlp_specs, softmax_cross_entropy, train_step
-from .nn import _chunk_logits, evaluate as net_accuracy
+from .nn import _map_chunks, evaluate as net_accuracy
 from .threads import cpu_count, set_share, width
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -293,10 +293,15 @@ def _layer_triples(net) -> list:
 
 
 def _dataset_loss(net, dataset, chunk=1024) -> float:
-    total = 0.0
-    for start, logits in _chunk_logits(net, dataset.images, chunk):
+    def summed(start, logits):
         loss, _ = softmax_cross_entropy(logits, dataset.labels[start : start + chunk])
-        total += loss * logits.shape[0]
+        return loss * logits.shape[0]
+
+    # added in chunk order by a plain loop: sum() compensates its rounding
+    # from Python 3.12 on, which would change the bytes
+    total = 0.0
+    for part in _map_chunks(net, dataset.images, chunk, summed):
+        total += part
     return total / len(dataset)
 
 

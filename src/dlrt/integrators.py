@@ -35,11 +35,14 @@ current point wherever a subflow starts there, so it costs 3 (psi), 2
 
 After its one evaluation, an abc-psi step has no data passing between
 states: each state's K contraction, augmentation, L contraction and
-truncation form one task, and ``threads.map_states`` spreads the tasks over
+truncation form one task, and ``threads.map_tasks`` spreads the tasks over
 the CPUs that BLAS leaves idle (none under an unpinned BLAS, where they run
 in a plain loop). A task's arithmetic does not depend on the thread it runs
 on, so the bytes of a step do not depend on the pool's width. The other
-steppers run inline: a pool per phase made psi slower.
+steppers run inline: per-state pool tasks in psi, bc-psi and bug gave the
+same bytes, but the benchmark's split-paper step time read -3.5% and
++0.4% in two sets of 4 paired runs (2-CPU host, one BLAS thread), which
+is no resolved gain.
 
 Steppers trust their states and their gradients: no array is scanned for
 non-finite entries inside a step. A non-finite value reaches a QR
@@ -57,7 +60,7 @@ import numpy as np
 
 from .linalg import Matrix, NumericError, as_matrix, householder_qr, ortho_augment, read_only
 from .lowrank import LowRankState, TruncationPolicy, truncate_state
-from .threads import map_states
+from .threads import map_tasks
 
 __all__ = [
     "Gradient",
@@ -281,9 +284,9 @@ def _abc_flow(state: LowRankState, k0: Matrix, g, h: float) -> AbcFlow:
 
 def abc_psi_flow(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """Steps 1-4 of ``abc_psi_step``, one ``AbcFlow`` per state, the states
-    spread over ``threads.map_states`` after the one evaluation."""
+    spread over ``threads.map_tasks`` after the one evaluation."""
     k0, handles = _k_start(states, grads)
-    return map_states(lambda st, k, g: _abc_flow(st, k, g, cfg.h), states, k0, handles)
+    return map_tasks(lambda st, k, g: _abc_flow(st, k, g, cfg.h), states, k0, handles)
 
 
 def abc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
@@ -312,7 +315,7 @@ def abc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfi
     The cost profile per step is one QR of the m x r residual (none for a
     square u0) and the truncation's eigendecomposition, at most q x q, per
     state. A state's work after the evaluation (step 1's contraction, then
-    steps 2-5) is one task of ``threads.map_states``, so the states update
+    steps 2-5) is one task of ``threads.map_tasks``, so the states update
     in parallel where BLAS leaves CPUs idle. A non-finite value in a state
     or a gradient contraction reaches l1, and the truncation raises
     ``NumericError``: the first failing state's, in state order, at any
@@ -321,7 +324,7 @@ def abc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfi
     if cfg.policy is None:
         raise ValueError("abc_psi_step requires cfg.policy")
     k0, handles = _k_start(states, grads)
-    return map_states(
+    return map_tasks(
         lambda st, k, g: _abc_flow(st, k, g, cfg.h).truncate(cfg.policy), states, k0, handles
     )
 

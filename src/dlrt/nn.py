@@ -13,6 +13,11 @@ layers at the stepper's current phase, so each gradient evaluation sees a
 consistent network. A step costs 3 (psi), 2 (bc-psi, bug) or 1 (abc-psi,
 full) passes. Dense layers and biases take a plain gradient-descent step
 from the first pass.
+
+Evaluation runs the cache-free pass over fixed-size row chunks, which
+share no data, so ``threads.map_tasks`` spreads them over the CPUs that
+BLAS leaves idle. Each chunk's result is reduced in chunk order, so the
+bytes do not depend on the pool's width.
 """
 
 from dataclasses import dataclass
@@ -23,6 +28,7 @@ import numpy as np
 from .integrators import INTEGRATOR_NAMES, STEPPERS, StepConfig
 from .linalg import DimensionError, Matrix, NumericError, as_matrix, read_only
 from .lowrank import LowRankState, _gram_svd
+from .threads import map_tasks
 
 __all__ = [
     "LayerSpec",
@@ -421,7 +427,7 @@ def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
 
 def evaluate(net: Network, dataset, chunk: int = 512) -> float:
     """Argmax accuracy over a dataset, ``chunk`` rows (>= 1) per pass; ties
-    resolve to the lowest class."""
+    resolve to the lowest class. The chunks run on ``threads.map_tasks``."""
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if hasattr(dataset, "images"):
@@ -434,16 +440,21 @@ def evaluate(net: Network, dataset, chunk: int = 512) -> float:
         raise DimensionError("labels must be one integer per image")
     if n == 0:
         raise ValueError("empty dataset")
-    hits = 0
-    for start, logits in _chunk_logits(net, images, chunk):
-        hits += int((np.argmax(logits, axis=1) == labels[start : start + chunk]).sum())
-    return hits / n
+
+    def hits(start, logits):
+        return int((np.argmax(logits, axis=1) == labels[start : start + chunk]).sum())
+
+    return sum(_map_chunks(net, images, chunk, hits)) / n
 
 
-def _chunk_logits(net: Network, images, chunk: int):
-    """(start, logits) for each ``chunk``-row slice of ``images``, by the
-    cache-free pass."""
+def _map_chunks(net: Network, images, chunk: int, reduce: Callable) -> list:
+    """``reduce(start, logits)`` for each ``chunk``-row slice of ``images``,
+    by the cache-free pass, in chunk order; the chunks run on
+    ``threads.map_tasks``."""
     pairs = [_pair(layer) for layer in net.layers]
-    for start in range(0, images.shape[0], chunk):
+
+    def run(start):
         x = _net_input(net, images[start : start + chunk])
-        yield start, _run_forward(net.layers, pairs, x)
+        return reduce(start, _run_forward(net.layers, pairs, x))
+
+    return map_tasks(run, range(0, images.shape[0], chunk))

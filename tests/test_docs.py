@@ -137,10 +137,11 @@ def test_svd_thin_called_only_by_the_gram_route():
 
 
 def test_one_process_pool():
-    # two parallel sites: compare's runs, on the one process pool that
-    # cmd_compare creates, and a step's states, on the one thread pool that
-    # the threads module creates. Only those two modules import a pool
-    # module, and threads.width sizes both pools
+    # two pools: compare's runs, on the one process pool that cmd_compare
+    # creates, and the one thread pool that the threads module creates,
+    # which runs abc-psi's states and evaluation's row chunks. Only those
+    # two modules import a pool module, threads.width sizes both pools, and
+    # each user of the thread pool is named here
     importers = set()
     for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -156,7 +157,10 @@ def test_one_process_pool():
     assert call_sites("Pool") == []
     assert call_sites("ProcessPoolExecutor") == ["cli.cmd_compare"]
     assert call_sites("ThreadPoolExecutor") == ["threads._executor"]
-    assert call_sites("width") == ["cli.cmd_compare", "threads.map_states"]
+    assert call_sites("width") == ["cli.cmd_compare", "threads.map_tasks"]
+    assert call_sites("map_tasks") == [
+        "integrators.abc_psi_flow", "integrators.abc_psi_step", "nn._map_chunks",
+    ]
 
 
 def test_no_import_inside_a_function():

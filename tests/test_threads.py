@@ -1,28 +1,33 @@
-"""The state thread pool: its width rule, its results at any width, and its
+"""The thread pool: its width rule, its one executor, its results at any
+width for an abc-psi step's states and an evaluation's row chunks, and its
 errors."""
 
 import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dlrt.integrators as integrators
+import dlrt.nn as nn
 import dlrt.threads as threads
+from dlrt.cli import _dataset_loss
+from dlrt.data import Dataset
 from dlrt.integrators import INTEGRATOR_NAMES, StepConfig, abc_psi_step, quadratic_oracle
 from dlrt.linalg import NumericError
 from dlrt.lowrank import LowRankState, TruncationPolicy
-from dlrt.nn import build_network, mlp_specs, train_step
+from dlrt.nn import build_network, evaluate, mlp_specs, train_step
 from helpers import init_lowrank
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def force_width(monkeypatch, width):
-    """Make ``map_states`` run on ``width`` threads through its own rule:
+    """Make ``map_tasks`` run on up to ``width`` threads through its own rule:
     one BLAS thread and a share of ``width`` CPUs."""
     monkeypatch.setattr(threads, "blas_threads", lambda: 1)
     monkeypatch.setattr(threads, "_share", width)
@@ -72,7 +77,7 @@ def test_pinned_blas_count_read():
     assert width == min(64, threads.cpu_count())
 
 
-def test_map_states_order_and_first_error(monkeypatch):
+def test_map_tasks_order_and_first_error(monkeypatch):
     # every call ends before the first failed call's exception is raised
     force_width(monkeypatch, 3)
     ran = []
@@ -83,11 +88,28 @@ def test_map_states_order_and_first_error(monkeypatch):
             raise ValueError(f"task {i}")
         return i * i
 
-    assert threads.map_states(task, range(7), [False] * 7) == [i * i for i in range(7)]
+    assert threads.map_tasks(task, range(7), [False] * 7) == [i * i for i in range(7)]
     ran.clear()
     with pytest.raises(ValueError, match="task 2"):
-        threads.map_states(task, range(7), [i in (2, 5) for i in range(7)])
+        threads.map_tasks(task, range(7), [i in (2, 5) for i in range(7)])
     assert sorted(ran) == list(range(7))
+
+
+def test_one_executor_for_any_task_count(monkeypatch):
+    # a step's tasks and an evaluation's chunks alternate in their counts;
+    # the pool is sized once, at share // BLAS threads, and kept
+    force_width(monkeypatch, 4)
+    threads._shutdown()
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(threads, "ThreadPoolExecutor", counted)
+    for tasks in [2, 4] * 10:
+        assert threads.map_tasks(lambda i: i + 1, range(tasks)) == list(range(1, tasks + 1))
+    assert built == [(4,)]
 
 
 def net_and_batches(integrator):
@@ -120,7 +142,7 @@ def run_steps(integrator):
 @pytest.fixture
 def augment_on_caller(monkeypatch):
     """Per ``ortho_augment`` call, whether it ran on the calling thread.
-    Only abc-psi calls it, once per state, inside a ``map_states`` task."""
+    Only abc-psi calls it, once per state, inside a ``map_tasks`` task."""
     caller = threading.get_ident()
     on_caller = []
     original = integrators.ortho_augment
@@ -182,3 +204,81 @@ def test_non_finite_state_same_error_at_width_2(monkeypatch, augment_on_caller):
     force_width(monkeypatch, 1)
     assert pooled == step_error(both, grads)
     assert pooled != step_error(scaled(states, 3, np.nan), grads)
+
+
+def eval_net_and_data(integrator, rows):
+    """The 20-12-10-6-4 net (or its dense twin) and ``rows`` samples."""
+    net, _ = net_and_batches(integrator)
+    rng = np.random.default_rng(6)
+    return net, rng.random((rows, 20)), rng.integers(0, 4, rows)
+
+
+@pytest.fixture
+def forward_on_caller(monkeypatch):
+    """Per cache-free forward pass, whether it ran on the calling thread."""
+    caller = threading.get_ident()
+    on_caller = []
+    original = nn._run_forward
+
+    def recorded(*args):
+        on_caller.append(threading.get_ident() == caller)
+        return original(*args)
+
+    monkeypatch.setattr(nn, "_run_forward", recorded)
+    return on_caller
+
+
+def evaluations(net, x, y):
+    # three 512-row chunks and six 7-row ones, the last of each shorter;
+    # two 1024-row chunks for the loss
+    values = [evaluate(net, (x, y)), evaluate(net, (x[:40], y[:40]), chunk=7),
+              _dataset_loss(net, Dataset(x.copy(), y.copy()))]
+    return values, np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("integrator", ["abc-psi", "full"])
+def test_evaluation_same_bytes_at_width_1_and_2(monkeypatch, forward_on_caller, integrator):
+    net, x, y = eval_net_and_data(integrator, 1200)
+    force_width(monkeypatch, 2)
+    pooled = evaluations(net, x, y)
+    assert len(forward_on_caller) == 3 + 6 + 2 and not any(forward_on_caller)
+    force_width(monkeypatch, 1)
+    assert evaluations(net, x, y) == pooled
+
+
+def test_single_chunk_evaluation_runs_inline(monkeypatch, forward_on_caller):
+    net, x, y = eval_net_and_data("abc-psi", 512)
+    force_width(monkeypatch, 2)
+    evaluate(net, (x, y))
+    _dataset_loss(net, Dataset(x, y))
+    assert forward_on_caller == [True, True]
+
+
+def evaluation_error(x, y):
+    net, _ = net_and_batches("abc-psi")
+    # as in step_error: the pool's threads must see this error state, or
+    # the overflow's RuntimeWarning would replace the NumericError
+    messages = []
+    for run in (lambda: evaluate(net, (x, y), chunk=7),
+                lambda: _dataset_loss(net, Dataset(x.copy(), y.copy()), chunk=7)):
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+            run()
+        messages.append(str(info.value))
+    return messages
+
+
+def test_non_finite_chunk_same_error_at_width_2(monkeypatch, forward_on_caller):
+    # chunk 2 overflows in the forward pass and chunk 4 holds a NaN pixel,
+    # each with its own message; chunk 2's is raised, as by the plain loop,
+    # though a pool thread ran it. This net shrinks its input, so a 1e300
+    # pixel stays finite: chunk 2's row is the largest float
+    _, x, y = eval_net_and_data("abc-psi", 40)
+    x[2 * 7] = np.finfo(float).max
+    x[4 * 7, 5] = np.nan
+    force_width(monkeypatch, 2)
+    pooled = evaluation_error(x, y)
+    assert forward_on_caller and not any(forward_on_caller)
+    force_width(monkeypatch, 1)
+    assert pooled == evaluation_error(x, y)
+    x[2 * 7] = 0.5
+    assert all(a != b for a, b in zip(pooled, evaluation_error(x, y)))
