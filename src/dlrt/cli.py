@@ -457,7 +457,7 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     worker, or where ``fork`` does not exist, the runs go in process.
     Either way the CSVs, stdout and the logged lines follow run order, so
     their bytes do not depend on the worker count. Each worker may fill
-    CPUs // workers CPUs with ``threads.map_states``, so on a host with no
+    CPUs // workers CPUs with ``threads.map_tasks``, so on a host with no
     more CPUs than workers every worker runs its states on one thread.
     Each run's JSON ``runtime_s`` is measured inside its worker, and the
     JSON's ``workers`` field records the count. A run that raises fails the

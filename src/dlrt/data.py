@@ -87,7 +87,8 @@ def load_idx_images(path) -> np.ndarray:
     body = raw[16:]
     if len(body) != total:
         raise DataError(f"expected {total} pixel bytes, found {len(body)}")
-    data = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
+    data = np.frombuffer(body, dtype=np.uint8).astype(np.float64)
+    data /= 255.0  # in place: one N x pixels float array, not two
     return data.reshape(count, pixels)
 
 

@@ -17,7 +17,9 @@ from the first pass.
 Evaluation runs the cache-free pass over fixed-size row chunks, which
 share no data, so ``threads.map_tasks`` spreads them over the CPUs that
 BLAS leaves idle. Each chunk's result is reduced in chunk order, so the
-bytes do not depend on the pool's width.
+bytes do not depend on the pool's width. ``build_network`` does the same
+with its low-rank layers' initial factorizations, after drawing every
+layer's weights in order on the calling thread.
 """
 
 from dataclasses import dataclass
@@ -197,20 +199,31 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
     that route's accuracy guard trips. On the paper net sigma_r / sigma_1 is
     at least 0.78 on every layer, and the factors match gesdd's to rounding
     level, up to a shared sign of each column pair of u and v.
+
+    Every layer's weights are drawn on the calling thread in layer order,
+    from the one seeded stream; then each low-rank draw's factorization is
+    one ``threads.map_tasks`` task, so the bytes do not depend on the pool's
+    width. Dense layers are built inline.
     """
     rng = np.random.default_rng(seed)
+    draws = [np.sqrt(2.0 / spec.in_dim) * rng.standard_normal((spec.out_dim, spec.in_dim))
+             for spec in specs]
+    lowrank = [(w, spec.initial_rank) for spec, w in zip(specs, draws) if spec.kind == "lowrank"]
+    states = iter(map_tasks(_leading_state, *zip(*lowrank)))
     layers = []
-    for spec in specs:
-        std = np.sqrt(2.0 / spec.in_dim)
-        w = std * rng.standard_normal((spec.out_dim, spec.in_dim))
+    for spec, w in zip(specs, draws):
         bias = np.zeros(spec.out_dim)
         if spec.kind == "dense":
             layers.append(DenseLayer(w, bias, spec.activation))
         else:
-            u, sigma, v = _gram_svd(w, lambda _: spec.initial_rank)
-            u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)
-            layers.append(LowRankLayer(LowRankState(u, np.diag(sigma), v), bias, spec.activation))
+            layers.append(LowRankLayer(next(states), bias, spec.activation))
     return Network(layers)
+
+
+def _leading_state(w: Matrix, rank: int) -> LowRankState:
+    # the rank-r part of one layer's draw, by the Gram route
+    u, sigma, v = _gram_svd(w, lambda _: rank)
+    return LowRankState(np.ascontiguousarray(u), np.diag(sigma), np.ascontiguousarray(v))
 
 
 # -- forward / backward tape ------------------------------------------------

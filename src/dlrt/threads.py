@@ -5,8 +5,8 @@ CPUs in the affinity mask (or what ``set_share`` set), and the BLAS
 thread count is read once per process from the loaded OpenBLAS. Where
 that count cannot be read, or leaves no CPU idle, the width is 1. It
 sizes ``compare``'s worker processes and says whether ``map_tasks`` runs
-its calls on the pool: an ``abc-psi`` step's layer tasks and an
-evaluation's row chunks.
+its calls on the pool: an ``abc-psi`` step's layer tasks, an
+evaluation's row chunks and a network build's layer factorizations.
 
 ``map_tasks(fn, *iterables)`` returns ``[fn(*args) for args in
 zip(*iterables)]``. At width 1 the calls run in a plain loop on the
@@ -15,12 +15,14 @@ whose one work queue hands the next call to whichever thread is idle,
 while the caller waits. numpy releases the GIL inside BLAS and LAPACK,
 and each call's arithmetic is the same on any thread, so results do not
 depend on the width. A call runs in the caller's context variables,
-numpy's error state among them.
+numpy's error state among them. A ``map_tasks`` call made from a task
+already on the pool runs its calls in the plain loop: waiting on the
+pool it occupies could wait for ever.
 
 The pool is created at the first call that needs it and sized once, so
-calls of different task counts (a step's layers, an evaluation's chunks)
-share it. It is shut down before the process forks, so no pool thread is
-alive in a forked child or at the fork.
+calls of different task counts (a step's layers, an evaluation's chunks,
+a build's factorizations) share it. It is shut down before the process
+forks, so no pool thread is alive in a forked child or at the fork.
 """
 
 import contextvars
@@ -43,6 +45,7 @@ _share: Optional[int] = None  # CPUs this process may fill; None: cpu_count()
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_threads = 0
 _pool_lock = threading.Lock()
+_on_pool = contextvars.ContextVar("dlrt_on_pool", default=False)  # set in the pool's tasks
 
 
 def cpu_count() -> int:
@@ -101,16 +104,23 @@ def width(tasks: int) -> int:
 def map_tasks(fn: Callable, *iterables) -> list:
     """``[fn(*args) for args in zip(*iterables)]``, the calls spread over
     ``width`` threads. Results come back in order. If calls raise, every
-    call still ends, then the first failed call's exception is raised."""
+    call still ends, then the first failed call's exception is raised.
+    Called from a pool task, the calls run in order on that task's thread."""
     jobs = list(zip(*iterables))
-    if width(len(jobs)) == 1:
+    if width(len(jobs)) == 1 or _on_pool.get():
         return [fn(*args) for args in jobs]
-    # each call runs in a copy of the caller's context, which holds numpy's
-    # error state (the CLI's np.errstate), as the caller does
     pool = _executor(_capacity())
-    futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in jobs]
+    futures = [pool.submit(_task_context().run, fn, *args) for args in jobs]
     wait(futures)
     return [future.result() for future in futures]
+
+
+def _task_context() -> contextvars.Context:
+    # a copy of the caller's context, which holds numpy's error state (the
+    # CLI's np.errstate), marked as a pool task's
+    context = contextvars.copy_context()
+    context.run(_on_pool.set, True)
+    return context
 
 
 def _executor(threads: int) -> ThreadPoolExecutor:

@@ -38,6 +38,15 @@ class TestLoadImages:
             out, [[0.0, 128 / 255.0, 1.0, 64 / 255.0]]
         )
 
+    def test_every_byte_value_bit_equal(self, tmp_path):
+        # the pixels are divided in place; each of the 256 values gives the
+        # same float as the out-of-place division
+        p = tmp_path / "img"
+        make_image_file(p, 16, 4, 4, range(256))
+        out = load_idx_images(p)
+        assert out.shape == (16, 16)
+        assert out.ravel().tobytes() == (np.arange(256) / 255.0).tobytes()
+
     def test_gzip_transparent(self, tmp_path):
         raw = struct.pack(">4I", 0x00000803, 1, 1, 2) + bytes([10, 20])
         p = tmp_path / "img.gz"

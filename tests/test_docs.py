@@ -1,9 +1,9 @@
 """The README's CLI reference checked against the code: the settings table,
-example commands and exit codes; the dlrt names the README cites; the one
-call site of each dense factorization in the source, the one caller of
-``svd_thin`` and the one process pool; module-level imports, frozen
-dataclasses, exported names and stepper signatures in the source; and the
-names the benchmark's tracer wraps."""
+example commands and exit codes; the dlrt names the README and the
+source's docstrings cite; the one call site of each dense factorization in
+the source, the one caller of ``svd_thin`` and the one process pool;
+module-level imports, frozen dataclasses, exported names and stepper
+signatures in the source; and the names the benchmark's tracer wraps."""
 
 import argparse
 import ast
@@ -139,9 +139,10 @@ def test_svd_thin_called_only_by_the_gram_route():
 def test_one_process_pool():
     # two pools: compare's runs, on the one process pool that cmd_compare
     # creates, and the one thread pool that the threads module creates,
-    # which runs abc-psi's states and evaluation's row chunks. Only those
-    # two modules import a pool module, threads.width sizes both pools, and
-    # each user of the thread pool is named here
+    # which runs abc-psi's states, evaluation's row chunks and a network
+    # build's layer factorizations. Only those two modules import a pool
+    # module, threads.width sizes both pools, and each user of the thread
+    # pool is named here
     importers = set()
     for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -159,7 +160,8 @@ def test_one_process_pool():
     assert call_sites("ThreadPoolExecutor") == ["threads._executor"]
     assert call_sites("width") == ["cli.cmd_compare", "threads.map_tasks"]
     assert call_sites("map_tasks") == [
-        "integrators.abc_psi_flow", "integrators.abc_psi_step", "nn._map_chunks",
+        "integrators.abc_psi_flow", "integrators.abc_psi_step", "nn.build_network",
+        "nn._map_chunks",
     ]
 
 
@@ -267,15 +269,43 @@ def test_traced_names_exist():
         assert not missing, f"{module_name} lacks {missing}"
 
 
+MODULES = "|".join(p.stem for p in (ROOT / "src" / "dlrt").glob("*.py") if p.stem != "__init__")
+
+
+def unresolved(names):
+    """The dotted names, each ``[dlrt.]<module>[.<name>...]``, that do not
+    resolve to a module and its attributes."""
+    missing = []
+    for name in sorted(names):
+        module, *attrs = name.removeprefix("dlrt.").split(".")
+        obj = importlib.import_module(f"dlrt.{module}")
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                missing.append(name)
+                break
+            obj = getattr(obj, attr)
+    return missing
+
+
 def test_readme_dotted_names_exist():
     # a backticked `dlrt.<module>.<name>` or `<module>.<name>` in the README
     # names code that exists, so a refactor cannot leave a stale reference
-    modules = "|".join(p.stem for p in (ROOT / "src" / "dlrt").glob("*.py") if p.stem != "__init__")
-    names = set(re.findall(rf"`(?:dlrt\.)?((?:{modules})(?:\.\w+)+)", README))
+    names = set(re.findall(rf"`((?:dlrt\.)?(?:{MODULES})(?:\.\w+)+)", README))
     assert names
-    for name in sorted(names):
-        module, *attrs = name.split(".")
-        obj = importlib.import_module(f"dlrt.{module}")
-        for attr in attrs:
-            assert hasattr(obj, attr), f"README names {name}, which does not exist"
-            obj = getattr(obj, attr)
+    assert unresolved(names) == []
+
+
+def test_docstring_dotted_names_exist():
+    # as in the README: a double-backticked ``dlrt.<module>`` or
+    # ``<module>.<name>`` in a module, class or function docstring of
+    # src/dlrt names code that exists
+    names = set()
+    for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                doc = ast.get_docstring(node) or ""
+                names |= set(re.findall(
+                    rf"``((?:dlrt\.(?:{MODULES})|(?:{MODULES})\.\w+)(?:\.\w+)*)``", doc))
+    assert "threads.map_tasks" in names and "dlrt.integrators" in names
+    assert unresolved(names) == []

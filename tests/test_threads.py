@@ -1,6 +1,6 @@
 """The thread pool: its width rule, its one executor, its results at any
-width for an abc-psi step's states and an evaluation's row chunks, and its
-errors."""
+width for an abc-psi step's states, an evaluation's row chunks and a
+network build's factorizations, its nested calls, and its errors."""
 
 import os
 import subprocess
@@ -20,7 +20,7 @@ from dlrt.data import Dataset
 from dlrt.integrators import INTEGRATOR_NAMES, StepConfig, abc_psi_step, quadratic_oracle
 from dlrt.linalg import NumericError
 from dlrt.lowrank import LowRankState, TruncationPolicy
-from dlrt.nn import build_network, evaluate, mlp_specs, train_step
+from dlrt.nn import LayerSpec, build_network, evaluate, mlp_specs, train_step
 from helpers import init_lowrank
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -213,19 +213,24 @@ def eval_net_and_data(integrator, rows):
     return net, rng.random((rows, 20)), rng.integers(0, 4, rows)
 
 
-@pytest.fixture
-def forward_on_caller(monkeypatch):
-    """Per cache-free forward pass, whether it ran on the calling thread."""
+def calls_on_caller(monkeypatch, name):
+    """Per call of ``nn.<name>``, whether it ran on the calling thread."""
     caller = threading.get_ident()
     on_caller = []
-    original = nn._run_forward
+    original = getattr(nn, name)
 
     def recorded(*args):
         on_caller.append(threading.get_ident() == caller)
         return original(*args)
 
-    monkeypatch.setattr(nn, "_run_forward", recorded)
+    monkeypatch.setattr(nn, name, recorded)
     return on_caller
+
+
+@pytest.fixture
+def forward_on_caller(monkeypatch):
+    """Per cache-free forward pass, whether it ran on the calling thread."""
+    return calls_on_caller(monkeypatch, "_run_forward")
 
 
 def evaluations(net, x, y):
@@ -282,3 +287,84 @@ def test_non_finite_chunk_same_error_at_width_2(monkeypatch, forward_on_caller):
     assert pooled == evaluation_error(x, y)
     x[2 * 7] = 0.5
     assert all(a != b for a, b in zip(pooled, evaluation_error(x, y)))
+
+
+BUILDS = {
+    "dense": mlp_specs((30, 20, 12, 4)),
+    "lowrank": mlp_specs((30, 20, 12, 4), 5),
+    # dense and low-rank layers alternate; the 12 x 6 layer's rank is its
+    # smaller side
+    "mixed": [LayerSpec("dense", 30, 20), LayerSpec("lowrank", 20, 12, initial_rank=3),
+              LayerSpec("dense", 12, 12), LayerSpec("lowrank", 12, 6, initial_rank=6),
+              LayerSpec("lowrank", 6, 4, "identity", initial_rank=2)],
+}
+
+
+def net_bytes(net):
+    arrays = []
+    for layer in net.layers:
+        weights = [layer.w] if layer.rank is None else [layer.state.u, layer.state.s,
+                                                        layer.state.v]
+        arrays += [a.tobytes() for a in weights] + [layer.bias.tobytes()]
+    return arrays
+
+
+@pytest.fixture
+def factored_on_caller(monkeypatch):
+    """Per ``_gram_svd`` call of ``build_network``, whether it ran on the
+    calling thread."""
+    return calls_on_caller(monkeypatch, "_gram_svd")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_build_same_bytes_at_width_1_and_2(monkeypatch, factored_on_caller, kind, seed):
+    force_width(monkeypatch, 2)
+    pooled = net_bytes(build_network(BUILDS[kind], seed))
+    force_width(monkeypatch, 1)
+    assert net_bytes(build_network(BUILDS[kind], seed)) == pooled
+    factored = sum(spec.kind == "lowrank" for spec in BUILDS[kind])
+    assert factored_on_caller == [False] * factored + [True] * factored
+
+
+def test_paper_net_factors_on_the_pool(monkeypatch, factored_on_caller):
+    force_width(monkeypatch, 2)
+    net = build_network(mlp_specs((784, 500, 500, 500, 500, 10), 50), seed=0)
+    assert net.ranks() == [50, 50, 50, 50, 10]
+    assert len(factored_on_caller) == 5 and not any(factored_on_caller)
+
+
+def test_single_lowrank_layer_builds_inline(monkeypatch, factored_on_caller):
+    force_width(monkeypatch, 2)
+    build_network([LayerSpec("dense", 20, 12), LayerSpec("lowrank", 12, 4, initial_rank=3)], 0)
+    assert factored_on_caller == [True]
+
+
+NESTED = """
+import numpy as np
+import dlrt.threads as threads
+from dlrt.nn import build_network, evaluate, mlp_specs
+threads.blas_threads = lambda: 1
+threads._share = 2
+net = build_network(mlp_specs((20, 12, 4), 4), 3)
+rng = np.random.default_rng(0)
+x, y = rng.random((40, 20)), rng.integers(0, 4, 40)
+inner = {"evaluate": lambda i: evaluate(net, (x, y), chunk=7),
+         "build_network": lambda i: build_network(mlp_specs((20, 12, 10, 4), 4), i).ranks()}
+print(threads.map_tasks(inner[%r], range(2)))
+"""
+
+
+@pytest.mark.parametrize("inner, expected", [
+    ("evaluate", "[0.15, 0.15]"),
+    ("build_network", "[[4, 4, 4], [4, 4, 4]]"),
+])
+def test_nested_map_tasks_runs_inline(inner, expected):
+    # two pool tasks that each call map_tasks would wait on the two threads
+    # they occupy; the inner calls run in the plain loop instead. A fresh
+    # process, so a hang ends at the timeout and takes no pool thread of
+    # this one with it
+    env = dict(os.environ, PYTHONPATH=str(Path(threads.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", NESTED % inner], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == expected
