@@ -9,6 +9,7 @@ decompressed transparently. Pixels are scaled to [0, 1] as float64.
 import gzip
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,19 +167,34 @@ def load_dataset(data_dir, split: str) -> Dataset:
     return Dataset(load_idx_images(paths[0]), load_idx_labels(paths[1]))
 
 
-def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int) -> list:
+def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int) -> Sequence:
     """Seeded shuffled mini-batches covering the dataset exactly once.
 
     The permutation is keyed by the pair (seed, epoch) so every epoch
     reshuffles deterministically and distinct pairs draw independent
-    orders. The last batch keeps the remainder.
+    orders. The last batch keeps the remainder. The batches come as a
+    sequence (length, indices, slices as lists, iteration) that copies each
+    (images, labels) pair out of the dataset when it is read, so an epoch
+    holds one batch at a time, not a copy of the dataset.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n = len(dataset)
-    order = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(n)
-    out = []
-    for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
-        out.append((dataset.images[idx], dataset.labels[idx]))
-    return out
+    order = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(len(dataset))
+    return _Batches(dataset, batch_size, order)
+
+
+class _Batches(Sequence):
+    """An epoch's mini-batches in ``order``, each formed when it is read."""
+
+    def __init__(self, dataset: Dataset, batch_size: int, order: np.ndarray):
+        self._dataset, self._size, self._order = dataset, batch_size, order
+
+    def __len__(self):
+        return -(-len(self._order) // self._size)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # negative indices count from the end; IndexError past it
+        idx = self._order[i * self._size : (i + 1) * self._size]
+        return self._dataset.images[idx], self._dataset.labels[idx]

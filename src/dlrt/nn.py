@@ -20,8 +20,19 @@ BLAS leaves idle. Each chunk's result is reduced in chunk order, so the
 bytes do not depend on the pool's width. ``build_network`` does the same
 with its low-rank layers' initial factorizations, after drawing every
 layer's weights in order on the calling thread.
+
+``build_network`` keeps its last ``_KEPT_NETWORKS`` networks that hold a
+low-rank layer, keyed by (specs, seed), for a caller that builds one
+network again, as a benchmark does that starts several integrators from
+it: factoring costs a Gram eigendecomposition per layer. A dense-only
+network costs only its draw and is built anew. Sharing a network is safe:
+networks, layers and states are frozen values over read-only arrays,
+which a step replaces and never writes. (``compare`` does not lean on
+this: it builds each seed's network once and hands it to its runs.)
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -204,7 +215,26 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
     from the one seeded stream; then each low-rank draw's factorization is
     one ``threads.map_tasks`` task, so the bytes do not depend on the pool's
     width. Dense layers are built inline.
+
+    When the specs hold a low-rank layer, the network is kept under
+    (tuple(specs), seed) among the last ``_KEPT_NETWORKS`` such builds, and
+    a repeated call returns that same network. A kept network is shared
+    safely: it, its layers and its states are frozen, their arrays are
+    read-only, and ``train_step`` returns a new network. It stays in memory
+    until newer builds evict it, whether or not a caller still holds it; a
+    paper net is about 2 MB, and the cost grows with the layers' sizes and
+    ranks. A dense-only network is drawn anew on every call: it costs no
+    factorization, and at paper size it is 9 MB to keep. ``seed`` must be
+    an integer (``operator.index``); anything else, a
+    ``np.random.Generator`` among them, raises ``TypeError``.
     """
+    specs, seed = tuple(specs), operator.index(seed)
+    if any(spec.kind == "lowrank" for spec in specs):
+        return _kept_network(specs, seed)
+    return _new_network(specs, seed)
+
+
+def _new_network(specs: tuple, seed: int) -> Network:
     rng = np.random.default_rng(seed)
     draws = [np.sqrt(2.0 / spec.in_dim) * rng.standard_normal((spec.out_dim, spec.in_dim))
              for spec in specs]
@@ -218,6 +248,13 @@ def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
         else:
             layers.append(LowRankLayer(next(states), bias, spec.activation))
     return Network(layers)
+
+
+# a benchmark's set-up builds one network per integrator, which needs one
+# entry; 8 also serves a script that loops over up to 8 seeds per
+# integrator. A failed build is not kept
+_KEPT_NETWORKS = 8
+_kept_network = functools.lru_cache(maxsize=_KEPT_NETWORKS)(_new_network)
 
 
 def _leading_state(w: Matrix, rank: int) -> LowRankState:

@@ -1,4 +1,5 @@
-"""Seeded test inputs shared by several test files."""
+"""Seeded test inputs, and readers of their results, shared by several test
+files."""
 
 import math
 
@@ -21,3 +22,13 @@ def init_lowrank(m: int, n: int, r: int, seed: int) -> LowRankState:
     v = householder_qr(rng.standard_normal((n, r))).q
     s = np.eye(r) / math.sqrt(r)
     return LowRankState(u, s, v)
+
+
+def net_bytes(net) -> list:
+    """The bytes of every array a network's layers hold, in layer order."""
+    arrays = []
+    for layer in net.layers:
+        weights = [layer.w] if layer.rank is None else [layer.state.u, layer.state.s,
+                                                        layer.state.v]
+        arrays += [a.tobytes() for a in weights] + [layer.bias.tobytes()]
+    return arrays

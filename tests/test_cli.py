@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dlrt.cli
+import dlrt.nn
 import dlrt.threads
 from dlrt.checkpoint import load_network
 from dlrt.cli import (
@@ -579,10 +580,10 @@ class TestCompareWorkers:
         pin_cpus(monkeypatch, cpus)
         run_training = dlrt.cli._run_training
 
-        def fail_one(config, integrator, seed, train, test):
+        def fail_one(config, integrator, seed, *rest):
             if (integrator, seed) == ("bug", 2):
                 raise RuntimeError("run bug s2 failed")
-            return run_training(config, integrator, seed, train, test)
+            return run_training(config, integrator, seed, *rest)
 
         monkeypatch.setattr(dlrt.cli, "_run_training", fail_one)
         with pytest.raises(RuntimeError, match="run bug s2 failed"):
@@ -599,10 +600,10 @@ class TestCompareWorkers:
         pin_cpus(monkeypatch, 2)
         run_training = dlrt.cli._run_training
 
-        def killed_once(config, integrator, seed, train, test):
+        def killed_once(config, integrator, seed, *rest):
             if (integrator, seed) == ("bug", 2):
                 os.kill(os.getpid(), signal.SIGKILL)
-            return run_training(config, integrator, seed, train, test)
+            return run_training(config, integrator, seed, *rest)
 
         monkeypatch.setattr(dlrt.cli, "_run_training", killed_once)
         assert self.compare(data_dir, tmp_path) == EXIT_WORKER_LOST
@@ -680,6 +681,62 @@ class TestCompareWorkers:
         summary = json.loads(summary.read_text())
         assert summary["workers"] == 2
         assert [r["status"] for r in summary["runs"]] == ["diverged", "diverged"]
+
+    def test_each_seed_factors_once(self, data_dir, tmp_path, monkeypatch, capsys):
+        # the four factored integrators of a seed start from one network, so
+        # its two low-rank layers are factored once per seed; the bytes are
+        # those of runs that each build their own network
+        pin_cpus(monkeypatch, 1)
+        factored = []
+        gram_svd = dlrt.nn._gram_svd
+
+        def counted(*args):
+            factored.append(args[0].shape)
+            return gram_svd(*args)
+
+        def outputs(run):
+            del factored[:]
+            args = ("--integrators", "psi,bc-psi,bug,abc-psi", "--seeds", "0,1")
+            assert self.compare(data_dir, tmp_path / run, *args) == EXIT_OK
+            csvs = {path.name: path.read_bytes() for path in (tmp_path / run).glob("*.csv")}
+            return csvs, capsys.readouterr().out, list(factored)
+
+        monkeypatch.setattr(dlrt.nn, "_gram_svd", counted)
+        kept = outputs("kept")
+        run_training = dlrt.cli._run_training
+
+        def built_anew(config, integrator, seed, train, test, net):
+            dlrt.nn._kept_network.cache_clear()
+            return run_training(config, integrator, seed, train, test)
+
+        monkeypatch.setattr(dlrt.cli, "_run_training", built_anew)
+        anew = outputs("anew")
+        assert kept[2] == [(12, 16), (4, 12)] * 2
+        assert anew[2] == [(12, 16), (4, 12)] * 8
+        assert len(kept[0]) == 9
+        assert kept[:2] == anew[:2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("seeds", [2, 9])
+    def test_factored_once_in_the_parent(self, data_dir, tmp_path, monkeypatch, cpus, seeds):
+        # compare factors each seed's network before its workers fork, so
+        # neither more seeds than build_network keeps nor forked workers
+        # factor a network again: every factorization is the parent's
+        pin_cpus(monkeypatch, cpus)
+        calls = tmp_path / "calls"
+        gram_svd = dlrt.nn._gram_svd
+
+        def counted(*args):
+            with open(calls, "a") as fh:  # one line per factorization, from any process
+                fh.write(f"{os.getpid()}\n")
+            return gram_svd(*args)
+
+        monkeypatch.setattr(dlrt.nn, "_gram_svd", counted)
+        args = ("--integrators", "psi,bug", "--seeds", ",".join(map(str, range(seeds))))
+        assert self.compare(data_dir, tmp_path / "out", *args) == EXIT_OK
+        (summary,) = (tmp_path / "out").glob("compare-*.json")
+        assert json.loads(summary.read_text())["workers"] == cpus
+        assert calls.read_text().split() == [str(os.getpid())] * (2 * seeds)
 
 
 class TestOdeBench:

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,49 @@ class TestBatches:
     def test_rejects_bad_batch_size(self):
         with pytest.raises(ValueError):
             batches(self.dataset(3), 0, seed=0, epoch=0)
+
+    @staticmethod
+    def listed(ds, batch_size, seed, epoch):
+        """The batches formed up front, as one list: the reference."""
+        order = np.random.default_rng(np.random.SeedSequence([seed, epoch])).permutation(len(ds))
+        return [(ds.images[order[start : start + batch_size]],
+                 ds.labels[order[start : start + batch_size]])
+                for start in range(0, len(ds), batch_size)]
+
+    @pytest.mark.parametrize("n, batch_size", [
+        (5, 2),  # a partial last batch
+        (3, 10),  # one oversized batch
+        (64, 16),
+        (0, 4),
+    ])
+    def test_bit_equal_to_the_listed_batches(self, n, batch_size):
+        def as_bytes(pairs):
+            return [tuple((a.dtype, a.shape, a.tobytes()) for a in pair) for pair in pairs]
+
+        ds = Dataset(np.random.default_rng(n).random((n, 3)), np.arange(n, dtype=np.int64))
+        got = batches(ds, batch_size, seed=4, epoch=1)
+        ref = as_bytes(self.listed(ds, batch_size, seed=4, epoch=1))
+        assert len(got) == len(ref)
+        assert as_bytes(list(got)) == ref
+        assert as_bytes(got[i] for i in range(len(ref))) == ref
+        assert as_bytes(got[i] for i in range(-len(ref), 0)) == ref
+        for part in (slice(None), slice(1, None), slice(None, 1), slice(None, None, -2)):
+            assert isinstance(got[part], list) and as_bytes(got[part]) == ref[part]
+        for beyond in (len(ref), -len(ref) - 1):
+            with pytest.raises(IndexError):
+                got[beyond]
+
+    def test_building_allocates_less_than_two_batches(self):
+        ds = Dataset(np.zeros((4000, 400)), np.zeros(4000, dtype=np.int64))  # 12.8 MB
+        one_batch = 64 * (400 + 1) * 8
+        tracemalloc.start()
+        try:
+            got = batches(ds, 64, seed=0, epoch=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 63
+        assert peak < 2 * one_batch
 
     def test_epoch_coverage_property(self):
         ds = self.dataset(23)

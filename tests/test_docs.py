@@ -160,7 +160,7 @@ def test_one_process_pool():
     assert call_sites("ThreadPoolExecutor") == ["threads._executor"]
     assert call_sites("width") == ["cli.cmd_compare", "threads.map_tasks"]
     assert call_sites("map_tasks") == [
-        "integrators.abc_psi_flow", "integrators.abc_psi_step", "nn.build_network",
+        "integrators.abc_psi_flow", "integrators.abc_psi_step", "nn._new_network",
         "nn._map_chunks",
     ]
 

@@ -23,6 +23,7 @@ from dlrt.nn import (
     softmax_cross_entropy,
     train_step,
 )
+from helpers import net_bytes
 
 
 def loss_of(net, x, labels):
@@ -197,6 +198,7 @@ class TestImmutableValues:
 class TestBuildNetwork:
     def test_deterministic(self):
         a = build_network(mlp_specs([6, 5, 3], initial_rank=2), seed=1)
+        nn_module._kept_network.cache_clear()
         b = build_network(mlp_specs([6, 5, 3], initial_rank=2), seed=1)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.densify(), lb.densify())
@@ -281,6 +283,86 @@ class TestBuildNetwork:
         good = build_network(mlp_specs([4, 3, 2]), seed=0)
         with pytest.raises(DimensionError):
             Network([good.layers[1], good.layers[0]])
+
+
+class TestKeptNetworks:
+    """build_network keeps its last low-rank networks by (specs, seed)."""
+
+    SPECS = mlp_specs([8, 6, 4], initial_rank=3)
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """Shapes of the draws build_network factors, in call order."""
+        shapes = []
+        gram_svd = nn_module._gram_svd
+
+        def counted(*args):
+            shapes.append(args[0].shape)
+            return gram_svd(*args)
+
+        monkeypatch.setattr(nn_module, "_gram_svd", counted)
+        return shapes
+
+    def test_repeat_returns_the_same_network(self, factored):
+        net = build_network(self.SPECS, seed=1)
+        assert build_network(self.SPECS, seed=1) is net
+        assert len(factored) == 2
+        nn_module._kept_network.cache_clear()
+        fresh = build_network(self.SPECS, seed=1)
+        assert fresh is not net and len(factored) == 4
+        assert net_bytes(fresh) == net_bytes(net)
+        assert_arrays_read_only(net)
+
+    def test_list_and_tuple_and_integer_types_share_an_entry(self, factored):
+        net = build_network(list(self.SPECS), seed=3)
+        assert build_network(tuple(self.SPECS), seed=np.int64(3)) is net
+        assert len(factored) == 2
+
+    @pytest.mark.parametrize("specs, seed", [
+        (mlp_specs([8, 6, 4], initial_rank=3), 2),  # another seed
+        (mlp_specs([8, 6, 4], initial_rank=2), 1),  # another rank
+        (mlp_specs([8, 5, 4], initial_rank=3), 1),  # another width
+        ([LayerSpec("lowrank", 8, 6, "identity", initial_rank=3),
+          LayerSpec("lowrank", 6, 4, "identity", initial_rank=3)], 1),  # another activation
+    ])
+    def test_another_key_misses(self, specs, seed, factored):
+        net = build_network(self.SPECS, seed=1)
+        other = build_network(specs, seed=seed)
+        assert other is not net and len(factored) == 4
+
+    def test_dense_only_built_anew(self):
+        specs = mlp_specs([8, 6, 4])
+        assert build_network(specs, seed=1) is not build_network(specs, seed=1)
+        assert nn_module._kept_network.cache_info().currsize == 0
+
+    def test_generator_seed_raises_type_error(self):
+        for specs in (self.SPECS, mlp_specs([8, 6, 4])):
+            with pytest.raises(TypeError):
+                build_network(specs, seed=np.random.default_rng(1))
+
+    def test_failed_build_not_kept(self, monkeypatch):
+        attempts = []
+
+        def failing(a):
+            attempts.append(a.shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        for tries in (1, 2):
+            with pytest.raises(NumericError):
+                build_network(self.SPECS, seed=2)
+            assert len(attempts) == tries
+        assert nn_module._kept_network.cache_info().currsize == 0
+
+    def test_oldest_is_factored_again_past_the_bound(self, factored):
+        bound = nn_module._KEPT_NETWORKS
+        for seed in range(bound + 1):
+            build_network(self.SPECS, seed=seed)
+        assert len(factored) == 2 * (bound + 1)
+        build_network(self.SPECS, seed=bound)  # the newest is kept
+        assert len(factored) == 2 * (bound + 1)
+        build_network(self.SPECS, seed=0)  # the oldest was dropped
+        assert len(factored) == 2 * (bound + 2)
 
 
 class TestForward:

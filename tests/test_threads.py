@@ -21,7 +21,7 @@ from dlrt.integrators import INTEGRATOR_NAMES, StepConfig, abc_psi_step, quadrat
 from dlrt.linalg import NumericError
 from dlrt.lowrank import LowRankState, TruncationPolicy
 from dlrt.nn import LayerSpec, build_network, evaluate, mlp_specs, train_step
-from helpers import init_lowrank
+from helpers import init_lowrank, net_bytes
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -300,15 +300,6 @@ BUILDS = {
 }
 
 
-def net_bytes(net):
-    arrays = []
-    for layer in net.layers:
-        weights = [layer.w] if layer.rank is None else [layer.state.u, layer.state.s,
-                                                        layer.state.v]
-        arrays += [a.tobytes() for a in weights] + [layer.bias.tobytes()]
-    return arrays
-
-
 @pytest.fixture
 def factored_on_caller(monkeypatch):
     """Per ``_gram_svd`` call of ``build_network``, whether it ran on the
@@ -322,6 +313,7 @@ def test_build_same_bytes_at_width_1_and_2(monkeypatch, factored_on_caller, kind
     force_width(monkeypatch, 2)
     pooled = net_bytes(build_network(BUILDS[kind], seed))
     force_width(monkeypatch, 1)
+    nn._kept_network.cache_clear()
     assert net_bytes(build_network(BUILDS[kind], seed)) == pooled
     factored = sum(spec.kind == "lowrank" for spec in BUILDS[kind])
     assert factored_on_caller == [False] * factored + [True] * factored
