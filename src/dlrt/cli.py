@@ -40,7 +40,7 @@ from .integrators import (
 )
 from .linalg import NumericError
 from .lowrank import TruncationPolicy, compression_rate, param_count
-from .nn import Network, build_network, mlp_specs, softmax_cross_entropy, train_step
+from .nn import build_network, mlp_specs, softmax_cross_entropy, train_step
 from .nn import _map_chunks, evaluate as net_accuracy
 from .threads import cpu_count, set_share, width
 
@@ -351,17 +351,13 @@ def _load_splits(config: RunConfig) -> tuple:
     return train, test
 
 
-def _run_training(config: RunConfig, integrator: str, seed: int, train, test,
-                  net: Optional[Network] = None) -> dict:
+def _run_training(config: RunConfig, integrator: str, seed: int, train, test) -> dict:
     """One training run; returns rows, final net, status and divergence.
 
-    It starts from ``net``, or where that is None from the network that
-    the config and seed give. It logs nothing: ``_log_run`` logs its epochs
-    and divergence from what it returns, so a caller logs runs in its own
-    order."""
-    if net is None:
-        rank = None if integrator == "full" else config.rank
-        net = build_network(mlp_specs(config.arch, rank), seed=seed)
+    It logs nothing: ``_log_run`` logs its epochs and divergence from what
+    it returns, so a caller logs runs in its own order."""
+    rank = None if integrator == "full" else config.rank
+    net = build_network(mlp_specs(config.arch, rank), seed=seed)
     # only abc-psi reads the policy
     cfg = StepConfig(h=config.lr, policy=config.policy(config.rank))
 
@@ -437,19 +433,18 @@ def cmd_train(config: RunConfig, out: _Outputs) -> int:
     return EXIT_OK if result["status"] == "ok" else EXIT_DIVERGED
 
 
-# the settings, splits and initial factored networks (by seed) of the
-# compare in progress: its forked workers inherit them, so a run's job
-# pickles only its integrator and seed
+# the settings and splits of the compare in progress, and the initial
+# factored networks it holds so that its runs' builds return them: its
+# forked workers inherit them, so a run's job pickles only its integrator
+# and seed
 _compare_inputs: tuple = ()
 
 
 def _compare_run(job: tuple) -> dict:
     """One compare run, ``job`` = (integrator, seed), on ``_compare_inputs``:
     its result without the final net, which compare does not read."""
-    config, train, test, nets = _compare_inputs
-    integrator, seed = job
-    net = None if integrator == "full" else nets[seed]
-    result = _run_training(config, integrator, seed, train, test, net)
+    config, train, test, _ = _compare_inputs
+    result = _run_training(config, *job, train, test)
     del result["net"]
     return result
 
@@ -460,10 +455,12 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     The runs are independent, so they are spread over ``threads.width``
     worker processes, min(runs, CPUs // BLAS threads), forked after the
     splits are loaded and each seed's factored network is built, so that
-    they inherit them: every factored run of a seed starts from that one
-    network, at any seed or worker count. With BLAS unpinned (a
-    thread per CPU) or its thread count unreadable, that is one. With one
-    worker, or where ``fork`` does not exist, the runs go in process.
+    they inherit them. With BLAS unpinned (a thread per CPU) or its thread
+    count unreadable, that is one. With one worker, or where ``fork`` does
+    not exist, the runs go in process. The command holds each seed's
+    network until it returns, so every factored run's ``build_network``
+    returns it: a compare factors one network per seed, at any seed or
+    worker count, and keeps none after it returns.
     Either way the CSVs, stdout and the logged lines follow run order, so
     their bytes do not depend on the worker count. Each worker may fill
     CPUs // workers CPUs with ``threads.map_tasks``, so on a host with no
@@ -482,10 +479,10 @@ def cmd_compare(config: RunConfig, out: _Outputs) -> int:
     workers = width(len(jobs))
     if "fork" not in multiprocessing.get_all_start_methods():
         workers = 1
-    nets = {}
+    nets = []
     if any(integrator != "full" for integrator in integrators):
         specs = mlp_specs(config.arch, config.rank)
-        nets = {seed: build_network(specs, seed) for seed in seeds}
+        nets = [build_network(specs, seed) for seed in seeds]
     _compare_inputs = (config, train, test, nets)
     pool = None
     runs = []

@@ -19,10 +19,12 @@ numpy's error state among them. A ``map_tasks`` call made from a task
 already on the pool runs its calls in the plain loop: waiting on the
 pool it occupies could wait for ever.
 
-The pool is created at the first call that needs it and sized once, so
-calls of different task counts (a step's layers, an evaluation's chunks,
-a build's factorizations) share it. It is shut down before the process
-forks, so no pool thread is alive in a forked child or at the fork.
+The pool is created at the first call that needs it, sized share // BLAS
+threads, and rebuilt only when that size changes, as when the affinity
+mask narrows at run time. Calls of different task counts (a
+step's layers, an evaluation's chunks, a build's factorizations) share
+it. It is shut down before the process forks, so no pool thread is alive
+in a forked child or at the fork.
 """
 
 import contextvars

@@ -5,9 +5,9 @@ from dlrt import checkpoint, cli, data, integrators, linalg, lowrank, nn
 
 @pytest.fixture(autouse=True)
 def fresh_builds():
-    """Every test builds its networks itself: none passes on a network
-    that ``nn.build_network`` kept for another test."""
-    nn._kept_network.cache_clear()
+    """Every test builds its networks itself: none is handed a network
+    that ``nn.build_network`` built for another test that still holds it."""
+    nn._built.clear()
 
 
 @pytest.fixture

@@ -24,6 +24,12 @@ def init_lowrank(m: int, n: int, r: int, seed: int) -> LowRankState:
     return LowRankState(u, s, v)
 
 
+def dense_weight(layer):
+    """A layer's weight as one matrix: a dense layer's ``w``, or the
+    product of a low-rank layer's factors."""
+    return layer.w if layer.rank is None else layer.state.densify()
+
+
 def net_bytes(net) -> list:
     """The bytes of every array a network's layers hold, in layer order."""
     arrays = []

@@ -45,7 +45,7 @@ from dlrt.nn import (
     train_step,
 )
 
-from helpers import init_lowrank
+from helpers import dense_weight, init_lowrank
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -222,7 +222,7 @@ def test_criterion_07_gradient_finite_differences():
         _, dlogits = softmax_cross_entropy(logits, labels)
         tapes = backward(net, cache, dlogits)
         for li, layer in enumerate(net.layers):
-            w0 = layer.densify()
+            w0 = dense_weight(layer)
             fd = np.zeros_like(w0)
             for idx in np.ndindex(w0.shape):
                 vals = []

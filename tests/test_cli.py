@@ -685,7 +685,8 @@ class TestCompareWorkers:
     def test_each_seed_factors_once(self, data_dir, tmp_path, monkeypatch, capsys):
         # the four factored integrators of a seed start from one network, so
         # its two low-rank layers are factored once per seed; the bytes are
-        # those of runs that each build their own network
+        # those of runs that each build their own network, after compare's
+        # own build of each seed's network
         pin_cpus(monkeypatch, 1)
         factored = []
         gram_svd = dlrt.nn._gram_svd
@@ -705,14 +706,14 @@ class TestCompareWorkers:
         kept = outputs("kept")
         run_training = dlrt.cli._run_training
 
-        def built_anew(config, integrator, seed, train, test, net):
-            dlrt.nn._kept_network.cache_clear()
+        def built_anew(config, integrator, seed, train, test):
+            dlrt.nn._built.clear()
             return run_training(config, integrator, seed, train, test)
 
         monkeypatch.setattr(dlrt.cli, "_run_training", built_anew)
         anew = outputs("anew")
         assert kept[2] == [(12, 16), (4, 12)] * 2
-        assert anew[2] == [(12, 16), (4, 12)] * 8
+        assert anew[2] == [(12, 16), (4, 12)] * (2 + 8)  # 2 seeds' builds, then 8 runs' own
         assert len(kept[0]) == 9
         assert kept[:2] == anew[:2]
 
@@ -737,6 +738,12 @@ class TestCompareWorkers:
         (summary,) = (tmp_path / "out").glob("compare-*.json")
         assert json.loads(summary.read_text())["workers"] == cpus
         assert calls.read_text().split() == [str(os.getpid())] * (2 * seeds)
+
+    def test_in_process_compare_keeps_no_network(self, data_dir, tmp_path, monkeypatch):
+        # compare holds each seed's network only while it runs
+        pin_cpus(monkeypatch, 1)
+        assert self.compare(data_dir, tmp_path) == EXIT_OK
+        assert len(dlrt.nn._built) == 0
 
 
 class TestOdeBench:

@@ -110,9 +110,9 @@ def test_one_svd_and_one_eigh_call_site():
     assert {where for where, name in uses if name == "eigh"} == {"lowrank._gram_svd"}
 
 
-def call_sites(name):
-    """Enclosing qualified name of every call of ``name`` in src/dlrt, as a
-    bare name or as an attribute."""
+def enclosing(match):
+    """Enclosing qualified name of every node in src/dlrt that ``match``
+    accepts."""
     found = []
 
     def visit(node, where):
@@ -120,15 +120,21 @@ def call_sites(name):
             inner = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{where}.{child.name}"
-            elif isinstance(child, ast.Call) and name in (
-                getattr(child.func, "id", None), getattr(child.func, "attr", None)
-            ):
+            elif match(child):
                 found.append(where)
             visit(child, inner)
 
     for path in sorted((ROOT / "src" / "dlrt").glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     return found
+
+
+def call_sites(name):
+    """Enclosing qualified name of every call of ``name`` in src/dlrt, as a
+    bare name or as an attribute."""
+    return enclosing(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    ))
 
 
 def test_svd_thin_called_only_by_the_gram_route():
@@ -162,6 +168,18 @@ def test_one_process_pool():
     assert call_sites("map_tasks") == [
         "integrators.abc_psi_flow", "integrators.abc_psi_step", "nn._new_network",
         "nn._map_chunks",
+    ]
+
+
+def test_one_way_to_share_an_initial_network():
+    # build_network alone reads what it built, so a run that wants a
+    # network another run uses calls it; no run is handed a network
+    reads = enclosing(lambda node: getattr(node, "attr", None) == "_built" or (
+        isinstance(node, ast.Name) and node.id == "_built" and isinstance(node.ctx, ast.Load)
+    ))
+    assert set(reads) == {"nn.build_network"}
+    assert list(inspect.signature(cli._run_training).parameters) == [
+        "config", "integrator", "seed", "train", "test",
     ]
 
 

@@ -23,7 +23,7 @@ from dlrt.nn import (
     softmax_cross_entropy,
     train_step,
 )
-from helpers import net_bytes
+from helpers import dense_weight, net_bytes
 
 
 def loss_of(net, x, labels):
@@ -198,10 +198,10 @@ class TestImmutableValues:
 class TestBuildNetwork:
     def test_deterministic(self):
         a = build_network(mlp_specs([6, 5, 3], initial_rank=2), seed=1)
-        nn_module._kept_network.cache_clear()
+        nn_module._built.clear()
         b = build_network(mlp_specs([6, 5, 3], initial_rank=2), seed=1)
         for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.densify(), lb.densify())
+            assert np.array_equal(dense_weight(la), dense_weight(lb))
 
     def test_lowrank_factors_orthonormal(self):
         net = build_network(mlp_specs([8, 6, 4], initial_rank=3), seed=2)
@@ -217,7 +217,7 @@ class TestBuildNetwork:
         lowrank = build_network(
             [LayerSpec("lowrank", 5, 4, "identity", initial_rank=4)], seed=3
         )
-        diff = np.linalg.norm(dense.layers[0].w - lowrank.layers[0].densify())
+        diff = np.linalg.norm(dense.layers[0].w - dense_weight(lowrank.layers[0]))
         assert diff <= 1e-12
 
     @staticmethod
@@ -286,7 +286,8 @@ class TestBuildNetwork:
 
 
 class TestKeptNetworks:
-    """build_network keeps its last low-rank networks by (specs, seed)."""
+    """build_network returns the network it built for (specs, seed) while
+    anyone holds it, and keeps nothing after that."""
 
     SPECS = mlp_specs([8, 6, 4], initial_rank=3)
 
@@ -307,7 +308,7 @@ class TestKeptNetworks:
         net = build_network(self.SPECS, seed=1)
         assert build_network(self.SPECS, seed=1) is net
         assert len(factored) == 2
-        nn_module._kept_network.cache_clear()
+        nn_module._built.clear()
         fresh = build_network(self.SPECS, seed=1)
         assert fresh is not net and len(factored) == 4
         assert net_bytes(fresh) == net_bytes(net)
@@ -330,10 +331,18 @@ class TestKeptNetworks:
         other = build_network(specs, seed=seed)
         assert other is not net and len(factored) == 4
 
-    def test_dense_only_built_anew(self):
+    def test_held_dense_network_returned_again(self):
         specs = mlp_specs([8, 6, 4])
-        assert build_network(specs, seed=1) is not build_network(specs, seed=1)
-        assert nn_module._kept_network.cache_info().currsize == 0
+        net = build_network(specs, seed=1)
+        assert build_network(specs, seed=1) is net
+
+    def test_dropped_network_is_factored_again(self, factored):
+        net = build_network(self.SPECS, seed=1)
+        held = net_bytes(net)
+        del net
+        assert len(nn_module._built) == 0
+        assert net_bytes(build_network(self.SPECS, seed=1)) == held
+        assert len(factored) == 4
 
     def test_generator_seed_raises_type_error(self):
         for specs in (self.SPECS, mlp_specs([8, 6, 4])):
@@ -352,17 +361,7 @@ class TestKeptNetworks:
             with pytest.raises(NumericError):
                 build_network(self.SPECS, seed=2)
             assert len(attempts) == tries
-        assert nn_module._kept_network.cache_info().currsize == 0
-
-    def test_oldest_is_factored_again_past_the_bound(self, factored):
-        bound = nn_module._KEPT_NETWORKS
-        for seed in range(bound + 1):
-            build_network(self.SPECS, seed=seed)
-        assert len(factored) == 2 * (bound + 1)
-        build_network(self.SPECS, seed=bound)  # the newest is kept
-        assert len(factored) == 2 * (bound + 1)
-        build_network(self.SPECS, seed=0)  # the oldest was dropped
-        assert len(factored) == 2 * (bound + 2)
+            assert len(nn_module._built) == 0
 
 
 class TestForward:
@@ -387,7 +386,7 @@ class TestForward:
         x = np.random.default_rng(5).standard_normal((3, 4))
         logits, _ = forward(net, x)
         # naive dense replay
-        h1 = x @ net.layers[0].densify().T + net.layers[0].bias
+        h1 = x @ dense_weight(net.layers[0]).T + net.layers[0].bias
         h1 = np.maximum(h1, 0.0)
         expected = h1 @ net.layers[1].w.T + net.layers[1].bias
         assert np.linalg.norm(logits - expected) <= 1e-10
@@ -448,7 +447,7 @@ class TestSoftmaxCrossEntropy:
 def fd_dense_gradient(net, layer_idx, x, labels, eps=1e-6):
     """Central differences on the densified weight of one layer."""
     layer = net.layers[layer_idx]
-    w0 = layer.densify()
+    w0 = dense_weight(layer)
     grad = np.zeros_like(w0)
     for idx in np.ndindex(w0.shape):
         vals = []
@@ -519,7 +518,7 @@ class TestBackward:
         # dense replica of the lowrank layer gives the full gradient
         layers = list(net.layers)
         layers[0] = DenseLayer(
-            net.layers[0].densify(), net.layers[0].bias, net.layers[0].activation
+            dense_weight(net.layers[0]), net.layers[0].bias, net.layers[0].activation
         )
         replica = Network(layers)
         logits_r, cache_r = forward(replica, x)
@@ -613,7 +612,7 @@ class TestTrainStep:
             cfg = StepConfig(h=0.1, policy=policy)
             new_net, loss = train_step(net, (x, labels), integrator, cfg)
             assert loss <= 1e-20
-            diff = np.linalg.norm(new_net.layers[0].densify() - net.layers[0].densify())
+            diff = np.linalg.norm(dense_weight(new_net.layers[0]) - dense_weight(net.layers[0]))
             assert diff <= 1e-10, integrator
 
     def test_one_step_reduces_loss(self):
@@ -772,7 +771,7 @@ class TestTrainStep:
         losses_b, net_b = run()
         assert losses_a == losses_b
         for la, lb in zip(net_a.layers, net_b.layers):
-            assert np.array_equal(la.densify(), lb.densify())
+            assert np.array_equal(dense_weight(la), dense_weight(lb))
 
     def test_frozen_batch_descent(self):
         net = build_network(mlp_specs([8, 6, 4], initial_rank=3), seed=18)
@@ -888,7 +887,7 @@ class TestNetworkCheckpoint:
         save_network(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
         for la, lb in zip(net.layers, loaded.layers):
-            assert np.array_equal(la.densify(), lb.densify())
+            assert np.array_equal(dense_weight(la), dense_weight(lb))
             assert np.array_equal(la.bias, lb.bias)
             assert la.activation == lb.activation
 

@@ -313,7 +313,7 @@ def test_build_same_bytes_at_width_1_and_2(monkeypatch, factored_on_caller, kind
     force_width(monkeypatch, 2)
     pooled = net_bytes(build_network(BUILDS[kind], seed))
     force_width(monkeypatch, 1)
-    nn._kept_network.cache_clear()
+    nn._built.clear()
     assert net_bytes(build_network(BUILDS[kind], seed)) == pooled
     factored = sum(spec.kind == "lowrank" for spec in BUILDS[kind])
     assert factored_on_caller == [False] * factored + [True] * factored
