@@ -100,9 +100,9 @@ def _set(default, commands: str, help=None, integrators=None):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The settings of one command's run. A field names the commands that
-    read it; every other command takes it at its default, and so does a
-    command none of whose integrators reads it."""
+    """The settings of one command's run, checked when built. A field names
+    the commands that read it; every other command takes it at its default,
+    and so does a command none of whose integrators reads it."""
 
     command: str = "train"
     integrator: str = _set("abc-psi", "train ode-bench", f"one of {', '.join(INTEGRATOR_NAMES)}")
@@ -150,10 +150,8 @@ class RunConfig:
                     raise ConfigError(f"{self.command} does not read {f.name}")
             elif f.metadata["integrators"] and not set(ran) & set(f.metadata["integrators"]):
                 object.__setattr__(self, f.name, f.default)
-
-    def validate(self) -> "RunConfig":
-        """Check ranges and relations; the types were checked at construction.
-        Every step count the settings imply is checked against MAX_STEPS."""
+        # ranges and relations, with every step count the settings imply
+        # checked against MAX_STEPS
         for name in (self.integrator, *self.integrators):
             if name not in INTEGRATOR_NAMES:
                 raise ConfigError(f"unknown integrator {name!r}")
@@ -199,7 +197,6 @@ class RunConfig:
         for what, count in counts:
             if count > MAX_STEPS:
                 raise ConfigError(f"{what} asks for {count} steps, above MAX_STEPS {MAX_STEPS}")
-        return self
 
     def settings(self) -> dict:
         """The settings the command reads, by name: the JSON summary's config."""
@@ -252,7 +249,7 @@ def load_config(command: str, path=None, overrides=None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    return RunConfig(command, **merged).validate()
+    return RunConfig(command, **merged)
 
 
 @dataclass(frozen=True)
@@ -603,13 +600,13 @@ def cmd_descent_audit(config: RunConfig, out: _Outputs) -> int:
     violations = 0
     worst = 0.0
     for step in range(1, config.steps + 1):
-        # one abc-psi step, audited between its flow and its truncation
+        # one abc-psi step, audited at the end of its flow, before truncation
         (flow,) = abc_psi_flow([state], oracle.grads, cfg)
         y0 = state.u @ (state.s @ state.v.T)
         loss_before = oracle.loss(y0)
         proj_grad_sq = float(np.sum((flow.u_hat.T @ oracle.full(y0)) ** 2))
         loss_flow = oracle.loss(flow.u_hat @ flow.l1.T)
-        state = flow.truncate(policy)
+        state = flow.state
         bound = loss_before - (1.0 - h * curvature / 2.0) * h * proj_grad_sq
         margin = bound - loss_flow
         violated = margin < -1e-9

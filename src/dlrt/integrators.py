@@ -26,8 +26,9 @@ lowrank module:
 
 A splitting stepper is a first phase that returns values, one per state,
 and a finish: ``psi_mid`` and ``bc_psi_mid`` return ``SplitMid`` records
-for the shared L sweep, ``abc_psi_flow`` returns ``AbcFlow`` records for
-the truncation. The descent audit and the S-step probe read these values.
+for the shared L sweep. ``abc_psi_flow`` returns one ``AbcFlow`` record per
+state, holding the flow and the truncated state, and ``abc_psi_step`` keeps
+the states. The descent audit and the S-step probe read these values.
 
 Every subflow is one explicit-Euler step. A step reuses the gradient at the
 current point wherever a subflow starts there, so it costs 3 (psi), 2
@@ -119,8 +120,8 @@ class GradientOracle:
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Step size and the truncation policy (the policy is consumed by
-    abc_psi_step only). No stepper reads ``substeps``, as each subflow is
+    """Step size and the truncation policy (the policy is read by
+    abc_psi_flow only). No stepper reads ``substeps``, as each subflow is
     one gradient step; the field accepts only 1 and stays so that callers
     passing ``substeps=1`` keep constructing their configs."""
 
@@ -146,18 +147,15 @@ class SplitMid(NamedTuple):
 
 
 class AbcFlow(NamedTuple):
-    """One state of an abc-psi step before truncation: the swept K factor
-    k1, the augmented left basis u_hat (which contains u0 and k1), and the
-    swept right factor l1, so the flow ends at u_hat @ l1.T."""
+    """One state of an abc-psi step: the swept K factor k1, the augmented
+    left basis u_hat (which contains u0 and k1), the swept right factor l1,
+    so the flow ends at u_hat @ l1.T, and the new state, that flow
+    truncated by the policy (see ``lowrank.truncate_state``)."""
 
     k1: Matrix
     u_hat: Matrix
     l1: Matrix
-
-    def truncate(self, policy: TruncationPolicy) -> LowRankState:
-        """The new state: u_hat @ l1.T truncated by ``policy``, see
-        ``lowrank.truncate_state``."""
-        return LowRankState(*truncate_state(self.u_hat, self.l1, policy))
+    state: LowRankState
 
 
 def euler_full_step(w: Matrix, oracle: GradientOracle, h: float) -> Matrix:
@@ -268,31 +266,35 @@ def bug_fixed_step(states: Sequence[LowRankState], grads: Callable, cfg: StepCon
     return [LowRankState(u, s, v) for u, s, v in zip(u1, s1, v1)]
 
 
-def _abc_flow(state: LowRankState, k0: Matrix, g, h: float) -> AbcFlow:
-    """Steps 1-4 of ``abc_psi_step`` for one state, from k0 = u0 @ s0 and
+def _abc_flow(state: LowRankState, k0: Matrix, g, cfg: StepConfig) -> AbcFlow:
+    """Steps 1-5 of ``abc_psi_step`` for one state, from k0 = u0 @ s0 and
     the gradient handle there."""
-    k1 = k0 - h * g.right(state.v)
+    k1 = k0 - cfg.h * g.right(state.v)
     u_hat = ortho_augment(state.u, k1)
     # l0 = [v0 @ s0.T | 0] is built in the L sweep's buffer. The zero block
     # is not folded in as -h * G.T @ u_hat: -(+0) is -0 where 0 - (+0) is
     # +0, and an all-zero input pixel gives exact zeros there
     l1 = np.zeros((state.v.shape[0], u_hat.shape[1]))
     l1[:, : state.rank] = state.v @ state.s.T
-    l1 -= h * g.left(u_hat)
-    return AbcFlow(k1, u_hat, l1)
+    l1 -= cfg.h * g.left(u_hat)
+    return AbcFlow(k1, u_hat, l1, LowRankState(*truncate_state(u_hat, l1, cfg.policy)))
 
 
 def abc_psi_flow(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
-    """Steps 1-4 of ``abc_psi_step``, one ``AbcFlow`` per state, the states
-    spread over ``threads.map_tasks`` after the one evaluation."""
+    """``abc_psi_step``'s work, one ``AbcFlow`` per state: the flow of
+    steps 1-4 and the state that step 5 truncates it to. After the one
+    evaluation, each state's steps are one task of ``threads.map_tasks``.
+    A config without a policy is refused before ``grads`` is called."""
+    if cfg.policy is None:
+        raise ValueError("abc_psi_step requires cfg.policy")
     k0, handles = _k_start(states, grads)
-    return map_tasks(lambda st, k, g: _abc_flow(st, k, g, cfg.h), states, k0, handles)
+    return map_tasks(lambda st, k, g: _abc_flow(st, k, g, cfg), states, k0, handles)
 
 
 def abc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfig) -> list:
     """Rank-adaptive step: augment the left basis, correct, evolve, truncate.
 
-    Order of operations (1-4 are ``abc_psi_flow``, 5 is ``AbcFlow.truncate``):
+    Order of operations, per state (one ``abc_psi_flow`` record each):
 
     1. K sweep from k0 = u0 @ s0.
     2. Enlarged left basis u_hat = [u0 | b], with b an orthonormal basis of
@@ -315,18 +317,12 @@ def abc_psi_step(states: Sequence[LowRankState], grads: Callable, cfg: StepConfi
     The cost profile per step is one QR of the m x r residual (none for a
     square u0) and the truncation's eigendecomposition, at most q x q, per
     state. A state's work after the evaluation (step 1's contraction, then
-    steps 2-5) is one task of ``threads.map_tasks``, so the states update
-    in parallel where BLAS leaves CPUs idle. A non-finite value in a state
-    or a gradient contraction reaches l1, and the truncation raises
-    ``NumericError``: the first failing state's, in state order, at any
-    pool width.
+    steps 2-5) is one task of ``threads.map_tasks``, see ``abc_psi_flow``.
+    A non-finite value in a state or a gradient contraction reaches l1, and
+    the truncation raises ``NumericError``: the first failing state's, in
+    state order, at any pool width.
     """
-    if cfg.policy is None:
-        raise ValueError("abc_psi_step requires cfg.policy")
-    k0, handles = _k_start(states, grads)
-    return map_tasks(
-        lambda st, k, g: _abc_flow(st, k, g, cfg.h).truncate(cfg.policy), states, k0, handles
-    )
+    return [flow.state for flow in abc_psi_flow(states, grads, cfg)]
 
 
 def s_step_loss_delta_psi(

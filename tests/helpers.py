@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+import dlrt.threads as threads
 from dlrt.linalg import DimensionError, householder_qr
 from dlrt.lowrank import LowRankState
 
@@ -38,3 +39,10 @@ def net_bytes(net) -> list:
                                                         layer.state.v]
         arrays += [a.tobytes() for a in weights] + [layer.bias.tobytes()]
     return arrays
+
+
+def force_width(monkeypatch, width):
+    """Make ``map_tasks`` run on up to ``width`` threads through its own rule:
+    one BLAS thread and a share of ``width`` CPUs."""
+    monkeypatch.setattr(threads, "blas_threads", lambda: 1)
+    monkeypatch.setattr(threads, "_share", width)

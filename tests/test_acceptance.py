@@ -69,7 +69,7 @@ def test_criterion_01_loss_descent_inequality():
             proj_grad_sq = float(np.sum((flow.u_hat.T @ oracle.full(y0)) ** 2))
             bound = oracle.loss(y0) - (1 - h / 2) * h * proj_grad_sq
             worst = max(worst, oracle.loss(flow.u_hat @ flow.l1.T) - bound)
-            state = flow.truncate(cfg.policy)
+            state = flow.state
     report(1, worst <= 1e-9, f"worst slack {worst:.3e} over 1000 steps (limit 1e-9)")
 
 
@@ -144,7 +144,7 @@ def test_criterion_05_augmentation_and_orthonormality():
         h = float(rng.uniform(1e-3, 0.5))
         cfg = StepConfig(h=h, policy=TruncationPolicy(tau=0.05, r_max=2 * r, r_min=1))
         [flow] = abc_psi_flow([state], quadratic_oracle(a).grads, cfg)
-        out = flow.truncate(cfg.policy)
+        out = flow.state
         u_hat = flow.u_hat
         res_u0 = np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u))
         res_k1 = np.linalg.norm(flow.k1 - u_hat @ (u_hat.T @ flow.k1))

@@ -95,19 +95,19 @@ def compare_args(data_dir, out_dir, *extra):
 
 class TestRunConfig:
     def test_defaults_valid(self):
-        RunConfig().validate()
+        RunConfig()
 
     def test_rejects_bad_integrator(self):
         with pytest.raises(ConfigError):
-            RunConfig(integrator="euler").validate()
+            RunConfig(integrator="euler")
 
     def test_rejects_negative_lr(self):
         with pytest.raises(ConfigError):
-            RunConfig(lr=-1.0).validate()
+            RunConfig(lr=-1.0)
 
     def test_rejects_short_arch(self):
         with pytest.raises(ConfigError):
-            RunConfig(arch=(10,)).validate()
+            RunConfig(arch=(10,))
 
     def test_hash_ignores_locations(self):
         a = RunConfig(out_dir="x", data_dir="/a")
@@ -151,7 +151,38 @@ class TestRunConfig:
     def test_policy_settings_follow_the_policy(self, settings, message):
         # tau, r_min and r_max are checked by TruncationPolicy itself
         with pytest.raises(ConfigError, match=f"^{message}"):
-            RunConfig(**settings).validate()
+            RunConfig(**settings)
+
+    @pytest.mark.parametrize("command, settings, message", [
+        ("compare", {"integrators": ("psi", "sgd")}, "unknown integrator 'sgd'"),
+        ("compare", {"integrators": ()}, "integrators is empty"),
+        ("compare", {"integrators": ("psi", "psi")}, "integrators repeats 'psi'"),
+        ("compare", {"seeds": ()}, "seeds is empty"),
+        ("compare", {"seeds": (1, 2, 1)}, "seeds repeats 1"),
+        ("ode-bench", {"h_list": ()}, "h_list is empty"),
+        ("ode-bench", {"h_list": (0.1, 0.1)}, "h_list repeats 0.1"),
+        ("train", {"arch": (10, 0)}, "arch needs >= 2 positive layer widths"),
+        ("descent-audit", {"lr": 0.0}, "lr must be positive"),
+        ("train", {"batch_size": 0}, "batch_size must be >= 1"),
+        ("train", {"epochs": -1}, "epochs must be >= 0"),
+        ("train", {"seed": -1}, "seeds must be >= 0"),
+        ("compare", {"seeds": (0, -2)}, "seeds must be >= 0"),
+        ("ode-bench", {"dims": (8,)}, "dims must be two positive integers"),
+        ("descent-audit", {"dims": (8, 0)}, "dims must be two positive integers"),
+        ("ode-bench", {"target_rank": 0}, "target_rank must be in [1, min(dims)]"),
+        ("descent-audit", {"dims": (8, 6), "target_rank": 7},
+         "target_rank must be in [1, min(dims)]"),
+        ("ode-bench", {"h_list": (0.1, -0.05)}, "h_list must hold positive step sizes"),
+        ("ode-bench", {"t_end": 0.0}, "t_end and ref_h must be positive"),
+        ("ode-bench", {"ref_h": -1e-4}, "t_end and ref_h must be positive"),
+        ("descent-audit", {"steps": 0}, "steps must be >= 1"),
+        ("ode-bench", {"h_list": (0.3,)}, "step size 0.3 does not divide t_end 1.0"),
+        ("train", {"epochs": 10**9}, f"epochs asks for {10**9} steps, above MAX_STEPS"),
+    ])
+    def test_construction_checks_ranges(self, command, settings, message):
+        # a record that exists is one a command can run: no later check
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            RunConfig(command, **settings)
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read config file"),
@@ -171,7 +202,7 @@ class TestRunConfig:
         assert not list(out.iterdir())
 
     def test_list_fits_a_tuple_field(self):
-        assert RunConfig(arch=[3, 4]).validate().arch == (3, 4)
+        assert RunConfig(arch=[3, 4]).arch == (3, 4)
 
     @pytest.mark.parametrize("at_ceiling, above, count", [
         ({"ref_h": 1.0 / MAX_STEPS}, {"ref_h": 1.0 / (MAX_STEPS + 1)}, "t_end/ref_h"),
@@ -185,9 +216,9 @@ class TestRunConfig:
         (key,) = at_ceiling
         command = SETTINGS[key].metadata["commands"][0]
         base = {"h_list": (0.5,), "ref_h": 0.5} if command == "ode-bench" else {}
-        RunConfig(command, **{**base, **at_ceiling}).validate()
+        RunConfig(command, **{**base, **at_ceiling})
         with pytest.raises(ConfigError, match=rf"^{re.escape(count)}.*above MAX_STEPS"):
-            RunConfig(command, **{**base, **above}).validate()
+            RunConfig(command, **{**base, **above})
 
 
 class TestWriters:

@@ -166,9 +166,14 @@ def test_one_process_pool():
     assert call_sites("ThreadPoolExecutor") == ["threads._executor"]
     assert call_sites("width") == ["cli.cmd_compare", "threads.map_tasks"]
     assert call_sites("map_tasks") == [
-        "integrators.abc_psi_flow", "integrators.abc_psi_step", "nn._new_network",
-        "nn._map_chunks",
+        "integrators.abc_psi_flow", "nn._new_network", "nn._map_chunks",
     ]
+
+
+def test_one_truncation():
+    # an abc-psi step's truncation runs in its flow's task, so the audit and
+    # the step read one new state; a second truncation path shows up here
+    assert call_sites("truncate_state") == ["integrators._abc_flow"]
 
 
 def test_one_way_to_share_an_initial_network():

@@ -30,7 +30,7 @@ from dlrt.integrators import (
 from dlrt.linalg import NumericError, svd_thin
 from dlrt.lowrank import LowRankState, TruncationPolicy
 
-from helpers import init_lowrank
+from helpers import force_width, init_lowrank
 
 
 def zero_oracle():
@@ -346,25 +346,38 @@ class TestStateLists:
                 for name in ("u", "s", "v"):
                     assert np.array_equal(getattr(got, name), getattr(want, name))
 
-    def test_abc_psi_flows_of_two_states(self):
-        # every state's flow augments its own basis, and the step is the
-        # truncation of those flows, bit for bit
+    def test_abc_psi_flows_of_two_states(self, monkeypatch):
+        # every state's flow augments its own basis, and the step keeps the
+        # flows' truncated states, bit for bit, at pool width 1 and 2
         rng = np.random.default_rng(30)
         oracle = quadratic_oracle(rng.standard_normal((9, 7)))
         states = [init_lowrank(9, 7, 2, seed=30), init_lowrank(9, 7, 3, seed=31)]
         policy = TruncationPolicy(tau=0.05, r_max=5, r_min=1)
         cfg = StepConfig(h=0.1, policy=policy)
-        flows = abc_psi_flow(states, oracle.grads, cfg)
-        assert len(flows) == 2
-        for state, flow in zip(states, flows):
-            u_hat = flow.u_hat
-            assert u_hat.shape[1] > state.rank
-            assert np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u)) <= 1e-10
-            assert np.linalg.norm(flow.k1 - u_hat @ (u_hat.T @ flow.k1)) <= 1e-10
-        stepped = abc_psi_step(states, oracle.grads, cfg)
-        for got, want in zip(stepped, [flow.truncate(policy) for flow in flows]):
-            for name in ("u", "s", "v"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+        for width in (1, 2):
+            force_width(monkeypatch, width)
+            flows = abc_psi_flow(states, oracle.grads, cfg)
+            assert len(flows) == 2
+            for state, flow in zip(states, flows):
+                u_hat = flow.u_hat
+                assert u_hat.shape[1] > state.rank
+                assert np.linalg.norm(state.u - u_hat @ (u_hat.T @ state.u)) <= 1e-10
+                assert np.linalg.norm(flow.k1 - u_hat @ (u_hat.T @ flow.k1)) <= 1e-10
+            stepped = abc_psi_step(states, oracle.grads, cfg)
+            for got, flow in zip(stepped, flows):
+                for name in ("u", "s", "v"):
+                    assert np.array_equal(getattr(got, name), getattr(flow.state, name))
+
+    def test_abc_psi_flow_without_policy_refused_before_evaluation(self):
+        calls = []
+
+        def grads(pairs):
+            calls.append(pairs)
+            return quadratic_oracle(np.ones((6, 5))).grads(pairs)
+
+        with pytest.raises(ValueError, match="requires cfg.policy"):
+            abc_psi_flow([init_lowrank(6, 5, 2, seed=33)], grads, StepConfig(h=0.1))
+        assert calls == []
 
     @pytest.mark.parametrize("stepper", [psi_step, bc_psi_step, bug_fixed_step, abc_psi_step])
     def test_stepped_factors_read_only(self, stepper):

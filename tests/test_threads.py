@@ -21,16 +21,9 @@ from dlrt.integrators import INTEGRATOR_NAMES, StepConfig, abc_psi_step, quadrat
 from dlrt.linalg import NumericError
 from dlrt.lowrank import LowRankState, TruncationPolicy
 from dlrt.nn import LayerSpec, build_network, evaluate, mlp_specs, train_step
-from helpers import init_lowrank, net_bytes
+from helpers import force_width, init_lowrank, net_bytes
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def force_width(monkeypatch, width):
-    """Make ``map_tasks`` run on up to ``width`` threads through its own rule:
-    one BLAS thread and a share of ``width`` CPUs."""
-    monkeypatch.setattr(threads, "blas_threads", lambda: 1)
-    monkeypatch.setattr(threads, "_share", width)
 
 
 @pytest.mark.parametrize("blas, cpus, tasks, expected", [
