@@ -147,7 +147,16 @@ def save_network(path, net) -> None:
 
 
 def load_network(path):
-    """Read a checkpoint back into a Network."""
+    """Read a checkpoint back into a Network.
+
+    Raises ``CheckpointError`` for every malformed layer header before it
+    reads that layer's payload: a bad magic or an unsupported version, a
+    count of no layers, an unknown layer kind or activation code, a zero
+    dim or rank, a rank above min(m, n), or a payload larger than the rest
+    of the file. It raises it too for a truncated file, for bytes after the
+    last layer and, once the file is read, for layer widths that do not
+    chain. The network's arrays are read-only views of the bytes read.
+    """
     with open(path, "rb") as fh:
         count = _read_header(fh)
         layers = []

@@ -102,7 +102,10 @@ def _set(default, commands: str, help=None, integrators=None):
 class RunConfig:
     """The settings of one command's run, checked when built. A field names
     the commands that read it; every other command takes it at its default,
-    and so does a command none of whose integrators reads it."""
+    and so does a command none of whose integrators reads it. Every step
+    count the settings imply (t_end/ref_h, t_end/h for each h, steps and
+    epochs) is checked against ``MAX_STEPS``, whichever command runs; the
+    defaults imply at most 10**4 steps."""
 
     command: str = "train"
     integrator: str = _set("abc-psi", "train ode-bench", f"one of {', '.join(INTEGRATOR_NAMES)}")
@@ -290,6 +293,10 @@ def _layer_triples(net) -> list:
 
 
 def _dataset_loss(net, dataset, chunk=1024) -> float:
+    """Mean loss over ``dataset``, the epoch-0 training loss of train and
+    compare, by the cache-free pass over ``chunk``-row slices on
+    ``threads.map_tasks``."""
+
     def summed(start, logits):
         loss, _ = softmax_cross_entropy(logits, dataset.labels[start : start + chunk])
         return loss * logits.shape[0]

@@ -3,7 +3,8 @@
 IDX files are big-endian: a u32 magic (0x00000803 for image tensors,
 0x00000801 for label vectors), u32 dimension sizes, then raw unsigned
 bytes. Gzip-compressed files are detected by their two magic bytes and
-decompressed transparently. Pixels are scaled to [0, 1] as float64.
+decompressed transparently; a truncated or corrupt gzip stream raises
+``DataError``. Pixels are scaled to [0, 1] as float64.
 """
 
 import gzip

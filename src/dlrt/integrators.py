@@ -1,12 +1,12 @@
 """One training step per integrator, driven by a gradient function.
 
-Every stepper takes ``grads``, the one function it calls: a list of factor
-pairs in, one gradient handle per pair out. It advances a list of factored
-states together: between two evaluations of ``grads`` it loops over the
-states, and each evaluation sees all of them at once (for a network, one
-forward/backward pass over all its low-rank layers). A single matrix is the
-one-state case. Five steppers share the factored-state conventions of the
-lowrank module:
+Every stepper takes exactly (states, grads, cfg), and ``grads`` is the one
+function it calls: a list of factor pairs in, one gradient handle per pair
+out. It advances a list of factored states together: between two
+evaluations of ``grads`` it loops over the states, and each evaluation sees
+all of them at once (for a network, one forward/backward pass over all its
+low-rank layers). A single matrix is the one-state case. Five steppers
+share the factored-state conventions of the lowrank module:
 
 * ``euler_full_step``: dense explicit-Euler baseline, on the synthetic
   problem's ``GradientOracle``.
@@ -41,9 +41,7 @@ the CPUs that BLAS leaves idle (none under an unpinned BLAS, where they run
 in a plain loop). A task's arithmetic does not depend on the thread it runs
 on, so the bytes of a step do not depend on the pool's width. The other
 steppers run inline: per-state pool tasks in psi, bc-psi and bug gave the
-same bytes, but the benchmark's split-paper step time read -3.5% and
-+0.4% in two sets of 4 paired runs (2-CPU host, one BLAS thread), which
-is no resolved gain.
+same bytes and no resolved gain in the benchmark's split-paper step time.
 
 Steppers trust their states and their gradients: no array is scanned for
 non-finite entries inside a step. A non-finite value reaches a QR

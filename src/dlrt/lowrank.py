@@ -92,7 +92,8 @@ class TruncationPolicy:
 
     ``tau`` is the relative tail tolerance, finite and >= 0: the smallest
     rank r with ||sigma[r:]|| <= tau * ||sigma|| is kept, clamped into
-    [r_min, r_max].
+    [r_min, r_max]. A policy raises ``ValueError`` unless tau is finite and
+    >= 0 and 1 <= r_min <= r_max.
     """
 
     tau: float
@@ -125,7 +126,8 @@ def tangent_project(state: LowRankState, g) -> Matrix:
 
 def truncation_rank(sigma, policy: TruncationPolicy) -> int:
     """Smallest rank r with ||sigma[r:]|| <= tau * ||sigma||, clamped into
-    [r_min, min(r_max, len(sigma))]."""
+    [r_min, min(r_max, len(sigma))]. Raises ``NumericError`` when sigma's
+    sum of squares is not finite."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1 or sigma.size == 0:
         raise DimensionError("sigma must be a non-empty 1-D vector")
@@ -169,7 +171,9 @@ def _gram_svd(
     ``GRAM_MIN_RATIO`` (1e-2, a margin of over 70x) and ``trust`` (given the
     eigenvalues sigma^2, descending, one per row of the Gram matrix) holds.
     Otherwise the factors are those of ``svd_thin(l)`` (LAPACK gesdd), bit
-    for bit. The returned arrays may be non-contiguous views.
+    for bit. The returned arrays may be non-contiguous views. This is the
+    package's one call of np.linalg.eigh, and the one caller of
+    ``linalg.svd_thin``, which holds the one call of np.linalg.svd.
     """
     n, q = l.shape
     g = l.T if n > q else l  # the Gram matrix g g^T is the smaller one
@@ -241,7 +245,8 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
 
 
 def param_count(layers: Sequence[tuple[int, int, int | None]]) -> int:
-    """Weight count of a network, biases excluded.
+    """Weight count of a network, biases excluded: the package's one
+    parameter count.
 
     Each layer is (in_dim, out_dim, rank). A low-rank layer counts
     (in + out) * rank, since it is applied as the out x rank factor u @ s

@@ -61,7 +61,9 @@ _ACTIVATIONS = ("relu", "identity")
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Declarative description of one layer, consumed by build_network."""
+    """Declarative description of one layer, consumed by build_network.
+    Raises ``ValueError`` for an activation other than relu or identity,
+    as the two layers do."""
 
     kind: str  # "dense" | "lowrank"
     in_dim: int
@@ -99,7 +101,9 @@ def _check_bias(layer) -> None:
 @dataclass(frozen=True, eq=False)
 class DenseLayer:
     """A layer with a full weight matrix. It takes ownership of ``w`` and
-    ``bias`` and marks them read-only."""
+    ``bias`` and marks them read-only, so a write into either raises
+    ``ValueError``; pass a copy to keep a writable one. A bias whose shape
+    is not (out_dim,) raises ``DimensionError``. Its ``rank`` is None."""
 
     w: Matrix  # out_dim x in_dim
     bias: np.ndarray
@@ -124,7 +128,7 @@ class DenseLayer:
 class LowRankLayer:
     """A layer whose weight stays factored as a ``LowRankState``. It takes
     ownership of ``bias`` and marks it read-only, as the state does its
-    factors."""
+    factors. A bias whose shape is not (out_dim,) raises ``DimensionError``."""
 
     state: LowRankState  # u: out_dim x r, v: in_dim x r
     bias: np.ndarray
@@ -150,6 +154,10 @@ class LowRankLayer:
 
 @dataclass(frozen=True, eq=False)
 class Network:
+    """Layers in order, held as a tuple. An empty list of layers raises
+    ``ValueError``, and widths that do not chain ``DimensionError``.
+    ``ranks()`` lists the low-rank layers' ranks."""
+
     layers: tuple  # any sequence of layers is stored as a tuple
 
     def __post_init__(self):
@@ -291,7 +299,8 @@ class _Tape(NamedTuple):
 
 
 def _pair(layer) -> tuple:
-    """The layer's weight as its pass's factor pair (a, b)."""
+    """The layer's weight as its pass's factor pair (a, b): a dense layer
+    runs the same pass as a factored one, with its weight as a and no b."""
     if isinstance(layer, DenseLayer):
         return layer.w, None
     st = layer.state
@@ -365,6 +374,7 @@ def softmax_cross_entropy(logits, labels) -> tuple:
     """Mean softmax cross-entropy and its gradient wrt the logits.
 
     Stabilized by max subtraction; dlogits = (softmax - onehot) / batch.
+    A batch of no rows raises ``ValueError``, and so does ``train_step``.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
@@ -466,7 +476,10 @@ def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
 
 def evaluate(net: Network, dataset, chunk: int = 512) -> float:
     """Argmax accuracy over a dataset, ``chunk`` rows (>= 1) per pass; ties
-    resolve to the lowest class. The chunks run on ``threads.map_tasks``."""
+    resolve to the lowest class. The chunks run on ``threads.map_tasks``,
+    and the result does not depend on the pool's width. A ``chunk`` below
+    1 or an empty dataset raises ``ValueError``, and a label count other
+    than one per image ``DimensionError``."""
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if hasattr(dataset, "images"):

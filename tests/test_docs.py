@@ -1,5 +1,6 @@
 """The README's CLI reference checked against the code: the settings table,
-example commands and exit codes; the dlrt names the README and the
+example commands and exit codes; the README's package layout, its quick
+start and its lack of wallclock figures; the dlrt names the README and the
 source's docstrings cite; the one call site of each dense factorization in
 the source, the one caller of ``svd_thin`` and the one process pool;
 module-level imports, frozen dataclasses, exported names and stepper
@@ -14,6 +15,8 @@ import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from dlrt import cli, integrators
 
@@ -71,6 +74,35 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == set(SUBCOMMANDS)
     for argv in commands:
         cli.build_parser().parse_args(argv)
+
+
+def test_readme_states_no_wallclock_figure():
+    # a timing depends on the host and no test can check it, so it belongs
+    # in the benchmark's outputs. A figure is a number, in digits or in
+    # words, then a unit of time; a fenced block may still show a command
+    figure = re.compile(
+        r"(?:\d\s*|\b(?:one|two|three|four|five|six|seven|eight|nine|ten|twenty|thirty"
+        r"|a few|several)\s+)(?:ms|µs|s|secs?|seconds?|mins?|minutes?|hours?)\b"
+    )
+    for timing in ("85–88 ms", "0.64–0.76 s", "in 29 s", "order of ten minutes", "2 seconds"):
+        assert figure.search(timing), timing
+    for name in ("-s<seed>", "u32", "10⁶", "3 steps", "tens of steps", "rank_{k-1}"):
+        assert not figure.search(name), name
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    assert figure.findall(prose) == []
+
+
+def test_quick_start_runs(capsys):
+    # the README's one python block, with the three names it leaves to the
+    # reader bound to tiny seeded arrays
+    (code,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    rng = np.random.default_rng(0)
+    batches = [(rng.random((8, 784)), rng.integers(0, 10, 8)) for _ in range(2)]
+    scope = {"my_batches": lambda: batches, "test_images": rng.random((16, 784)),
+             "test_labels": rng.integers(0, 10, 16)}
+    exec(code, scope)
+    assert 0.0 <= scope["acc"] <= 1.0 and len(scope["net"].ranks()) == 3
+    assert capsys.readouterr().out == f"{scope['acc']} {scope['net'].ranks()}\n"
 
 
 def test_exit_code_table_lists_exit_constants():
@@ -308,6 +340,18 @@ def unresolved(names):
                 break
             obj = getattr(obj, attr)
     return missing
+
+
+def test_package_layout_has_one_line_per_module():
+    # one single-line bullet per module, which names it: how a module works
+    # is its docstring's to say, so a bullet that grows into a paragraph,
+    # or a module added without one, fails here
+    *lead, bullets = section("## Package layout").strip().split("\n\n")
+    assert not [line for para in lead for line in para.splitlines() if line.startswith("-")]
+    lines = bullets.splitlines()
+    assert all(re.match(r"- `dlrt\.\w+`: ", line) and len(line) <= 100 for line in lines), lines
+    named = [re.match(r"- `dlrt\.(\w+)`", line)[1] for line in lines]
+    assert sorted(named) == sorted(MODULES.split("|"))
 
 
 def test_readme_dotted_names_exist():
