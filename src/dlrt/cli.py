@@ -58,6 +58,8 @@ EXIT_WORKER_LOST = 6
 DATA_DIR_ENV = "DLRT_DATA_DIR"
 DIVERGENCE_NORM = 1e12
 MAX_STEPS = 10**6  # the most steps any one count a run's settings imply may reach
+# evaluate's chunks (512 rows) count integer hits, exact at any size; a loss's bytes depend on it
+_LOSS_CHUNK = 1024  # rows per _dataset_loss pass
 
 
 class ConfigError(Exception):
@@ -292,19 +294,19 @@ def _layer_triples(net) -> list:
     return [(l.in_dim, l.out_dim, l.rank) for l in net.layers]
 
 
-def _dataset_loss(net, dataset, chunk=1024) -> float:
+def _dataset_loss(net, dataset) -> float:
     """Mean loss over ``dataset``, the epoch-0 training loss of train and
-    compare, by the cache-free pass over ``chunk``-row slices on
+    compare, by the cache-free pass over ``_LOSS_CHUNK``-row slices on
     ``threads.map_tasks``."""
 
     def summed(start, logits):
-        loss, _ = softmax_cross_entropy(logits, dataset.labels[start : start + chunk])
+        loss, _ = softmax_cross_entropy(logits, dataset.labels[start : start + _LOSS_CHUNK])
         return loss * logits.shape[0]
 
     # added in chunk order by a plain loop: sum() compensates its rounding
     # from Python 3.12 on, which would change the bytes
     total = 0.0
-    for part in _map_chunks(net, dataset.images, chunk, summed):
+    for part in _map_chunks(net, dataset.images, _LOSS_CHUNK, summed):
         total += part
     return total / len(dataset)
 

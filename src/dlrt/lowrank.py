@@ -211,10 +211,12 @@ def truncate_state(u_hat, l1, policy: TruncationPolicy) -> tuple[Matrix, Matrix,
     guard on sigma_r / sigma_1. On top of that shared guard, the truncation
     requires the policy's tail threshold to be ``GRAM_TAIL_MARGIN`` times
     above the eigenvalues' rounding level k * eps * sigma_1^2, with k the
-    Gram matrix's size (q for a tall l1, n x q with n > q), so the rank is
-    chosen from eigenvalues that rounding cannot move across it (tau = 0 and
-    tiny tau never pass). Otherwise the result is that of ``svd_thin``
-    (LAPACK gesdd), bit for bit.
+    Gram matrix's size (q for a tall l1, n x q with n > q); tau = 0 and tiny
+    tau never pass. Otherwise the result is that of ``svd_thin`` (LAPACK
+    gesdd), bit for bit. The rank is gesdd's unless the tail ratio
+    ||sigma[r:]|| / ||sigma|| lies within about 1e-10, relative, of tau:
+    186 of 20000 matrices with the ratio at tau (1 +- delta) got another
+    rank, all with delta <= 1e-10, none with delta >= 1e-8.
 
     The inputs are taken as float64 arrays and not scanned: a non-finite
     entry of l1 makes the eigensolver fail or reaches sigma, which

@@ -57,33 +57,28 @@ __all__ = [
 ]
 
 _ACTIVATIONS = ("relu", "identity")
+_EVAL_CHUNK = 512  # rows per pass of evaluate
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Declarative description of one layer, consumed by build_network.
-    Raises ``ValueError`` for an activation other than relu or identity,
-    as the two layers do."""
+    """Declarative description of one layer, consumed by build_network: a
+    low-rank one exactly when ``initial_rank`` is set. Raises ``ValueError``
+    for a dim below 1, an ``initial_rank`` outside [1, min(dims)] and an
+    activation other than relu or identity, as the two layers do."""
 
-    kind: str  # "dense" | "lowrank"
     in_dim: int
     out_dim: int
     activation: str = "relu"
     initial_rank: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("dense", "lowrank"):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("layer dims must be positive")
         _check_activation(self.activation)
-        if self.kind == "lowrank":
-            if self.initial_rank is None:
-                raise ValueError("lowrank layer needs initial_rank")
-            if not 1 <= self.initial_rank <= min(self.in_dim, self.out_dim):
-                raise ValueError("initial_rank must be in [1, min(dims)]")
-        elif self.initial_rank is not None:
-            raise ValueError("dense layer takes no initial_rank")
+        rank = self.initial_rank
+        if rank is not None and not 1 <= rank <= min(self.in_dim, self.out_dim):
+            raise ValueError("initial_rank must be in [1, min(dims)]")
 
 
 def _check_activation(name: str) -> None:
@@ -186,15 +181,10 @@ def mlp_specs(widths: Sequence[int], initial_rank: Optional[int] = None) -> list
     """
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
-    specs = []
-    for i, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
-        act = "identity" if i == len(widths) - 2 else "relu"
-        if initial_rank is None:
-            specs.append(LayerSpec("dense", n_in, n_out, act))
-        else:
-            r = min(initial_rank, n_in, n_out)
-            specs.append(LayerSpec("lowrank", n_in, n_out, act, initial_rank=r))
-    return specs
+    last = len(widths) - 2
+    return [LayerSpec(n_in, n_out, "identity" if i == last else "relu",
+                      None if initial_rank is None else min(initial_rank, n_in, n_out))
+            for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]))]
 
 
 def build_network(specs: Sequence[LayerSpec], seed: int) -> Network:
@@ -242,16 +232,14 @@ def _new_network(specs: tuple, seed: int) -> Network:
     rng = np.random.default_rng(seed)
     draws = [np.sqrt(2.0 / spec.in_dim) * rng.standard_normal((spec.out_dim, spec.in_dim))
              for spec in specs]
-    lowrank = [(w, spec.initial_rank) for spec, w in zip(specs, draws) if spec.kind == "lowrank"]
+    lowrank = [(w, spec.initial_rank) for spec, w in zip(specs, draws)
+               if spec.initial_rank is not None]
     states = iter(map_tasks(_leading_state, *zip(*lowrank)))
-    layers = []
-    for spec, w in zip(specs, draws):
-        bias = np.zeros(spec.out_dim)
-        if spec.kind == "dense":
-            layers.append(DenseLayer(w, bias, spec.activation))
-        else:
-            layers.append(LowRankLayer(next(states), bias, spec.activation))
-    return Network(layers)
+    return Network([
+        DenseLayer(w, np.zeros(spec.out_dim), spec.activation) if spec.initial_rank is None
+        else LowRankLayer(next(states), np.zeros(spec.out_dim), spec.activation)
+        for spec, w in zip(specs, draws)
+    ])
 
 
 def _leading_state(w: Matrix, rank: int) -> LowRankState:
@@ -265,12 +253,12 @@ def _leading_state(w: Matrix, rank: int) -> LowRankState:
 # A pass views every layer's weight as w = a @ b.T, one factor pair per
 # layer: a dense layer is a = w with no right factor (b = None), so its pass
 # skips the x @ b product; bias and activation come from the layer itself.
-# The forward pass records each layer's input, x @ b and pre-activation as a
-# plain (x, xb, z) tuple. Backward reads the records and returns one tape
-# per layer (the input, the right factor, x @ b and the pre-activation's
-# gradient): the layer's gradient handle, contracted against whatever factor
-# the active integrator phase needs. Only a dense layer's update forms
-# delta.T @ x in full. The pre-activation does not outlive the pass.
+# The forward pass records each layer's input, x @ b and ReLU mask z > 0
+# (None for an identity layer) as a plain (x, xb, mask) tuple. Backward
+# reads the records and returns one tape per layer (the input, the right
+# factor, x @ b and the pre-activation's gradient): the layer's gradient
+# handle, contracted against whatever factor the active integrator phase
+# needs. Only a dense layer's update forms delta.T @ x in full.
 
 
 class _Tape(NamedTuple):
@@ -309,35 +297,33 @@ def _pair(layer) -> tuple:
 
 def _run_forward(layers, pairs, x, records=None):
     # returns the logits; with a list given as records, appends each
-    # layer's (x, xb, z) for backward. Evaluation passes none, so no
-    # layer's arrays outlive the next layer: holding them made the
-    # allocator fault fresh pages for every 512-row chunk, about 30% of a
-    # paper-net evaluation's time. Without records the bias and the ReLU
-    # also go into z in place, one array per layer: after a threaded
-    # abc-psi step, each extra temporary faulted fresh pages again
+    # layer's (x, xb, mask) for backward. The bias and the ReLU go into z in
+    # place, and a pass without records keeps no layer's arrays past the
+    # next layer: holding them made the allocator fault fresh pages for
+    # every 512-row chunk, about 30% of a paper-net evaluation's time
     cur = x
     for layer, (a, b) in zip(layers, pairs):
         xb = cur if b is None else cur @ b
         z = xb @ a.T
         z += layer.bias
+        relu = layer.activation == "relu"
         if records is not None:
-            records.append((cur, xb, z))
-        if layer.activation == "relu":
-            cur = np.maximum(z, 0.0, out=None if records is not None else z)
-        else:
-            cur = z
+            records.append((cur, xb, z > 0.0 if relu else None))
+        if relu:
+            np.maximum(z, 0.0, out=z)
+        cur = z
     if not np.isfinite(cur).all():
         raise NumericError("non-finite activation in forward pass")
     return cur
 
 
-def _run_backward(layers, pairs, records, dlogits) -> list:
+def _run_backward(pairs, records, dlogits) -> list:
     # the pass's tapes in layer order, from its forward records
     tapes = []
     d = dlogits
-    for idx in range(len(layers) - 1, -1, -1):
-        (a, b), (x, xb, z) = pairs[idx], records[idx]
-        delta = d * (z > 0.0) if layers[idx].activation == "relu" else d
+    for idx in range(len(pairs) - 1, -1, -1):
+        (a, b), (x, xb, mask) = pairs[idx], records[idx]
+        delta = d if mask is None else d * mask
         tapes.append(_Tape(x, b, xb, delta))
         if idx > 0:
             d = delta @ a
@@ -374,7 +360,8 @@ def softmax_cross_entropy(logits, labels) -> tuple:
     """Mean softmax cross-entropy and its gradient wrt the logits.
 
     Stabilized by max subtraction; dlogits = (softmax - onehot) / batch.
-    A batch of no rows raises ``ValueError``, and so does ``train_step``.
+    A batch of no rows raises ``ValueError``, and so does ``train_step``,
+    as do labels without an integer dtype or outside [0, classes).
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
@@ -383,8 +370,7 @@ def softmax_cross_entropy(logits, labels) -> tuple:
         raise DimensionError("labels must be one integer per row of logits")
     if b == 0:
         raise ValueError("empty batch")
-    if labels.min() < 0 or labels.max() >= classes:
-        raise ValueError(f"labels must lie in [0, {classes})")
+    _check_labels(labels, classes)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_prob = shifted - log_z
@@ -396,6 +382,13 @@ def softmax_cross_entropy(logits, labels) -> tuple:
     return loss, dlogits
 
 
+def _check_labels(labels: np.ndarray, classes: int) -> None:
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must have an integer dtype, got {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ValueError(f"labels must lie in [0, {classes})")
+
+
 def backward(net: Network, cache: _Cache, dlogits) -> list:
     """The pass's gradient handles, one ``_Tape`` per layer in layer order:
     the records ``train_step``'s passes hand the steppers. ``right(v)`` and
@@ -404,7 +397,7 @@ def backward(net: Network, cache: _Cache, dlogits) -> list:
     if cache.net is not net:
         raise ValueError("stale cache: forward ran on a different network")
     dlogits = as_matrix(dlogits, "dlogits")
-    return _run_backward(net.layers, cache.pairs, cache.records, dlogits)
+    return _run_backward(cache.pairs, cache.records, dlogits)
 
 
 # -- training ----------------------------------------------------------------
@@ -429,7 +422,7 @@ def _network_oracle(net: Network, x: Matrix, labels, first: list) -> Callable[[l
         records = []
         logits = _run_forward(net.layers, pairs, x, records)
         loss, dlogits = softmax_cross_entropy(logits, labels)
-        tapes = _run_backward(net.layers, pairs, records, dlogits)
+        tapes = _run_backward(pairs, records, dlogits)
         if not first:
             first.append((loss, tapes))
         return [tape for layer, tape in zip(net.layers, tapes) if isinstance(layer, LowRankLayer)]
@@ -474,14 +467,13 @@ def train_step(net: Network, batch, integrator: str, cfg: StepConfig) -> tuple:
     return Network(new_layers), loss
 
 
-def evaluate(net: Network, dataset, chunk: int = 512) -> float:
-    """Argmax accuracy over a dataset, ``chunk`` rows (>= 1) per pass; ties
+def evaluate(net: Network, dataset) -> float:
+    """Argmax accuracy over a dataset, ``_EVAL_CHUNK`` rows per pass; ties
     resolve to the lowest class. The chunks run on ``threads.map_tasks``,
-    and the result does not depend on the pool's width. A ``chunk`` below
-    1 or an empty dataset raises ``ValueError``, and a label count other
-    than one per image ``DimensionError``."""
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    and the result does not depend on the pool's width. An empty dataset or
+    labels as ``softmax_cross_entropy`` refuses them, classes being the last
+    layer's outputs, raise ``ValueError``; a label count other than one per
+    image ``DimensionError``."""
     if hasattr(dataset, "images"):
         images, labels = dataset.images, dataset.labels
     else:
@@ -492,11 +484,12 @@ def evaluate(net: Network, dataset, chunk: int = 512) -> float:
         raise DimensionError("labels must be one integer per image")
     if n == 0:
         raise ValueError("empty dataset")
+    _check_labels(labels, net.layers[-1].out_dim)
 
     def hits(start, logits):
-        return int((np.argmax(logits, axis=1) == labels[start : start + chunk]).sum())
+        return int((np.argmax(logits, axis=1) == labels[start : start + _EVAL_CHUNK]).sum())
 
-    return sum(_map_chunks(net, images, chunk, hits)) / n
+    return sum(_map_chunks(net, images, _EVAL_CHUNK, hits)) / n
 
 
 def _map_chunks(net: Network, images, chunk: int, reduce: Callable) -> list:

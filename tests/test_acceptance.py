@@ -206,9 +206,9 @@ def test_criterion_07_gradient_finite_differences():
             act = "identity" if i == 1 else "relu"
             if rng.integers(0, 2):
                 r = int(rng.integers(1, min(n_in, n_out) + 1))
-                specs.append(LayerSpec("lowrank", n_in, n_out, act, initial_rank=r))
+                specs.append(LayerSpec(n_in, n_out, act, initial_rank=r))
             else:
-                specs.append(LayerSpec("dense", n_in, n_out, act))
+                specs.append(LayerSpec(n_in, n_out, act))
         net = build_network(specs, seed=trial)
         b = int(rng.integers(2, 6))
         x = rng.standard_normal((b, dims[0]))

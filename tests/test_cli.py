@@ -436,8 +436,8 @@ class TestTrain:
         assert float(lines[2].split(",")[-1]) == 0.0
 
     def test_layer_triples_give_dense_rank_none(self):
-        net = build_network([LayerSpec("lowrank", 4, 3, initial_rank=2),
-                             LayerSpec("dense", 3, 2, "identity")], seed=0)
+        net = build_network([LayerSpec(4, 3, initial_rank=2),
+                             LayerSpec(3, 2, "identity")], seed=0)
         assert dlrt.cli._layer_triples(net) == [(4, 3, 2), (3, 2, None)]
 
 
@@ -1233,7 +1233,7 @@ class TestDivergenceReason:
         assert "diverged in epoch 1: layer 0 weight norm" in caplog.text
 
     def test_nan_weight_is_diverged(self):
-        net = build_network([LayerSpec("dense", 4, 3, "identity")], seed=0)
+        net = build_network([LayerSpec(4, 3, "identity")], seed=0)
         w = net.layers[0].w.copy()
         w[0, 0] = np.nan
         net = Network([DenseLayer(w, net.layers[0].bias, "identity")])

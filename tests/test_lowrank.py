@@ -331,6 +331,26 @@ class TestTruncateStateRoutes:
         assert_same_bytes(truncate_state(u_hat, l1, policy), truncate_state(u_hat, l1, policy))
         assert not gesdd_calls
 
+    @pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-3])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_rank_near_the_cut_matches_gesdd(self, tau, delta, side, gesdd_calls):
+        # the tail ratio ||sigma[8:]|| / ||sigma|| is tau (1 + side delta), so
+        # gesdd's rank is 8 just below the cut and more just above it. Below
+        # it the Gram route keeps sigma_8 = 0.1; above it, its eigenvalues
+        # must not give rank 8 either, whichever route the next sigma takes
+        head = np.logspace(0, -1, 8)
+        ratio = tau * (1 + side * delta)
+        for seed in range(5):
+            tail = np.sort(np.random.default_rng(seed).uniform(0.5, 1.0, 12))[::-1]
+            tail *= ratio * np.linalg.norm(head) / np.sqrt(1 - ratio**2) / np.linalg.norm(tail)
+            u_hat, l1 = conditioned(60, 20, np.concatenate([head, tail]), seed)
+            policy = TruncationPolicy(tau=tau, r_max=20, r_min=1)
+            rank = truncation_rank(svd_thin(l1).sigma, policy)
+            assert rank == 8 if side < 0 else rank > 8
+            assert truncate_state(u_hat, l1, policy)[1].shape == (rank, rank)
+        assert side > 0 or not gesdd_calls
+
     def test_eigh_failure_is_numeric_error(self, monkeypatch):
         def failing(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

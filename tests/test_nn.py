@@ -34,8 +34,8 @@ def loss_of(net, x, labels):
 def tiny_mixed_net(seed=0):
     # lowrank 4->3 with relu, dense 3->2 identity output
     specs = [
-        LayerSpec("lowrank", 4, 3, "relu", initial_rank=2),
-        LayerSpec("dense", 3, 2, "identity"),
+        LayerSpec(4, 3, "relu", initial_rank=2),
+        LayerSpec(3, 2, "identity"),
     ]
     return build_network(specs, seed=seed)
 
@@ -61,22 +61,13 @@ def assert_arrays_read_only(net):
 
 
 class TestLayerSpec:
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            LayerSpec("conv", 4, 4)
-
     def test_rejects_oversized_rank(self):
         with pytest.raises(ValueError):
-            LayerSpec("lowrank", 4, 3, initial_rank=4)
-
-    def test_dense_takes_no_rank(self):
-        with pytest.raises(ValueError):
-            LayerSpec("dense", 4, 3, initial_rank=2)
+            LayerSpec(4, 3, initial_rank=4)
 
     @pytest.mark.parametrize("args, match", [
-        (("dense", 0, 3), "dims must be positive"),
-        (("lowrank", 4, -1), "dims must be positive"),
-        (("lowrank", 4, 3), "needs initial_rank"),
+        ((0, 3), "dims must be positive"),
+        ((4, -1, "relu", 2), "dims must be positive"),
     ])
     def test_rejects_bad_dims_or_missing_rank(self, args, match):
         with pytest.raises(ValueError, match=match):
@@ -95,7 +86,7 @@ class TestLayerSpec:
 
     def test_mlp_specs_dense(self):
         specs = mlp_specs([5, 4, 3])
-        assert all(s.kind == "dense" for s in specs)
+        assert all(s.initial_rank is None for s in specs)
 
 
 class TestLayerActivation:
@@ -213,9 +204,9 @@ class TestBuildNetwork:
 
     def test_lowrank_keeps_dominant_part_of_dense_draw(self):
         # same seed: the full-rank lowrank layer reproduces the dense draw
-        dense = build_network([LayerSpec("dense", 5, 4, "identity")], seed=3)
+        dense = build_network([LayerSpec(5, 4, "identity")], seed=3)
         lowrank = build_network(
-            [LayerSpec("lowrank", 5, 4, "identity", initial_rank=4)], seed=3
+            [LayerSpec(5, 4, "identity", initial_rank=4)], seed=3
         )
         diff = np.linalg.norm(dense.layers[0].w - dense_weight(lowrank.layers[0]))
         assert diff <= 1e-12
@@ -263,7 +254,7 @@ class TestBuildNetwork:
         left, sig, right_t = np.linalg.svd(w, full_matrices=False)
         assert sig[r - 1] / sig[0] < lowrank_module.GRAM_MIN_RATIO
         calls = self.gram_route_calls(monkeypatch)
-        spec = LayerSpec("lowrank", in_dim, out_dim, "identity", initial_rank=r)
+        spec = LayerSpec(in_dim, out_dim, "identity", initial_rank=r)
         st = build_network([spec], seed=seed).layers[0].state
         assert calls["svd_thin"] == 1
         assert np.array_equal(st.u, np.ascontiguousarray(left[:, :r]))
@@ -323,8 +314,8 @@ class TestKeptNetworks:
         (mlp_specs([8, 6, 4], initial_rank=3), 2),  # another seed
         (mlp_specs([8, 6, 4], initial_rank=2), 1),  # another rank
         (mlp_specs([8, 5, 4], initial_rank=3), 1),  # another width
-        ([LayerSpec("lowrank", 8, 6, "identity", initial_rank=3),
-          LayerSpec("lowrank", 6, 4, "identity", initial_rank=3)], 1),  # another activation
+        ([LayerSpec(8, 6, "identity", initial_rank=3),
+          LayerSpec(6, 4, "identity", initial_rank=3)], 1),  # another activation
     ])
     def test_another_key_misses(self, specs, seed, factored):
         net = build_network(self.SPECS, seed=1)
@@ -391,10 +382,33 @@ class TestForward:
         expected = h1 @ net.layers[1].w.T + net.layers[1].bias
         assert np.linalg.norm(logits - expected) <= 1e-10
 
+    def test_cache_keeps_relu_masks_not_pre_activations(self):
+        # the records held each layer's float pre-activation z, which
+        # backward read only as z > 0; the relu output layer has one too
+        net = build_network([LayerSpec(4, 3, "relu", 2), LayerSpec(3, 3, "identity"),
+                             LayerSpec(3, 2, "relu", 1)], seed=5)
+        x = np.random.default_rng(5).standard_normal((6, 4))
+        logits, cache = forward(net, x)
+        outputs = [record[0] for record in cache.records[1:]] + [logits]
+        for layer, (_, _, mask), out in zip(net.layers, cache.records, outputs):
+            if layer.activation == "identity":
+                assert mask is None
+            else:
+                assert mask.dtype == bool and np.array_equal(mask, out > 0.0)
+
     def test_rejects_wrong_width(self):
         net = tiny_mixed_net()
         with pytest.raises(DimensionError):
             forward(net, np.zeros((2, 5)))
+
+
+# labels for two rows of three classes that are no class indices
+BAD_LABELS = [
+    (np.array([1.0, 2.0]), "integer dtype"),
+    (np.array([True, False]), "integer dtype"),
+    (np.array([-1, 0]), r"lie in \[0, 3\)"),
+    (np.array([7, 9]), r"lie in \[0, 3\)"),
+]
 
 
 class TestSoftmaxCrossEntropy:
@@ -429,6 +443,12 @@ class TestSoftmaxCrossEntropy:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+    @pytest.mark.parametrize("labels, match", BAD_LABELS)
+    def test_rejects_labels_not_class_indices(self, labels, match):
+        # a float or bool label raised an IndexError from the indexing
+        with pytest.raises(ValueError, match=match):
+            softmax_cross_entropy(np.zeros((2, 3)), labels)
 
     def test_rejects_labels_not_one_per_row(self):
         with pytest.raises(DimensionError, match="one integer per row"):
@@ -547,9 +567,9 @@ class TestBackward:
         # the stepper come from one definition: the same bytes, for the
         # contractions, the dense gradient and the bias gradient
         specs = [
-            LayerSpec("lowrank", 6, 5, "relu", initial_rank=2),
-            LayerSpec("dense", 5, 4, "relu"),
-            LayerSpec("lowrank", 4, 3, "identity", initial_rank=2),
+            LayerSpec(6, 5, "relu", initial_rank=2),
+            LayerSpec(5, 4, "relu"),
+            LayerSpec(4, 3, "identity", initial_rank=2),
         ]
         net = build_network(specs, seed=13)
         x, labels = random_batch(net, 8, seed=13)
@@ -670,7 +690,7 @@ class TestTrainStep:
         # one lowrank layer, identity activation, zero bias: train_step must
         # agree with each standalone stepper driven by closed-form gradients
         # that know nothing of the network code
-        spec = [LayerSpec("lowrank", 6, 5, "identity", initial_rank=2)]
+        spec = [LayerSpec(6, 5, "identity", initial_rank=2)]
         net = build_network(spec, seed=16)
         x, labels = random_batch(net, 8, seed=16)
         policy = TruncationPolicy(tau=1e-6, r_max=4, r_min=1)
@@ -846,13 +866,14 @@ class TestEvaluate:
         assert evaluate(net, (images, np.zeros(4, dtype=int))) == 1.0
         assert evaluate(net, (images, np.full(4, 2))) == 0.0
 
-    def test_chunks_agree_with_forward(self):
+    def test_chunks_agree_with_forward(self, monkeypatch):
         # evaluate's cache-free chunked pass predicts what forward's logits do
         net = build_network(mlp_specs([6, 5, 4, 3], initial_rank=2), seed=24)
         x, labels = random_batch(net, 11, seed=24)
         logits, _ = forward(net, x)
         expected = np.mean(np.argmax(logits, axis=1) == labels)
-        assert evaluate(net, (x, labels), chunk=4) == expected
+        monkeypatch.setattr(nn_module, "_EVAL_CHUNK", 4)
+        assert evaluate(net, (x, labels)) == expected
         with pytest.raises(DimensionError):
             evaluate(net, (np.zeros((2, 5)), np.zeros(2, dtype=int)))
 
@@ -869,12 +890,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty dataset"):
             evaluate(net, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
-    @pytest.mark.parametrize("chunk", [0, -1])
-    def test_rejects_chunk_below_one(self, chunk):
-        # chunk -1 returned accuracy 0.0 and chunk 0 failed inside range
-        net = Network([DenseLayer(np.eye(2), np.zeros(2), "identity")])
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            evaluate(net, (np.eye(2), np.array([0, 1])), chunk=chunk)
+    @pytest.mark.parametrize("labels, match", BAD_LABELS)
+    def test_rejects_labels_not_class_indices(self, labels, match):
+        # a label out of range, or a fractional one, counted as a miss: a
+        # 3-output net scored labels [7, 9] 0.0
+        net = Network([DenseLayer(np.eye(3)[:, :2], np.zeros(3), "identity")])
+        with pytest.raises(ValueError, match=match):
+            evaluate(net, (np.eye(2), labels))
 
 
 class TestNetworkCheckpoint:

@@ -7,17 +7,22 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dlrt.cli as cli
 import dlrt.integrators as integrators
 import dlrt.nn as nn
 import dlrt.threads as threads
 from dlrt.cli import _dataset_loss
 from dlrt.data import Dataset
-from dlrt.integrators import INTEGRATOR_NAMES, StepConfig, abc_psi_step, quadratic_oracle
+from dlrt.integrators import (
+    INTEGRATOR_NAMES, STEPPERS, StepConfig, abc_psi_step, quadratic_oracle,
+)
 from dlrt.linalg import NumericError
 from dlrt.lowrank import LowRankState, TruncationPolicy
 from dlrt.nn import LayerSpec, build_network, evaluate, mlp_specs, train_step
@@ -124,12 +129,7 @@ def run_steps(integrator):
     for batch in batches:
         net, loss = train_step(net, batch, integrator, cfg)
         losses.append(loss)
-    arrays = []
-    for layer in net.layers:
-        weights = [layer.w] if layer.rank is None else [layer.state.u, layer.state.s,
-                                                        layer.state.v]
-        arrays += [a.tobytes() for a in weights] + [layer.bias.tobytes()]
-    return np.array(losses).tobytes(), arrays
+    return np.array(losses).tobytes(), net_bytes(net)
 
 
 @pytest.fixture
@@ -157,6 +157,65 @@ def test_steps_same_bytes_at_width_1_and_2(monkeypatch, augment_on_caller, integ
     assert not any(augment_on_caller)
     force_width(monkeypatch, 1)
     assert run_steps(integrator) == pooled
+
+
+@st.composite
+def stepped_nets(draw):
+    """A random net of low-rank layers, relu or identity each, the output
+    layer's too; a stepper with its config; and six seeded batches."""
+    widths = draw(st.lists(st.integers(1, 24), min_size=2, max_size=4), label="widths")
+    rank = draw(st.integers(1, 8), label="rank")
+    acts = draw(st.lists(st.sampled_from(["relu", "identity"]),
+                         min_size=len(widths) - 1, max_size=len(widths) - 1), label="activations")
+    specs = [LayerSpec(n_in, n_out, act, min(rank, n_in, n_out))
+             for n_in, n_out, act in zip(widths, widths[1:], acts)]
+    integrator = draw(st.sampled_from(sorted(STEPPERS)), label="integrator")
+    r_min = draw(st.integers(1, 3), label="r_min")
+    policy = TruncationPolicy(tau=draw(st.sampled_from([0.0, 1e-6, 0.05, 0.3, 0.9]), label="tau"),
+                              r_max=draw(st.integers(r_min, 16), label="r_max"), r_min=r_min)
+    cfg = StepConfig(h=10.0 ** draw(st.floats(-4.0, 3.0), label="log10 h"), policy=policy)
+    rows = draw(st.integers(1, 9), label="rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
+    batches = [(rng.standard_normal((rows, widths[0])), rng.integers(0, widths[-1], rows))
+               for _ in range(6)]
+    return build_network(specs, seed=0), integrator, cfg, batches
+
+
+def six_steps(net, integrator, cfg, batches, width) -> tuple:
+    """The nets and the losses' bytes of six steps at pool width ``width``,
+    and the message of the ``NumericError`` that ended them early, if any."""
+    nets, losses, error = [], [], None
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        force_width(patch, width)
+        try:
+            for batch in batches:
+                net, loss = train_step(net, batch, integrator, cfg)
+                nets.append(net)
+                losses.append(loss)
+        except NumericError as exc:
+            error = str(exc)
+    return nets, np.array(losses).tobytes(), error
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(run=stepped_nets())
+def test_random_steps_same_bytes_at_width_1_and_2(run):
+    # any stepper on any small net, step size and policy: the same losses,
+    # factors and biases, or the same error, at either width; every state
+    # reached is valid, and abc-psi keeps each rank in the policy's window
+    net, integrator, cfg, batches = run
+    nets, losses, error = six_steps(net, integrator, cfg, batches, 1)
+    pooled, pooled_losses, pooled_error = six_steps(net, integrator, cfg, batches, 2)
+    assert (pooled_losses, pooled_error) == (losses, error)
+    assert [net_bytes(n) for n in pooled] == [net_bytes(n) for n in nets]
+    policy = cfg.policy
+    for stepped in nets:
+        for start, layer in zip(net.layers, stepped.layers):
+            layer.state.validate()
+            if integrator == "abc-psi":
+                assert min(policy.r_min, start.rank) <= layer.rank <= policy.r_max
+            else:
+                assert layer.rank == start.rank
 
 
 def shaped_states_and_grads():
@@ -226,11 +285,21 @@ def forward_on_caller(monkeypatch):
     return calls_on_caller(monkeypatch, "_run_forward")
 
 
+@contextmanager
+def chunks_of(rows):
+    """evaluate and the CLI's dataset loss at ``rows`` rows per pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "_EVAL_CHUNK", rows)
+        patch.setattr(cli, "_LOSS_CHUNK", rows)
+        yield
+
+
 def evaluations(net, x, y):
     # three 512-row chunks and six 7-row ones, the last of each shorter;
     # two 1024-row chunks for the loss
-    values = [evaluate(net, (x, y)), evaluate(net, (x[:40], y[:40]), chunk=7),
-              _dataset_loss(net, Dataset(x.copy(), y.copy()))]
+    with chunks_of(7):
+        short = evaluate(net, (x[:40], y[:40]))
+    values = [evaluate(net, (x, y)), short, _dataset_loss(net, Dataset(x.copy(), y.copy()))]
     return values, np.array(values).tobytes()
 
 
@@ -257,9 +326,9 @@ def evaluation_error(x, y):
     # as in step_error: the pool's threads must see this error state, or
     # the overflow's RuntimeWarning would replace the NumericError
     messages = []
-    for run in (lambda: evaluate(net, (x, y), chunk=7),
-                lambda: _dataset_loss(net, Dataset(x.copy(), y.copy()), chunk=7)):
-        with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+    for run in (lambda: evaluate(net, (x, y)),
+                lambda: _dataset_loss(net, Dataset(x.copy(), y.copy()))):
+        with chunks_of(7), np.errstate(all="ignore"), pytest.raises(NumericError) as info:
             run()
         messages.append(str(info.value))
     return messages
@@ -287,9 +356,9 @@ BUILDS = {
     "lowrank": mlp_specs((30, 20, 12, 4), 5),
     # dense and low-rank layers alternate; the 12 x 6 layer's rank is its
     # smaller side
-    "mixed": [LayerSpec("dense", 30, 20), LayerSpec("lowrank", 20, 12, initial_rank=3),
-              LayerSpec("dense", 12, 12), LayerSpec("lowrank", 12, 6, initial_rank=6),
-              LayerSpec("lowrank", 6, 4, "identity", initial_rank=2)],
+    "mixed": [LayerSpec(30, 20), LayerSpec(20, 12, initial_rank=3),
+              LayerSpec(12, 12), LayerSpec(12, 6, initial_rank=6),
+              LayerSpec(6, 4, "identity", initial_rank=2)],
 }
 
 
@@ -308,7 +377,7 @@ def test_build_same_bytes_at_width_1_and_2(monkeypatch, factored_on_caller, kind
     force_width(monkeypatch, 1)
     nn._built.clear()
     assert net_bytes(build_network(BUILDS[kind], seed)) == pooled
-    factored = sum(spec.kind == "lowrank" for spec in BUILDS[kind])
+    factored = sum(spec.initial_rank is not None for spec in BUILDS[kind])
     assert factored_on_caller == [False] * factored + [True] * factored
 
 
@@ -321,20 +390,22 @@ def test_paper_net_factors_on_the_pool(monkeypatch, factored_on_caller):
 
 def test_single_lowrank_layer_builds_inline(monkeypatch, factored_on_caller):
     force_width(monkeypatch, 2)
-    build_network([LayerSpec("dense", 20, 12), LayerSpec("lowrank", 12, 4, initial_rank=3)], 0)
+    build_network([LayerSpec(20, 12), LayerSpec(12, 4, initial_rank=3)], 0)
     assert factored_on_caller == [True]
 
 
 NESTED = """
 import numpy as np
+import dlrt.nn as nn
 import dlrt.threads as threads
 from dlrt.nn import build_network, evaluate, mlp_specs
 threads.blas_threads = lambda: 1
 threads._share = 2
+nn._EVAL_CHUNK = 7
 net = build_network(mlp_specs((20, 12, 4), 4), 3)
 rng = np.random.default_rng(0)
 x, y = rng.random((40, 20)), rng.integers(0, 4, 40)
-inner = {"evaluate": lambda i: evaluate(net, (x, y), chunk=7),
+inner = {"evaluate": lambda i: evaluate(net, (x, y)),
          "build_network": lambda i: build_network(mlp_specs((20, 12, 10, 4), 4), i).ranks()}
 print(threads.map_tasks(inner[%r], range(2)))
 """
